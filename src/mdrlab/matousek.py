@@ -12,6 +12,12 @@ distance g' forces a cycle of length at most g' in the template, so a
 girth-g template keeps every pair lambda+/lambda- at distance at least
 min(s*g, T).  Together with the coarse modulus exponent from
 :mod:`mdrlab.moduli` these metrics witness coarse dimension lower bounds.
+
+Pruning rule (part of the output contract of :func:`gen_template`): while
+the template has a cycle shorter than g, delete the first non-tree edge, in
+BFS scan order, from the lowest-index source that still sees such a cycle.
+Vertices are numbered left 0..n-1, right n..2n-1, and adjacency lists are
+in ascending vertex order.
 """
 
 from __future__ import annotations
@@ -21,11 +27,11 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from .errors import IndexMismatch
 from .metric import FiniteMetric, build_metric
-from .moduli import ModulusPair, beta_modulus  # noqa: F401  (re-exported entry points)
-from .moduli import coarse_dim_exponent  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -112,62 +118,48 @@ def _adjacency_lists(vertices: int, pairs) -> list:
     return adj
 
 
+def _short_cycle(adj: list, src: int, bound):
+    """First edge, in BFS scan order from ``src``, closing a cycle shorter than ``bound``.
+
+    Returns ``(length, v, u)`` for the first scanned non-tree edge v-u with
+    depth(v) + depth(u) + 1 < bound, or None.  The tree paths from v and u
+    back to ``src`` plus the edge v-u form a closed walk of that length,
+    which contains a cycle through v-u, so ``length`` bounds the girth from
+    above; it is exact when ``src`` lies on a shortest cycle.  Vertices
+    deeper than bound/2 cannot close such a cycle, so the search neither
+    expands nor scans them.
+    """
+    depth = {src: 0}
+    parent = {src: -1}
+    queue = deque([src])
+    while queue:
+        v = queue.popleft()
+        if 2 * depth[v] >= bound:
+            break
+        for u in adj[v]:
+            if u not in depth:
+                if 2 * depth[v] + 2 <= bound:  # not depth < bound // 2: inf // 2 is nan
+                    depth[u] = depth[v] + 1
+                    parent[u] = v
+                    queue.append(u)
+            elif u != parent[v] and depth[v] + depth[u] + 1 < bound:
+                return depth[v] + depth[u] + 1, v, u
+    return None
+
+
 def girth(vertices: int, pairs) -> float:
     """Shortest cycle length of a simple undirected graph; inf for forests.
 
-    BFS from every vertex; a scanned non-tree edge at depths a and b closes
-    a cycle of length at most a + b + 1 through the lowest common ancestor,
-    and the bound is tight for sources lying on a shortest cycle.
+    A depth-capped BFS from every vertex, each bounded by the shortest cycle
+    found so far (see :func:`_short_cycle`).  The result is an ``int`` or
+    ``math.inf``.
     """
     adj = _adjacency_lists(vertices, pairs)
     best = math.inf
     for src in range(vertices):
-        depth = {src: 0}
-        parent = {src: -1}
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            if 2 * depth[v] >= best:
-                break
-            for u in adj[v]:
-                if u not in depth:
-                    depth[u] = depth[v] + 1
-                    parent[u] = v
-                    queue.append(u)
-                elif u != parent[v]:
-                    best = min(best, depth[v] + depth[u] + 1)
+        while hit := _short_cycle(adj, src, best):
+            best = hit[0]
     return best
-
-
-def _template_girth_or_short_cycle_edge(n: int, edge_set: set, g: int):
-    """Either None (girth >= g) or one edge lying on a cycle shorter than g.
-
-    BFS to depth g/2 in the bipartite graph on 2n vertices (left 0..n-1,
-    right n..2n-1); the first non-tree edge closing a cycle of length < g is
-    returned.  That edge always lies on the short cycle through the lowest
-    common ancestor, so deleting it is a valid (and deterministic) pruning
-    rule.
-    """
-    adj = [[] for _ in range(2 * n)]
-    for i, j in sorted(edge_set):
-        adj[i].append(n + j)
-        adj[n + j].append(i)
-    for src in range(2 * n):
-        depth = {src: 0}
-        parent = {src: -1}
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if u not in depth:
-                    if depth[v] < g // 2:
-                        depth[u] = depth[v] + 1
-                        parent[u] = v
-                        queue.append(u)
-                elif u != parent[v] and depth[v] + depth[u] + 1 < g:
-                    left, right = (v, u - n) if v < n else (u, v - n)
-                    return (left, right)
-    return None
 
 
 def _bipartite_girth(n: int, edges) -> float:
@@ -178,9 +170,12 @@ def _bipartite_girth(n: int, edges) -> float:
 def gen_template(n: int, g: int, seed) -> TemplateGraph:
     """Random template with girth at least g.
 
-    Edges appear independently with probability n^(-1 + 2/g); any cycle
-    shorter than g is then destroyed by deleting one of its edges until none
-    remain.  The surviving edge count is reported via ``density_ratio``
+    Edges appear independently with probability n^(-1 + 2/g).  Cycles
+    shorter than g are then destroyed one edge at a time by the pruning rule
+    in the module docstring: the deleted edge is the first non-tree edge, in
+    BFS scan order, from the lowest-index source that still sees a cycle
+    shorter than g.  That edge lies on a short cycle, so every deletion
+    breaks one.  The surviving edge count is reported via ``density_ratio``
     rather than asserted (the achievable density exponent is an open
     combinatorial question).
     """
@@ -192,11 +187,19 @@ def gen_template(n: int, g: int, seed) -> TemplateGraph:
     p = n ** (-1.0 + 2.0 / g)
     mask = rng.random((n, n)) < p
     edge_set = {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))}
-    while True:
-        bad = _template_girth_or_short_cycle_edge(n, edge_set, g)
-        if bad is None:
-            break
-        edge_set.discard(bad)
+    adj = _adjacency_lists(2 * n, [(i, n + j) for i, j in sorted(edge_set)])
+    # A source is clean when the edges v-u with d(v) + d(u) + 1 < g (d the
+    # distance from the source) form a forest; _short_cycle finds nothing
+    # exactly then.  Deleting edges only raises distances and removes edges,
+    # so that subgraph only shrinks and a clean source stays clean.  The scan
+    # can therefore resume at the current source instead of vertex 0, and
+    # deletes the same edges in the same order as a restart would.
+    for src in range(2 * n):
+        while hit := _short_cycle(adj, src, g):
+            _, v, u = hit
+            adj[v].remove(u)
+            adj[u].remove(v)
+            edge_set.discard((v, u - n) if v < n else (u, v - n))
     return TemplateGraph.build(n, edge_set)
 
 
@@ -234,17 +237,10 @@ def signed_metric(
         left = plus_vertex(i) if signs.of((i, j)) > 0 else minus_vertex(i, n)
         pairs.append((left, right_vertex(j, n)))
     v = 3 * n
-    adj = _adjacency_lists(v, pairs)
-    dist = np.full((v, v), np.inf)
-    for src in range(v):
-        dist[src, src] = 0.0
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            for u in adj[x]:
-                if dist[src, u] == np.inf:
-                    dist[src, u] = dist[src, x] + 1
-                    queue.append(u)
+    rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+    graph = csr_matrix((np.ones(len(pairs)), (rows, cols)), shape=(v, v))
+    # inf between components; min(s * inf, T) = T keeps the truncation exact
+    dist = shortest_path(graph, unweighted=True, directed=False)
     d = np.minimum(params.s * dist, params.T)
     np.fill_diagonal(d, 0.0)
     return build_metric(d)

@@ -92,16 +92,6 @@ def _ones_complement_basis(n: int) -> np.ndarray:
     return u
 
 
-def _project_negative_type(d: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto K: clip the 1-perp block's positive spectrum."""
-    w = u.T @ d @ u
-    block = (w[:-1, :-1] + w[:-1, :-1].T) / 2
-    vals, vecs = np.linalg.eigh(block)
-    w[:-1, :-1] = (vecs * np.minimum(vals, 0.0)) @ vecs.T
-    out = u @ w @ u.T
-    return (out + out.T) / 2
-
-
 def _gram_of(d: np.ndarray) -> np.ndarray:
     n = d.shape[0]
     j = np.eye(n) - np.ones((n, n)) / n

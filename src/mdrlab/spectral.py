@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (
     CapExceeded,
@@ -76,18 +78,13 @@ class WeightedGraph:
             w[i, j] = w[j, i] = wt
         return w
 
+    def _csgraph(self) -> csr_matrix:
+        """Unit-weight adjacency for hop counts and components."""
+        ij = np.array([e[:2] for e in self.edges], dtype=int).reshape(-1, 2)
+        return csr_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(self.n, self.n))
+
     def is_connected(self) -> bool:
-        adj = self.adjacency() > 0
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for u in np.flatnonzero(adj[v]):
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(int(u))
-        return bool(seen.all())
+        return connected_components(self._csgraph(), directed=False)[0] == 1
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]})
@@ -103,23 +100,7 @@ class WeightedGraph:
 
         if not self.is_connected():
             raise Disconnected("graph is not connected")
-        adj = [np.flatnonzero(row) for row in (self.adjacency() > 0)]
-        n = self.n
-        dist = np.full((n, n), np.inf)
-        for s in range(n):
-            dist[s, s] = 0
-            frontier = [s]
-            d = 0
-            while frontier:
-                d += 1
-                nxt = []
-                for v in frontier:
-                    for u in adj[v]:
-                        if dist[s, u] == np.inf:
-                            dist[s, u] = d
-                            nxt.append(int(u))
-                frontier = nxt
-        return build_metric(dist)
+        return build_metric(shortest_path(self._csgraph(), unweighted=True, directed=False))
 
 
 @dataclass(frozen=True)
@@ -135,6 +116,10 @@ class ReversibleChain:
         n = a.shape[0]
         if a.shape != (n, n) or p.shape != (n,):
             raise ValueError("shape mismatch between A and pi")
+        if n < 2:
+            raise ValueError("a chain needs at least 2 states")
+        if not (np.isfinite(a).all() and np.isfinite(p).all()):
+            raise ValueError("A and pi must be finite")
         if a.min() < 0:
             raise ValueError("transition entries must be nonnegative")
         if np.abs(a.sum(axis=1) - 1).max() > ROW_SUM_TOL:
@@ -168,8 +153,9 @@ def chain_from_graph(g: WeightedGraph) -> ReversibleChain:
         raise Disconnected("graph is not connected")
     w = g.adjacency()
     deg = w.sum(axis=1)
-    a = w / deg[:, None]
-    pi = deg / deg.sum()
+    with np.errstate(invalid="ignore"):  # 0/0 on a single vertex, which ReversibleChain rejects
+        a = w / deg[:, None]
+        pi = deg / deg.sum()
     return ReversibleChain(a, pi)
 
 

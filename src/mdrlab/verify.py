@@ -256,15 +256,15 @@ def verify_matousek(seed: int = 0, instances: int = 50) -> dict:
     _prop(results, "fork_separation", ok_fork)
 
     pair = moduli.ModulusPair.bi_lipschitz(2.0)
-    ok = abs(matousek.beta_modulus(pair) - 0.25) <= 1e-15
+    ok = abs(moduli.beta_modulus(pair) - 0.25) <= 1e-15
     pair2 = moduli.ModulusPair.snowflake(2.0, 0.5)
-    ok &= abs(matousek.beta_modulus(pair2) - 0.0625) <= 1e-15
+    ok &= abs(moduli.beta_modulus(pair2) - 0.0625) <= 1e-15
     s_grid = np.linspace(0.01, 50, 1000)
     tab = moduli.ModulusPair(
         moduli.TabulatedModulus(s_grid, pair.omega(s_grid)),
         moduli.TabulatedModulus(s_grid, pair.Omega(s_grid)),
     )
-    ok &= abs(matousek.beta_modulus(tab, grid=np.linspace(0.05, 10, 500)) - 0.25) <= 1e-3
+    ok &= abs(moduli.beta_modulus(tab, grid=np.linspace(0.05, 10, 500)) - 0.25) <= 1e-3
     _prop(results, "beta_modulus_values", ok)
 
     return _finish("matousek", results)

@@ -275,6 +275,17 @@ class TestMiscCommands:
             1.0 / (1.0 - spectral.lambda2(chain)), rel=1e-9
         )
 
+    @pytest.mark.parametrize(
+        "chain",
+        [{"n": 0, "edges": []}, {"n": 1, "edges": []}, {"A": [[1.0]], "pi": [1.0]}],
+    )
+    def test_gamma_rejects_fewer_than_two_states(self, tmp_path, chain):
+        f = tmp_path / "chain.json"
+        f.write_text(json.dumps(chain))
+        proc = run_cli("gamma", "--chain", str(f))
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] in ("Disconnected", "ValueError")
+
     def test_jl_project(self, tmp_path):
         rng = np.random.default_rng(0)
         cloud = metric.PointCloud(rng.standard_normal((12, 8)), "l2")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -30,6 +31,59 @@ class TestGirth:
 
     def test_triangle_plus_path(self):
         assert girth(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]) == 3
+
+    def test_edgeless_and_single_vertex(self):
+        assert girth(5, []) == math.inf
+        assert girth(1, []) == math.inf
+
+    @pytest.mark.parametrize("length", [3, 5, 7, 9])
+    def test_odd_cycles(self, length):
+        got = girth(length, [(i, (i + 1) % length) for i in range(length)])
+        assert got == length and isinstance(got, int)
+
+    def test_cycle_in_second_component(self):
+        # a path on 0..2, then a 5-cycle with a pendant 4-cycle on 3..10
+        pairs = [(0, 1), (1, 2)] + [(3 + i, 3 + (i + 1) % 5) for i in range(5)]
+        pairs += [(7, 8), (8, 9), (9, 10), (10, 7)]
+        assert girth(11, pairs) == 4
+        assert girth(8, pairs[:7]) == 5
+
+
+# sha256 of the output bytes, which are the contract for a fixed seed
+TEMPLATE_DIGESTS = [
+    ((16, 4, 0), 4, "f7c97f75937404995267a95cee194ac097f3fd0a1a1e5e4b38b4208161fbd205"),
+    ((48, 4, 1), 4, "8e5f28ad7f29e5e3cd194fceef66eadb7bc22b2f41975695f958f2a44d64f6b2"),
+    ((24, 6, 2), 6, "154102040773d067d42f3acf1ff246d046e5766a83bb895c57fedbf562041be2"),
+    ((64, 6, 3), 6, "2dff3f1cccb58806c6c346ef5f438df2348149115af34167ea8cfa662dea9825"),
+    ((128, 6, 4), 6, "0fef90d46d4d28ffad5993810411367c66dc5058feb1f1a5f34d28082f64cb9c"),
+    ((10, 8, 0), math.inf, "33923f48da0b4322ef2e653934c336e4e536794b495e4946b25e329de19822dd"),
+    ((32, 8, 5), 8, "e40eed9099351dbe68ac79f061c47667a11c0e084e612fcd0e82c22866ea508b"),
+    ((96, 8, 6), 8, "5ec789fc616b721a814dd518ac054d0e2aaa573c53d66daadd3fcb11df1a2149"),
+]
+SIGNED_DIGESTS = [
+    ((32, 4, 1.0, 4.0, 0), "c4749d7cd4d91d90d5319f41e206ad966e0c20f4c43d3c0b5da9443b9b00f03e"),
+    ((64, 6, 0.5, 3.0, 1), "ede202b770901a13a56ca46f557b2c4d4f0641f2c1db72a62dce4f56cad142e1"),
+    ((40, 8, 0.5, 2.0, 2), "d0bf9e6f218b56d8f28cccf6b93960aa1c242ef18665b4c7e2722225cd1f4113"),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGolden:
+    @pytest.mark.parametrize("args, g_out, digest", TEMPLATE_DIGESTS)
+    def test_gen_template(self, args, g_out, digest):
+        t = gen_template(*args)
+        assert repr(t.girth) == repr(g_out)  # an int, never 6.0
+        assert _sha256(t.to_json().encode()) == digest
+
+    @pytest.mark.parametrize("args, digest", SIGNED_DIGESTS)
+    def test_signed_metric(self, args, digest):
+        n, g, s, cap, seed = args
+        t = gen_template(n, g, seed)
+        sm = signed_metric(t, random_signs(t, seed + 100), SignedMetricParams(s, cap))
+        assert _sha256(sm.dist.tobytes()) == digest
 
 
 class TestGenTemplate:

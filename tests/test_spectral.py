@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -69,6 +70,23 @@ class TestChainConstruction:
         g = WeightedGraph.build(4, [(0, 1), (2, 3)])
         with pytest.raises(Disconnected):
             chain_from_graph(g)
+
+    def test_fewer_than_two_states(self):
+        with pytest.raises(ValueError):
+            ReversibleChain(np.zeros((0, 0)), np.zeros(0))
+        with pytest.raises(ValueError):
+            ReversibleChain(np.ones((1, 1)), np.ones(1))
+        with pytest.raises(ValueError):
+            chain_from_graph(WeightedGraph.build(1, []))
+        with pytest.raises(Disconnected):
+            chain_from_graph(WeightedGraph.build(0, []))
+
+    def test_non_finite(self):
+        nan_a = np.array([[np.nan, 0.5], [0.5, np.nan]])
+        with pytest.raises(ValueError):
+            ReversibleChain(nan_a, np.full(2, 0.5))
+        with pytest.raises(ValueError):
+            ReversibleChain(np.full((2, 2), 0.5), np.array([np.nan, 0.5]))
 
     def test_json_roundtrip(self):
         chain = random_reversible_chain(5, 1)
@@ -426,6 +444,23 @@ class TestRandomRegular:
         d = g.shortest_path_metric().dist
         avg = d.sum() / (256 * 255)
         assert avg >= 0.3 * math.log(256) / math.log(4)
+
+    # sha256 of dist.tobytes(): the hop metric is part of the output contract
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "7a080bd7734ea1ba6c84f197f5d5c39be314756beefcc1272d254defce26e164"),
+            (1, "7184fb615e485d1ff2a064fc4375510b5cdc505a021c65e0948c5d94b4f0a15b"),
+            (2, "89149d9b75f6872538f9970fe596cea6b9eee35b1e6003fb6c3237fc3c0a2cd1"),
+        ],
+    )
+    def test_shortest_path_metric_golden(self, seed, digest):
+        d = random_regular_graph(256, 4, seed).shortest_path_metric().dist
+        assert hashlib.sha256(d.tobytes()).hexdigest() == digest
+
+    def test_shortest_path_metric_disconnected(self):
+        with pytest.raises(Disconnected):
+            WeightedGraph.build(4, [(0, 1), (2, 3)]).shortest_path_metric()
 
     def test_parity_validation(self):
         with pytest.raises(ValueError):
