@@ -1,10 +1,14 @@
 """Command-line laboratory over the library modules.
 
 Every command is deterministic given ``--seed`` (which defaults to a fixed
-constant); ``--threads`` is accepted for interface stability and may not
-change any output byte.  Numeric output is printed with 12 significant
-digits.  Domain errors exit with code 2 and a machine-readable JSON object
-on stderr; ``verify`` exits 1 when a property suite fails.
+constant).  ``--threads`` (default: the ``MDRLAB_THREADS`` variable, else 1)
+is reserved: it is accepted and must be a positive integer, but it has no
+effect on anything.  Each subcommand maps its parsed options to a payload, a
+dict or a list of row dicts; ``main`` emits that payload once, and ``sweep``
+runs any subcommand over a grid through the same parser.  Numeric output is
+printed with 12 significant digits.  Domain errors exit with code 2 and a
+machine-readable JSON object on stderr; ``verify`` exits 1 when a property
+suite fails.
 """
 
 from __future__ import annotations
@@ -17,24 +21,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import jl, matousek, metric, moduli, sdp, spectral, verify
-from .errors import BudgetInfeasible, MdrlabError
+from .errors import BudgetInfeasible, MdrlabError, RetriesExhausted, UnknownSuite
 
 DEFAULT_SEED = 123456789
-
-
-@dataclass
-class RunConfig:
-    command: str
-    seed: int
-    threads: int
-    out: str | None
-    format: str
-    tol: float | None
 
 
 def _fmt(x) -> str:
@@ -57,10 +50,15 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(payload, cfg: RunConfig, csv_rows=None):
-    """Write JSON (default) or CSV when rows are tabular."""
-    if cfg.format == "csv":
-        rows = csv_rows if csv_rows is not None else [payload]
+def _rows(payload) -> list:
+    """A list payload is its own rows; a dict is one row."""
+    return payload if isinstance(payload, list) else [payload]
+
+
+def _emit(payload, fmt: str, out: str | None):
+    """Write the payload as JSON, or as CSV rows."""
+    if fmt == "csv":
+        rows = _rows(payload)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         header = list(rows[0].keys())
@@ -70,16 +68,16 @@ def _emit(payload, cfg: RunConfig, csv_rows=None):
         text = buf.getvalue()
     else:
         text = json.dumps(_round_floats(payload), indent=2) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _fail(code: str, message: str, exit_code: int = 2):
+def _fail(code: str, message: str) -> int:
     sys.stderr.write(json.dumps({"error": code, "message": message}) + "\n")
-    raise SystemExit(exit_code)
+    return 2
 
 
 def _parse_count(text: str) -> int:
@@ -100,11 +98,6 @@ def _load_cloud(path: str) -> metric.PointCloud:
         return metric.PointCloud.from_json(fh.read())
 
 
-def _load_graph(path: str) -> spectral.WeightedGraph:
-    with open(path, encoding="utf-8") as fh:
-        return spectral.WeightedGraph.from_json(fh.read())
-
-
 def _load_chain(path: str) -> spectral.ReversibleChain:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -121,7 +114,7 @@ def _mode(arg: str) -> str:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_jl_dim(args, cfg: RunConfig):
+def cmd_jl_dim(args):
     mode = _mode(args.mode)
     if mode == "haar_projection":
         k = jl.jl_min_dim_projection(args.n, args.alpha)
@@ -134,13 +127,13 @@ def cmd_jl_dim(args, cfg: RunConfig):
         payload.update(
             sigma=plan.sigma, success_prob=plan.success_prob, union_bound=plan.union_bound
         )
-    _emit(payload, cfg, [payload])
+    return payload
 
 
-def cmd_jl_project(args, cfg: RunConfig):
+def cmd_jl_project(args):
     cloud = _load_cloud(args.cloud)
     res = jl.jl_transform(
-        cloud, args.alpha, _mode(args.mode), seed=cfg.seed, max_retries=args.max_retries, k=args.k
+        cloud, args.alpha, _mode(args.mode), seed=args.seed, max_retries=args.max_retries, k=args.k
     )
     payload = {
         "k": res.plan.k,
@@ -152,10 +145,10 @@ def cmd_jl_project(args, cfg: RunConfig):
         "union_bound": res.plan.union_bound,
         "coords": res.cloud.coords.tolist(),
     }
-    _emit(payload, cfg)
+    return payload
 
 
-def cmd_psi(args, cfg: RunConfig):
+def cmd_psi(args):
     est = jl.psi(args.n, args.k, args.alpha, args.sigma)
     payload = {
         "n": args.n,
@@ -165,20 +158,20 @@ def cmd_psi(args, cfg: RunConfig):
         "psi": est.value,
         "method": est.method,
     }
-    _emit(payload, cfg, [payload])
+    return payload
 
 
-def cmd_sigma_max(args, cfg: RunConfig):
+def cmd_sigma_max(args):
     payload = {
         "n": args.n,
         "k": args.k,
         "alpha": args.alpha,
         "sigma_max": jl.sigma_max(args.n, args.k, args.alpha),
     }
-    _emit(payload, cfg, [payload])
+    return payload
 
 
-def cmd_distortion(args, cfg: RunConfig):
+def cmd_distortion(args):
     src = _load_metric(args.source)
     dst = _load_metric(args.target)
     mapping = json.loads(args.map) if args.map else list(range(src.n))
@@ -190,51 +183,50 @@ def cmd_distortion(args, cfg: RunConfig):
         "contraction": rep.contraction,
         "avg_ratio": rep.avg_ratio,
     }
-    _emit(payload, cfg, [payload])
+    return payload
 
 
-def cmd_frechet(args, cfg: RunConfig):
+def cmd_frechet(args):
     m = _load_metric(args.metric)
     cloud = metric.frechet_embed(m)
-    _emit(json.loads(cloud.to_json()), cfg)
+    return json.loads(cloud.to_json())
 
 
-def cmd_bourgain(args, cfg: RunConfig):
+def cmd_bourgain(args):
     m = _load_metric(args.metric)
-    cloud = metric.bourgain_embed(m, cfg.seed)
+    cloud = metric.bourgain_embed(m, args.seed)
     rep = metric.distortion(m, cloud.to_metric(), list(range(m.n)))
     payload = json.loads(cloud.to_json())
     payload["measured_distortion"] = rep.distortion
-    _emit(payload, cfg)
+    return payload
 
 
-def cmd_snowflake(args, cfg: RunConfig):
+def cmd_snowflake(args):
     m = _load_metric(args.metric)
-    _emit(json.loads(metric.snowflake(m, args.theta).to_json()), cfg)
+    return json.loads(metric.snowflake(m, args.theta).to_json())
 
 
-def cmd_doubling(args, cfg: RunConfig):
+def cmd_doubling(args):
     m = _load_metric(args.metric)
     payload = {"n": m.n, "mode": args.mode, "K": metric.doubling_constant(m, args.mode)}
     if args.alpha is not None:
         payload["dim_lower_bound"] = metric.doubling_dim_lower_bound(m, args.alpha)
         payload["alpha"] = args.alpha
-    _emit(payload, cfg, [payload])
+    return payload
 
 
-def cmd_c2_sdp(args, cfg: RunConfig):
+def cmd_c2_sdp(args):
     m = _load_metric(args.metric)
-    tol = cfg.tol if cfg.tol is not None else 1e-4
-    alpha, witness, iters = sdp.c2_sdp(m, tol=tol)
-    _emit({"alpha": alpha, "Q": witness.Q.tolist(), "iterations": iters}, cfg)
+    alpha, witness, iters = sdp.c2_sdp(m, tol=args.tol)
+    return {"alpha": alpha, "Q": witness.Q.tolist(), "iterations": iters}
 
 
-def cmd_certificate(args, cfg: RunConfig):
+def cmd_certificate(args):
     m = _load_metric(args.metric)
     if not args.search and args.cert is None:
         raise ValueError("provide --cert FILE or --search")
     if args.search:
-        cert = sdp.find_violating_certificate(m, args.alpha, seed=cfg.seed)
+        cert = sdp.find_violating_certificate(m, args.alpha, seed=args.seed)
         if cert is None:
             payload = {"found": False, "alpha": args.alpha}
         else:
@@ -253,29 +245,29 @@ def cmd_certificate(args, cfg: RunConfig):
         cert = sdp.NegativeTypeCertificate(a)
         holds, lhs, rhs = sdp.check_certificate(m, cert, args.alpha)
         payload = {"alpha": args.alpha, "holds": holds, "lhs": lhs, "rhs": rhs}
-    _emit(payload, cfg)
+    return payload
 
 
-def cmd_gamma(args, cfg: RunConfig):
+def cmd_gamma(args):
     chain = _load_chain(args.chain)
     payload = {"lambda2": spectral.lambda2(chain), "gamma_hilbert": spectral.gamma_hilbert(chain)}
     if args.metric:
         m = _load_metric(args.metric)
         payload["gamma_bruteforce"] = spectral.gamma_bruteforce(chain, m, args.p)
         payload["p"] = args.p
-    _emit(payload, cfg, [payload])
+    return payload
 
 
-def cmd_rayleigh(args, cfg: RunConfig):
+def cmd_rayleigh(args):
     chain = _load_chain(args.chain)
     m = _load_metric(args.metric)
     assignment = json.loads(args.assignment)
     x = spectral.Configuration(m, assignment)
     payload = {"p": args.p, "rayleigh": spectral.rayleigh(x, chain, args.p)}
-    _emit(payload, cfg, [payload])
+    return payload
 
 
-def cmd_t_param(args, cfg: RunConfig):
+def cmd_t_param(args):
     chain = _load_chain(args.chain)
     cloud = _load_cloud(args.cloud)
     x = spectral.Configuration(cloud)
@@ -288,11 +280,11 @@ def cmd_t_param(args, cfg: RunConfig):
         "hilbert_rayleigh": achieved,
         "power_rayleigh_x": val,
     }
-    _emit(payload, cfg, [payload])
+    return payload
 
 
-def cmd_dim_exponent(args, cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
+def cmd_dim_exponent(args):
+    rng = np.random.default_rng(args.seed)
     rows = []
     for i in range(args.trials):
         gseed, bseed = rng.integers(0, 2**63 - 1, size=2)
@@ -311,10 +303,10 @@ def cmd_dim_exponent(args, cfg: RunConfig):
                 "exponent": exponent,
             }
         )
-    _emit(rows if cfg.format == "json" else rows[0], cfg, rows)
+    return rows
 
 
-def cmd_cheeger(args, cfg: RunConfig):
+def cmd_cheeger(args):
     chain = _load_chain(args.chain)
     cut, cond = spectral.cheeger_sweep(chain)
     lam = spectral.lambda2(chain)
@@ -324,17 +316,17 @@ def cmd_cheeger(args, cfg: RunConfig):
         "lambda2": lam,
         "cheeger_bound": math.sqrt(2 * (1 - lam)),
     }
-    _emit(payload, cfg)
+    return payload
 
 
-def cmd_regular_graph(args, cfg: RunConfig):
-    g = spectral.random_regular_graph(args.n, args.r, cfg.seed)
+def cmd_regular_graph(args):
+    g = spectral.random_regular_graph(args.n, args.r, args.seed)
     payload = json.loads(g.to_json())
     payload["lambda2"] = spectral.lambda2(spectral.chain_from_graph(g))
-    _emit(payload, cfg)
+    return payload
 
 
-def cmd_markov_convexity(args, cfg: RunConfig):
+def cmd_markov_convexity(args):
     with open(args.spec, encoding="utf-8") as fh:
         obj = json.load(fh)
     m = metric.build_metric(np.asarray(obj["dist"], dtype=float))
@@ -346,7 +338,7 @@ def cmd_markov_convexity(args, cfg: RunConfig):
         np.asarray(obj["point_map"], int),
         float(obj.get("q", 2.0)),
     )
-    est = spectral.markov_convexity_ratio(spec, samples=args.samples, seed=cfg.seed, method=args.method)
+    est = spectral.markov_convexity_ratio(spec, samples=args.samples, seed=args.seed, method=args.method)
     payload = {
         "lhs": est.lhs,
         "rhs": est.rhs,
@@ -355,35 +347,34 @@ def cmd_markov_convexity(args, cfg: RunConfig):
         "rhs_q_se": est.rhs_q_se,
         "method": est.method,
     }
-    _emit(payload, cfg, [payload])
+    return payload
 
 
-def cmd_matousek_gen(args, cfg: RunConfig):
-    t = matousek.gen_template(args.n, args.g, cfg.seed)
+def cmd_matousek_gen(args):
+    t = matousek.gen_template(args.n, args.g, args.seed)
     payload = json.loads(t.to_json())
     payload.update(girth=t.girth if math.isfinite(t.girth) else "inf",
                    edges_count=t.edge_count, density_ratio=t.density_ratio)
-    _emit(payload, cfg)
+    return payload
 
 
-def cmd_signed_metric(args, cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
+def cmd_signed_metric(args):
+    rng = np.random.default_rng(args.seed)
     template = matousek.gen_template(args.n, args.g, rng.integers(2**63 - 1))
     signs = matousek.random_signs(template, rng.integers(2**63 - 1))
     sm = matousek.signed_metric(template, signs, matousek.SignedMetricParams(args.s, args.T))
     payload = json.loads(sm.to_json())
     payload["min_fork_dist"] = matousek.min_fork_distance(sm, args.n)
-    _emit(payload, cfg)
+    return payload
 
 
-def cmd_matousek_harness(args, cfg: RunConfig):
-    rows = matousek.experiment_harness(
-        args.n, args.g, args.s, args.T, args.trials, cfg.seed, alpha=args.alpha
+def cmd_matousek_harness(args):
+    return matousek.experiment_harness(
+        args.n, args.g, args.s, args.T, args.trials, args.seed, alpha=args.alpha
     )
-    _emit(rows if cfg.format == "json" else rows[0], cfg, rows)
 
 
-def cmd_beta(args, cfg: RunConfig):
+def cmd_beta(args):
     if args.family == "bilipschitz":
         pair = moduli.ModulusPair.bi_lipschitz(args.alpha)
     else:
@@ -393,12 +384,12 @@ def cmd_beta(args, cfg: RunConfig):
     if args.n_points:
         payload["dim_exponent"] = moduli.coarse_dim_exponent(args.n_points, pair)
         payload["n_points"] = args.n_points
-    _emit(payload, cfg, [payload])
+    return payload
 
 
-def cmd_pipeline(args, cfg: RunConfig):
+def cmd_pipeline(args):
     m = _load_metric(args.metric)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     cloud = metric.bourgain_embed(m, rng.integers(2**63 - 1))
     rep = metric.distortion(m, cloud.to_metric(), list(range(m.n)))
     alpha1 = rep.distortion
@@ -427,7 +418,7 @@ def cmd_pipeline(args, cfg: RunConfig):
         final = res.cloud
         attempts = res.attempts
         if not res.success:
-            _fail("RetriesExhausted", f"no successful draw in {attempts} attempts")
+            raise RetriesExhausted(f"no successful draw in {attempts} attempts")
     end_rep = metric.distortion(m, final.to_metric(), list(range(m.n)))
     payload = {
         "n": n,
@@ -439,270 +430,233 @@ def cmd_pipeline(args, cfg: RunConfig):
         "alpha_total": args.alpha_total,
         "within_budget": end_rep.distortion <= args.alpha_total,
     }
-    _emit(payload, cfg, [payload])
+    return payload
 
 
-def cmd_sweep(args, cfg: RunConfig):
+def cmd_volumetric(args):
+    k_min = metric.volumetric_lower_bound(args.n, args.alpha)
+    return {"n": args.n, "alpha": args.alpha, "k_min": k_min}
+
+
+def _option_argv(options: dict) -> list:
+    """Sweep options as argv: ``n_points`` -> ``--n-points``, true -> bare flag, false omitted."""
+    argv = []
+    for key, value in options.items():
+        if value is False:
+            continue
+        argv.append("--" + key.replace("_", "-"))
+        if value is not True:
+            argv.append(json.dumps(value) if isinstance(value, list) else str(value))
+    return argv
+
+
+class _CellParser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting, so one bad cell does not end a sweep.
+
+    It has no ``--help``, which would print to stdout and exit mid-sweep.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **{**kwargs, "add_help": False})
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def cmd_sweep(args):
     with open(args.spec, encoding="utf-8") as fh:
         spec = json.load(fh)
-    command = spec["command"]
+    if spec["command"] == "sweep":
+        raise ValueError("a sweep cannot run sweep")
     grid = spec.get("grid", {})
-    base = spec.get("args", {})
-    seed = int(spec.get("seed", cfg.seed))
     keys = sorted(grid.keys())
+    if bad := [k for k in keys if not isinstance(grid[k], list) or not grid[k]]:
+        raise ValueError(f"grid axis {bad[0]!r} must be a non-empty list")
+    head = [spec["command"], "--seed", str(int(spec.get("seed", args.seed)))]
+    parser = build_parser(_CellParser)
     rows = []
     for combo in itertools.product(*(grid[k] for k in keys)):
-        cell = dict(base)
-        cell.update(dict(zip(keys, combo)))
-        row = {k: cell.get(k) for k in keys}
+        cell = dict(zip(keys, combo))
         try:
-            row.update(_sweep_cell(command, cell, seed))
-            row["error"] = ""
+            cell_args = parser.parse_args(head + _option_argv({**spec.get("args", {}), **cell}))
+            payload = cell_args.func(cell_args)
+            rows += [{**row, **cell, "error": ""} for row in _rows(payload)]
         except Exception as exc:  # per-cell failures recorded, run continues
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
+            rows.append({**cell, "error": f"{type(exc).__name__}: {exc}"})
     header = sorted({k for r in rows for k in r})
-    norm_rows = [{k: r.get(k, "") for k in header} for r in rows]
-    cfg2 = RunConfig(cfg.command, seed, cfg.threads, cfg.out, "csv", cfg.tol)
-    _emit(norm_rows[0] if norm_rows else {}, cfg2, norm_rows)
+    return [{k: r.get(k, "") for k in header} for r in rows]
 
 
-def _sweep_cell(command: str, cell: dict, seed: int) -> dict:
-    if command == "jl-dim":
-        n = int(float(cell["n"]))
-        alpha = float(cell["alpha"])
-        mode = _mode(cell.get("mode", "gaussian"))
-        if mode == "haar_projection":
-            k = jl.jl_min_dim_projection(n, alpha)
-        else:
-            k = jl.jl_min_dim_gaussian(n, alpha)
-        out = {"k": k, "mode": cell.get("mode", "gaussian")}
-        if not (mode == "haar_projection" and k > n - 4):
-            plan = jl.make_plan(n, alpha, mode, k)
-            out.update(sigma=plan.sigma, success_prob=plan.success_prob, union_bound=plan.union_bound)
-        return out
-    if command == "psi":
-        return {
-            "psi": jl.psi(
-                int(float(cell["n"])), int(float(cell["k"])), float(cell["alpha"]), float(cell["sigma"])
-            ).value
-        }
-    if command == "sigma-max":
-        return {
-            "sigma_max": jl.sigma_max(int(float(cell["n"])), int(float(cell["k"])), float(cell["alpha"]))
-        }
-    if command == "volumetric":
-        return {"k_min": metric.volumetric_lower_bound(int(float(cell["n"])), float(cell["alpha"]))}
-    if command == "beta":
-        pair = (
-            moduli.ModulusPair.bi_lipschitz(float(cell["alpha"]))
-            if cell.get("family", "bilipschitz") == "bilipschitz"
-            else moduli.ModulusPair.snowflake(float(cell["alpha"]), float(cell["theta"]))
-        )
-        return {"beta": moduli.beta_modulus(pair)}
-    raise ValueError(f"sweep does not support command {command!r}")
-
-
-def cmd_verify(args, cfg: RunConfig):
+def cmd_verify(args):
     if args.suite not in verify.SUITES:
-        _fail("UnknownSuite", f"suite must be one of {verify.SUITES}")
-    summary = verify.run_suite(args.suite, seed=cfg.seed)
-    _emit(summary, cfg)
-    if not summary["ok"]:
-        raise SystemExit(1)
+        raise UnknownSuite(f"suite must be one of {verify.SUITES}")
+    return verify.run_suite(args.suite, seed=args.seed)
 
 
 # ---------------------------------------------------------------- parser
 
 
-def _Sub(common: argparse.ArgumentParser):
-    """Subparser class injecting the shared option block."""
-
-    class WithCommon(argparse.ArgumentParser):
-        def __init__(self, *a, **kw):
-            kw.setdefault("parents", []).append(common)
-            super().__init__(*a, **kw)
-
-    return WithCommon
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="mdrlab", description=__doc__)
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    ap = parser_class(prog="mdrlab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="global RNG seed (fixed default)")
     common.add_argument(
-        "--threads", type=int, default=None, help="thread budget (outputs unaffected)"
+        "--threads", type=int, default=None,
+        help="reserved: must be >= 1 (default $MDRLAB_THREADS, else 1); has no effect",
     )
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override where applicable")
-    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Sub(common))
+    sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("jl-dim", help="minimal certified JL dimension")
+    def add(name, func, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("jl-dim", cmd_jl_dim, "minimal certified JL dimension")
     p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--mode", choices=("haar", "gaussian"), default="gaussian")
-    p.set_defaults(func=cmd_jl_dim)
 
-    p = sub.add_parser("jl-project", help="apply a JL transform to a point cloud")
+    p = add("jl-project", cmd_jl_project, "apply a JL transform to a point cloud")
     p.add_argument("--cloud", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--mode", choices=("haar", "gaussian"), default="haar")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--max-retries", type=int, default=64)
-    p.set_defaults(func=cmd_jl_project)
 
-    p = sub.add_parser("psi", help="success probability of the rotation transform")
+    p = add("psi", cmd_psi, "success probability of the rotation transform")
     p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--k", type=_parse_count, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.set_defaults(func=cmd_psi)
 
-    p = sub.add_parser("sigma-max", help="optimal scaling factor")
+    p = add("sigma-max", cmd_sigma_max, "optimal scaling factor")
     p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--k", type=_parse_count, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(func=cmd_sigma_max)
 
-    p = sub.add_parser("distortion", help="distortion of an index map between metrics")
+    p = add("distortion", cmd_distortion, "distortion of an index map between metrics")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--map", default=None, help="JSON list; identity by default")
-    p.set_defaults(func=cmd_distortion)
 
-    p = sub.add_parser("frechet", help="isometric l-infinity embedding")
+    p = add("frechet", cmd_frechet, "isometric l-infinity embedding")
     p.add_argument("--metric", required=True)
-    p.set_defaults(func=cmd_frechet)
 
-    p = sub.add_parser("bourgain", help="randomized Euclidean embedding")
+    p = add("bourgain", cmd_bourgain, "randomized Euclidean embedding")
     p.add_argument("--metric", required=True)
-    p.set_defaults(func=cmd_bourgain)
 
-    p = sub.add_parser("snowflake", help="entrywise power of a metric")
+    p = add("snowflake", cmd_snowflake, "entrywise power of a metric")
     p.add_argument("--metric", required=True)
     p.add_argument("--theta", type=float, required=True)
-    p.set_defaults(func=cmd_snowflake)
 
-    p = sub.add_parser("doubling", help="doubling constant and dimension bound")
+    p = add("doubling", cmd_doubling, "doubling constant and dimension bound")
     p.add_argument("--metric", required=True)
     p.add_argument("--mode", choices=("exact", "greedy"), default="greedy")
     p.add_argument("--alpha", type=float, default=None)
-    p.set_defaults(func=cmd_doubling)
 
-    p = sub.add_parser("c2-sdp", help="Euclidean distortion by alternating projections")
+    p = add("c2-sdp", cmd_c2_sdp, "Euclidean distortion by alternating projections")
     p.add_argument("--metric", required=True)
-    p.set_defaults(func=cmd_c2_sdp)
+    p.add_argument("--tol", type=float, default=1e-4, help="bisection tolerance on the distortion")
 
-    p = sub.add_parser("certificate", help="check or search negative-type certificates")
+    p = add("certificate", cmd_certificate, "check or search negative-type certificates")
     p.add_argument("--metric", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--cert", default=None, help='JSON file {"A": [[...]]}')
     p.add_argument("--search", action="store_true", help="search for a violating certificate")
-    p.set_defaults(func=cmd_certificate)
 
-    p = sub.add_parser("gamma", help="spectral gap reciprocals")
+    p = add("gamma", cmd_gamma, "spectral gap reciprocals")
     p.add_argument("--chain", required=True, help="chain or graph JSON")
     p.add_argument("--metric", default=None, help="enables brute-force nonlinear gamma")
     p.add_argument("--p", type=float, default=2.0)
-    p.set_defaults(func=cmd_gamma)
 
-    p = sub.add_parser("rayleigh", help="nonlinear Rayleigh quotient")
+    p = add("rayleigh", cmd_rayleigh, "nonlinear Rayleigh quotient")
     p.add_argument("--chain", required=True)
     p.add_argument("--metric", required=True)
     p.add_argument("--assignment", required=True, help="JSON list of point indices")
     p.add_argument("--p", type=float, default=2.0)
-    p.set_defaults(func=cmd_rayleigh)
 
-    p = sub.add_parser("t-param", help="lazy-power Hilbert threshold parameter")
+    p = add("t-param", cmd_t_param, "lazy-power Hilbert threshold parameter")
     p.add_argument("--chain", required=True)
     p.add_argument("--cloud", required=True)
     p.add_argument("--cap", type=int, default=4096)
-    p.set_defaults(func=cmd_t_param)
 
-    p = sub.add_parser("dim-exponent", help="expander dimension exponent survey")
+    p = add("dim-exponent", cmd_dim_exponent, "expander dimension exponent survey")
     p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--r", type=_parse_count, required=True)
     p.add_argument("--trials", type=_parse_count, default=1)
-    p.set_defaults(func=cmd_dim_exponent)
 
-    p = sub.add_parser("cheeger", help="sweep cut and conductance")
+    p = add("cheeger", cmd_cheeger, "sweep cut and conductance")
     p.add_argument("--chain", required=True)
-    p.set_defaults(func=cmd_cheeger)
 
-    p = sub.add_parser("regular-graph", help="random regular graph by the pairing model")
+    p = add("regular-graph", cmd_regular_graph, "random regular graph by the pairing model")
     p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--r", type=_parse_count, required=True)
-    p.set_defaults(func=cmd_regular_graph)
 
-    p = sub.add_parser("markov-convexity", help="fork-vs-path convexity ratio")
+    p = add("markov-convexity", cmd_markov_convexity, "fork-vs-path convexity ratio")
     p.add_argument("--spec", required=True, help="JSON chain/metric spec file")
     p.add_argument("--samples", type=_parse_count, default=10000)
     p.add_argument("--method", choices=("auto", "dp", "mc"), default="auto")
-    p.set_defaults(func=cmd_markov_convexity)
 
-    p = sub.add_parser("matousek-gen", help="girth-constrained bipartite template")
+    p = add("matousek-gen", cmd_matousek_gen, "girth-constrained bipartite template")
     p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--g", type=_parse_count, required=True)
-    p.set_defaults(func=cmd_matousek_gen)
 
-    p = sub.add_parser("signed-metric", help="coin-flip truncated shortest-path metric")
+    p = add("signed-metric", cmd_signed_metric, "coin-flip truncated shortest-path metric")
     p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--g", type=_parse_count, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--T", type=float, required=True)
-    p.set_defaults(func=cmd_signed_metric)
 
-    p = sub.add_parser("matousek-harness", help="sampled-metric survey rows")
+    p = add("matousek-harness", cmd_matousek_harness, "sampled-metric survey rows")
     p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--g", type=_parse_count, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--trials", type=_parse_count, default=10)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.set_defaults(func=cmd_matousek_harness)
 
-    p = sub.add_parser("beta", help="coarse modulus exponent")
+    p = add("beta", cmd_beta, "coarse modulus exponent")
     p.add_argument("--family", choices=("bilipschitz", "snowflake"), default="bilipschitz")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--n-points", type=_parse_count, default=None)
-    p.set_defaults(func=cmd_beta)
 
-    p = sub.add_parser("pipeline", help="Bourgain-embed then JL-reduce")
+    p = add("volumetric", cmd_volumetric, "simplex-packing dimension lower bound")
+    p.add_argument("--n", type=_parse_count, required=True)
+    p.add_argument("--alpha", type=float, required=True)
+
+    p = add("pipeline", cmd_pipeline, "Bourgain-embed then JL-reduce")
     p.add_argument("--metric", required=True)
     p.add_argument("--alpha-total", type=float, required=True)
     p.add_argument("--max-retries", type=int, default=64)
-    p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("sweep", help="cross-product runner over a parameter grid")
+    p = add("sweep", cmd_sweep, "cross-product runner over a parameter grid")
     p.add_argument("--spec", required=True, help="JSON sweep spec")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("verify", help="run a module property suite")
+    p = add("verify", cmd_verify, "run a module property suite")
     p.add_argument("suite")
-    p.set_defaults(func=cmd_verify)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("MDRLAB_THREADS", "1"))
-    if threads < 1:
-        _fail("DomainError", "thread count must be >= 1")
-    cfg = RunConfig(args.command, seed, threads, args.out, args.format, args.tol)
+    args = build_parser().parse_args(argv)
+    if args.seed is None:
+        args.seed = DEFAULT_SEED
     try:
-        args.func(args, cfg)
-    except SystemExit:
-        raise
+        threads = int(os.environ.get("MDRLAB_THREADS", "1")) if args.threads is None else args.threads
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        return _fail("DomainError", "thread count must be >= 1")
+    try:
+        payload = args.func(args)
+        _emit(payload, "csv" if args.func is cmd_sweep else args.format, args.out)
     except (MdrlabError, OverflowError, ValueError, KeyError, OSError) as exc:
-        _fail(type(exc).__name__, str(exc))
-    return 0
+        return _fail(type(exc).__name__, str(exc))
+    return 1 if args.func is cmd_verify and not payload["ok"] else 0
 
 
 if __name__ == "__main__":

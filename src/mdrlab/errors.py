@@ -132,3 +132,11 @@ class InverseOutOfRange(MdrlabError):
 
 class BudgetInfeasible(MdrlabError):
     pass
+
+
+class RetriesExhausted(MdrlabError):
+    pass
+
+
+class UnknownSuite(MdrlabError):
+    pass

@@ -185,8 +185,10 @@ def gen_template(n: int, g: int, seed) -> TemplateGraph:
         raise ValueError("g must be an even integer >= 4 (bipartite cycles are even)")
     rng = np.random.default_rng(seed)
     p = n ** (-1.0 + 2.0 / g)
-    mask = rng.random((n, n)) < p
-    edge_set = {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))}
+    edge_set = set()
+    for start in range(0, n, 256):  # the same uniform stream, drawn 256 rows at a time
+        rows, cols = np.nonzero(rng.random((min(256, n - start), n)) < p)
+        edge_set.update(zip((rows + start).tolist(), cols.tolist()))
     adj = _adjacency_lists(2 * n, [(i, n + j) for i, j in sorted(edge_set)])
     # A source is clean when the edges v-u with d(v) + d(u) + 1 < g (d the
     # distance from the source) form a forest; _short_cycle finds nothing

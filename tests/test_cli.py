@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import json
 import math
 import os
@@ -336,3 +339,320 @@ class TestMiscCommands:
         obj = json.loads(proc.stdout)
         assert obj["rhs"] == pytest.approx(math.sqrt(8.0))
         assert 0 < obj["ratio"] < 1.5
+
+
+# ---------------------------------------------------------------- golden bytes
+#
+# Exit code and stdout of one invocation per subcommand, pinned byte for byte.
+# Outputs that go through an eigensolver are compared as parsed payloads to
+# 1e-9 instead, so a different BLAS cannot turn them red.
+
+
+def _write_inputs(d):
+    rng = np.random.default_rng(0)
+    p = np.zeros((5, 5))
+    p[0, 1] = p[4, 3] = 1.0
+    for i in (1, 2, 3):
+        p[i, i - 1] = p[i, i + 1] = 0.5
+    files = {
+        "m": path_metric([0.0, 1.0, 4.0, 6.0]).to_json(),
+        "m2": path_metric([0.0, 1.0]).to_json(),
+        "c4": cycle4().to_json(),
+        "big": metric.random_metric(16, 1, style="shortest_path").to_json(),
+        "cloud": metric.PointCloud(rng.standard_normal((12, 8)), "l2").to_json(),
+        "cloud4": metric.PointCloud(
+            np.random.default_rng(1).standard_normal((4, 3)), "l1"
+        ).to_json(),
+        "graph": json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}),
+        "cert": json.dumps({"A": np.outer([1.0, -1, 1, -1], [1.0, -1, 1, -1]).tolist()}),
+        "mc": json.dumps(
+            {
+                "transition": p.tolist(),
+                "initial": [0, 0, 1, 0, 0],
+                "horizon": 6,
+                "dist": np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0))).tolist(),
+                "point_map": [0, 1, 2, 3, 4],
+            }
+        ),
+        "sweep_haar": json.dumps(
+            {
+                "command": "jl-dim",
+                "grid": {"n": [10**k for k in range(3, 10)], "alpha": [1.5, 2.0, 4.0, 10.0]},
+                "args": {"mode": "haar"},
+            }
+        ),
+        "sweep_vol": json.dumps({"command": "volumetric", "grid": {"n": [1e3, 1e12], "alpha": [2, 3.5]}}),
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = str(d / f"{name}.json")
+        (d / f"{name}.json").write_text(text)
+    return paths
+
+
+GOLDEN_ARGV = {
+    "jl-dim": "jl-dim --n 1e9 --alpha 2 --mode gaussian",
+    "jl-dim-haar-csv": "jl-dim --n 1e6 --alpha 2 --mode haar --format csv",
+    "jl-dim-domain": "jl-dim --n 10 --alpha 1",
+    "jl-project": "jl-project --cloud {cloud} --alpha 3 --k 6 --seed 2 --max-retries 50",
+    "psi": "psi --n 20 --k 5 --alpha 2 --sigma 2.8",
+    "psi-csv": "psi --n 20 --k 5 --alpha 2 --sigma 2.8 --format csv",
+    "sigma-max": "sigma-max --n 7 --k 2 --alpha 2",
+    "distortion": "distortion --source {m} --target {m} --map [3,2,1,0]",
+    "frechet": "frechet --metric {m}",
+    "bourgain": "bourgain --metric {big} --seed 3",
+    "snowflake": "snowflake --metric {m} --theta 0.5",
+    "doubling": "doubling --metric {m} --mode exact --alpha 2",
+    "c2-sdp": "c2-sdp --metric {c4}",
+    "certificate": "certificate --metric {c4} --alpha 1.3 --cert {cert}",
+    "gamma": "gamma --chain {graph} --metric {m}",
+    "rayleigh": "rayleigh --chain {graph} --metric {m2} --assignment [0,1,0,1]",
+    "t-param": "t-param --chain {graph} --cloud {cloud4}",
+    "dim-exponent": "dim-exponent --n 16 --r 3 --trials 2",
+    "dim-exponent-csv": "dim-exponent --n 16 --r 3 --trials 2 --format csv",
+    "cheeger": "cheeger --chain {graph}",
+    "regular-graph": "regular-graph --n 8 --r 3 --seed 5",
+    "markov-convexity": "markov-convexity --spec {mc} --method dp",
+    "matousek-gen": "matousek-gen --n 16 --g 6 --seed 2",
+    "signed-metric": "signed-metric --n 12 --g 4 --s 0.5 --T 2 --seed 4",
+    "matousek-harness": "matousek-harness --n 8 --g 4 --s 1 --T 4 --trials 3",
+    "matousek-harness-csv": "matousek-harness --n 8 --g 4 --s 1 --T 4 --trials 3 --format csv",
+    "beta": "beta --family snowflake --alpha 2 --theta 0.5 --n-points 30000",
+    "pipeline": "pipeline --metric {big} --alpha-total 12 --seed 1",
+    "pipeline-infeasible": "pipeline --metric {big} --alpha-total 1.0001",
+    "sweep-haar": "sweep --spec {sweep_haar}",
+    "sweep-volumetric": "sweep --spec {sweep_vol} --format json",
+    "verify": "verify metric --seed 3",
+    "verify-unknown": "verify nonsense",
+}
+
+GOLDEN_SHA256 = {
+    "beta": (0, "8107ff9ab5f33d5ccbc0750127fd2fbd617a1a659a869276ebfdb458e1c0a31b"),
+    "bourgain": (0, "da6896ad379d2d5e9d5871eb67c70cdf5b84ca97e2eee050d9156071fe772823"),
+    "certificate": (0, "650d4cb220013766209b09bf775995b9667e6c20e15a8af1c42e96571bcf3735"),
+    "dim-exponent": (0, "55b9bd0e7ac57875831552314adaccc7b164776ac725cf0d00d3927b14039c61"),
+    "dim-exponent-csv": (0, "81f522c8f5cca770b91f5a53a2288d2be542c9ddd7779e3acd8b2bf0d04dc82e"),
+    "distortion": (0, "bdfbd8886bc02a0127c32eb1527de90d85bf0669ccf59ac5f39f8f145dda52cf"),
+    "doubling": (0, "5556200f492deacfdc75dbb11f0d8bd875a83aeb2f849806f91e7940abb5d34f"),
+    "frechet": (0, "e6d4df6d5177ac559076b8407b33a2d77dd05497211fd622a311bb5f2947021b"),
+    "jl-dim": (0, "aeea0d83422e6743dcf75676f83ee6fe49de2b5a6cec69b71be156f4acd6219e"),
+    "jl-dim-domain": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "jl-dim-haar-csv": (0, "7673ccb6c4e60e8c4a1e575a704e134799b3e9cc0680190e81c1ca5ea458b128"),
+    "jl-project": (0, "711a2140393e8d6272818ac287726f31409152c4edaa12f717c1b6e85dcfc12f"),
+    "markov-convexity": (0, "bf4ff56a44fee32106fcc065ee86ca0ba4b4e05bd9da82c5095eb6130d139624"),
+    "matousek-gen": (0, "ad090a62f0f3f4aec86028e574c98e27f8d22ce7cff04a706a5bb54d8d951553"),
+    "matousek-harness": (0, "f7ad4a02218a18bc6a5ac58a51d1ff39796982a0eb3ec91290cbd18e12546619"),
+    "matousek-harness-csv": (0, "12ea86778930f0fadd4b1137871ab8bfaa5d57d84ff5ab6f066d66ae71ac7576"),
+    "pipeline": (0, "527c9032e5e715885e44dbf9c72b565fb92392c80ee1183dc1e1ee8579ae8ffc"),
+    "pipeline-infeasible": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "psi": (0, "24d87162c04b1b7c77e039e443fc7218db731a0813f9d12551bccbfcfcc6a215"),
+    "psi-csv": (0, "a92fe66ba9b7471a0a38f3e18526021204da97d1ab19cfbab6b30fdfe795ec14"),
+    "rayleigh": (0, "21cd77c9b28ae8bad23383c7ee11f2e4fe80bc652065f471ce06f46e3a5db6c2"),
+    "sigma-max": (0, "d0ec78e8fe5a572633d3a8a6b8e9e58d575b678d04e3a1eb00d3ca45685a3c66"),
+    "signed-metric": (0, "4324978f90c3460efd47f7a60f96285eca0aab496a4e8ff4695fd1756809ac89"),
+    "snowflake": (0, "139a7315656cf7a1ed1dcafd9ca002b40df887a9e029b8e60457ebb5935bf7e4"),
+    "sweep-haar": (0, "ea740319862793fbda785f02eeaa57dc502a0766476e615742448927f0020b30"),
+    "sweep-volumetric": (0, "873fa457091892394b5c6ab0dd14b245dca949902e5700b6fdad61c3cb389029"),
+    "verify": (0, "86ccec84e16656311851422fa9e0cbef825fd5bfe906db9c6a9a866a2d446859"),
+    "verify-unknown": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+GOLDEN_PAYLOAD = {
+    "c2-sdp": {
+        "alpha": 1.4142296299,
+        "Q": [
+            [1.00002272541, 8.22767675943e-17, -1.00002272541, 3.49853231467e-17],
+            [8.22767675943e-17, 1.00002272541, 1.7783431433e-16, -1.00002272541],
+            [-1.00002272541, 1.7783431433e-16, 1.00002272541, 3.40106653063e-17],
+            [3.49853231467e-17, -1.00002272541, 3.40106653063e-17, 1.00002272541],
+        ],
+        "iterations": 402,
+    },
+    "cheeger": {"cut": [0, 1], "conductance": 0.333333333333, "lambda2": 0.5, "cheeger_bound": 1.0},
+    "gamma": {"lambda2": 0.5, "gamma_hilbert": 2.0, "gamma_bruteforce": 1.95238095238, "p": 2.0},
+    "regular-graph": {
+        "n": 8,
+        "edges": [
+            [0, 4, 1.0], [0, 5, 1.0], [0, 6, 1.0], [1, 3, 1.0], [1, 6, 1.0], [1, 7, 1.0],
+            [2, 3, 1.0], [2, 4, 1.0], [2, 5, 1.0], [3, 5, 1.0], [4, 7, 1.0], [6, 7, 1.0],
+        ],
+        "lambda2": 0.57735026919,
+    },
+    "t-param": {
+        "d": 1.73205080757,
+        "t": 2,
+        "hilbert_rayleigh": 0.939208406656,
+        "power_rayleigh_x": 0.807834375688,
+    },
+}
+
+
+def _invoke(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _close(a, b):
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_close(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_close, a, b))
+    if isinstance(a, float) or isinstance(b, float):
+        return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
+    return a == b
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ARGV))
+def test_golden_stdout(case, tmp_path, capsys):
+    paths = _write_inputs(tmp_path)
+    argv = [arg.format(**paths) for arg in GOLDEN_ARGV[case].split()]
+    code, out, _ = _invoke(argv, capsys)
+    if case in GOLDEN_PAYLOAD:
+        payload = json.loads(out)
+        if case == "cheeger":  # the eigenvector's sign picks the side; name the side of state 0
+            payload["cut"] = [i for i in range(4) if (i in payload["cut"]) == (0 in payload["cut"])]
+        assert code == 0
+        assert _close(payload, GOLDEN_PAYLOAD[case])
+    else:
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_SHA256[case]
+
+
+# ---------------------------------------------------------------- sweep cells
+
+
+def _sweep(tmp_path, capsys, spec, *extra):
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    return _invoke(["sweep", "--spec", str(f), *extra], capsys)
+
+
+REGULAR_GRAPH_CSV = ["regular-graph", "--n", "8", "--r", "3", "--seed", "5", "--format", "csv"]
+
+
+def _csv_rows(text):
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+class TestSweepDispatch:
+    def test_cell_equals_direct_command(self, tmp_path, capsys):
+        spec = {"command": "regular-graph", "grid": {"n": [8], "r": [3]}, "seed": 5}
+        code, out, _ = _sweep(tmp_path, capsys, spec)
+        assert code == 0
+        (row,) = _csv_rows(out)
+        assert (row.pop("error"), row.pop("r")) == ("", "3")  # r is a grid column only
+        code, direct, _ = _invoke(REGULAR_GRAPH_CSV, capsys)
+        assert code == 0
+        assert row == _csv_rows(direct)[0]
+
+    def test_grid_seed_overrides_spec_seed(self, tmp_path, capsys):
+        spec = {"command": "regular-graph", "grid": {"seed": [5]}, "args": {"n": 8, "r": 3},
+                "seed": 9}
+        _, out, _ = _sweep(tmp_path, capsys, spec)
+        _, direct, _ = _invoke(REGULAR_GRAPH_CSV, capsys)
+        assert _csv_rows(out)[0]["edges"] == _csv_rows(direct)[0]["edges"]
+
+    def test_psi_row_carries_method_and_args(self, tmp_path, capsys):
+        spec = {"command": "psi", "grid": {"n": [20]}, "args": {"k": 5, "alpha": 2, "sigma": 2.8}}
+        code, out, _ = _sweep(tmp_path, capsys, spec)
+        (row,) = _csv_rows(out)
+        assert code == 0 and row["method"] == "quadrature" and row["sigma"] == "2.8"
+
+    def test_list_payload_gives_one_row_each(self, tmp_path, capsys):
+        spec = {"command": "matousek-harness", "grid": {"trials": [2, 3]},
+                "args": {"n": 8, "g": 4, "s": 1, "T": 4}}
+        code, out, _ = _sweep(tmp_path, capsys, spec)
+        rows = _csv_rows(out)
+        assert code == 0 and [r["trials"] for r in rows] == ["2", "2", "3", "3", "3"]
+        assert all(r["error"] == "" for r in rows)
+
+    def test_flags_and_list_options(self, tmp_path, capsys):
+        paths = _write_inputs(tmp_path)
+        spec = {"command": "rayleigh", "grid": {"p": [2.0]},
+                "args": {"chain": paths["graph"], "metric": paths["m2"],
+                         "assignment": [0, 1, 0, 1]}}
+        code, out, _ = _sweep(tmp_path, capsys, spec)
+        assert code == 0 and float(_csv_rows(out)[0]["rayleigh"]) > 0
+        spec = {"command": "certificate", "grid": {"alpha": [1.3]},
+                "args": {"metric": paths["c4"], "cert": paths["cert"], "search": False}}
+        code, out, _ = _sweep(tmp_path, capsys, spec)
+        assert code == 0 and _csv_rows(out)[0]["holds"] == "False"
+
+    def test_parser_rejection_recorded_and_sweep_goes_on(self, tmp_path, capsys):
+        spec = {"command": "jl-dim", "grid": {"n": [0, 1000], "alpha": [2]}}
+        code, out, _ = _sweep(tmp_path, capsys, spec)
+        bad, good = _csv_rows(out)
+        assert code == 0
+        assert "expected a positive integer, got 0" in bad["error"] and bad["k"] == ""
+        assert good["error"] == "" and good["k"] == "98"
+
+    def test_help_key_is_a_cell_error(self, tmp_path, capsys):
+        spec = {"command": "jl-dim", "grid": {"help": [True, False]},
+                "args": {"n": 1000, "alpha": 2}}
+        code, out, _ = _sweep(tmp_path, capsys, spec)
+        with_help, plain = _csv_rows(out)
+        assert code == 0 and "unrecognized arguments: --help" in with_help["error"]
+        assert plain["error"] == "" and plain["k"] == "98"
+
+    def test_snowflake_beta_defaults_theta(self, tmp_path, capsys):
+        spec = {"command": "beta", "grid": {"alpha": [2]}, "args": {"family": "snowflake"}}
+        _, out, _ = _sweep(tmp_path, capsys, spec)
+        _, direct, _ = _invoke(["beta", "--family", "snowflake", "--alpha", "2"], capsys)
+        assert float(_csv_rows(out)[0]["beta"]) == pytest.approx(json.loads(direct)["beta"])
+
+    def test_sweep_of_sweep_rejected(self, tmp_path, capsys):
+        code, out, err = _sweep(tmp_path, capsys, {"command": "sweep", "grid": {"n": [1]}})
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+    @pytest.mark.parametrize("axis", [[], 1000])
+    def test_empty_or_scalar_axis_is_a_json_error(self, tmp_path, capsys, axis):
+        spec = {"command": "jl-dim", "grid": {"n": axis, "alpha": [2]}}
+        code, out, err = _sweep(tmp_path, capsys, spec)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+    def test_volumetric_matches_sweep_row(self, tmp_path, capsys):
+        code, out, _ = _invoke(["volumetric", "--n", "1000", "--alpha", "2"], capsys)
+        assert code == 0
+        k_min = json.loads(out)["k_min"]
+        spec = {"command": "volumetric", "grid": {"n": [1000], "alpha": [2]}}
+        _, out, _ = _sweep(tmp_path, capsys, spec)
+        assert _csv_rows(out)[0]["k_min"] == f"{k_min:.12g}"
+
+
+class TestMainExits:
+    def test_malformed_threads_env_is_a_domain_error(self, capsys, monkeypatch):
+        b = _invoke(["jl-dim", "--n", "1e3", "--alpha", "2", "--threads", "0"], capsys)
+        monkeypatch.setenv("MDRLAB_THREADS", "abc")
+        a = _invoke(["jl-dim", "--n", "1e3", "--alpha", "2"], capsys)
+        assert a == b and a[:2] == (2, "")
+        assert json.loads(a[2])["error"] == "DomainError"
+
+    def test_tol_belongs_to_c2_sdp(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["jl-dim", "--n", "1e3", "--alpha", "2", "--tol", "1e-3"])
+        assert exc.value.code == 2
+        f = tmp_path / "c4.json"
+        f.write_text(cycle4().to_json())
+        code, out, _ = _invoke(["c2-sdp", "--metric", str(f), "--tol", "1e-3"], capsys)
+        assert code == 0 and json.loads(out)["alpha"] == pytest.approx(math.sqrt(2), abs=2e-3)
+
+    def test_failed_verify_payload_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "run_suite", lambda name, seed: {"suite": name, "ok": False})
+        code, out, _ = _invoke(["verify", "metric"], capsys)
+        assert code == 1 and json.loads(out)["ok"] is False
+
+    def test_pipeline_retries_exhausted(self, tmp_path, capsys):
+        f = tmp_path / "m.json"
+        f.write_text(metric.random_metric(64, 9, style="shortest_path").to_json())
+        argv = ["pipeline", "--metric", str(f), "--alpha-total", "5", "--seed", "2",
+                "--max-retries", "1"]
+        code, out, err = _invoke(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == (
+            '{"error": "RetriesExhausted", "message": "no successful draw in 1 attempts"}\n'
+        )

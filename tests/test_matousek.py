@@ -59,6 +59,8 @@ TEMPLATE_DIGESTS = [
     ((10, 8, 0), math.inf, "33923f48da0b4322ef2e653934c336e4e536794b495e4946b25e329de19822dd"),
     ((32, 8, 5), 8, "e40eed9099351dbe68ac79f061c47667a11c0e084e612fcd0e82c22866ea508b"),
     ((96, 8, 6), 8, "5ec789fc616b721a814dd518ac054d0e2aaa573c53d66daadd3fcb11df1a2149"),
+    ((300, 6, 1), 6, "41556d5d8376474e22b73d9fd282615d808e583946a55a0c1a07c53a5d6b1390"),
+    ((600, 8, 7), 8, "73a6d002079a9f926db66feafc0c487917b09169c118424f35d07b568b479320"),
 ]
 SIGNED_DIGESTS = [
     ((32, 4, 1.0, 4.0, 0), "c4749d7cd4d91d90d5319f41e206ad966e0c20f4c43d3c0b5da9443b9b00f03e"),
@@ -103,6 +105,21 @@ class TestGenTemplate:
             vals = [gen_template(n, 6, 100 + s).density_ratio for s in range(20)]
             means.append(np.mean(vals))
         assert means[1] > means[0]
+
+    def test_memory_linear_in_n(self):
+        # a dense n x n draw alone would take 18 MB at n = 1500
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            t = gen_template(1500, 8, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert _sha256(t.to_json().encode()) == (
+            "0f0b60b87004f1a6ff31e97e7851dfc94c30dc50bd39cedd227b0bb01c839920"
+        )
 
     def test_rejects_odd_girth(self):
         with pytest.raises(ValueError):
