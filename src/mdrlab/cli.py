@@ -523,7 +523,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--mode", choices=("haar", "gaussian"), default="haar")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--max-retries", type=int, default=64)
+    p.add_argument("--max-retries", type=_parse_count, default=64)
 
     p = add("psi", cmd_psi, "success probability of the rotation transform")
     p.add_argument("--n", type=_parse_count, required=True)
@@ -630,7 +630,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = add("pipeline", cmd_pipeline, "Bourgain-embed then JL-reduce")
     p.add_argument("--metric", required=True)
     p.add_argument("--alpha-total", type=float, required=True)
-    p.add_argument("--max-retries", type=int, default=64)
+    p.add_argument("--max-retries", type=_parse_count, default=64)
 
     p = add("sweep", cmd_sweep, "cross-product runner over a parameter grid")
     p.add_argument("--spec", required=True, help="JSON sweep spec")

@@ -505,6 +505,8 @@ def jl_transform(
     """
     if cloud.norm != "l2":
         raise ParameterDomain("transform requires an l2 point cloud")
+    if max_retries < 1:
+        raise ParameterDomain(f"need max_retries >= 1, got {max_retries}")
     n = cloud.n
     if n < 2:
         raise ParameterDomain("need at least two points")

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -105,14 +107,14 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class ReversibleChain:
-    """Row-stochastic A with stationary measure pi and detailed balance."""
+    """Row-stochastic A with stationary measure pi and detailed balance (read-only copies)."""
 
     A: np.ndarray
     pi: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.A, dtype=float)
-        p = np.asarray(self.pi, dtype=float)
+        a = np.array(self.A, dtype=float)
+        p = np.array(self.pi, dtype=float)
         n = a.shape[0]
         if a.shape != (n, n) or p.shape != (n,):
             raise ValueError("shape mismatch between A and pi")
@@ -131,12 +133,20 @@ class ReversibleChain:
             raise ValueError("detailed balance fails at 1e-12")
         if np.abs(p @ a - p).max() > STATIONARY_TOL:
             raise ValueError("pi is not stationary within 1e-10")
+        a.flags.writeable = p.flags.writeable = False
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "pi", p)
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def _spectrum(self):
+        """eigh of A as a self-adjoint operator on L2(pi): sqrt(pi) A / sqrt(pi), symmetrized."""
+        s = np.sqrt(self.pi)
+        sym = (s[:, None] * self.A) / s[None, :]
+        return np.linalg.eigh((sym + sym.T) / 2)
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "A": self.A.tolist(), "pi": self.pi.tolist()})
@@ -189,12 +199,9 @@ class Configuration:
     assignment: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if isinstance(self.space, FiniteMetric):
-            count = self.space.n
-        elif isinstance(self.space, PointCloud):
-            count = self.space.n
-        else:
+        if not isinstance(self.space, (FiniteMetric, PointCloud)):
             raise TypeError("space must be a FiniteMetric or PointCloud")
+        count = self.space.n
         idx = (
             np.arange(count)
             if self.assignment is None
@@ -226,10 +233,7 @@ class Configuration:
 
 def lambda2(chain: ReversibleChain) -> float:
     """Second-largest eigenvalue of A as a self-adjoint operator on L2(pi)."""
-    s = np.sqrt(chain.pi)
-    sym = (s[:, None] * chain.A) / s[None, :]
-    vals = np.linalg.eigvalsh((sym + sym.T) / 2)
-    return float(vals[-2])
+    return float(chain._spectrum[0][-2])
 
 
 def _rayleigh_from_matrix(dp: np.ndarray, a: np.ndarray, pi: np.ndarray) -> float:
@@ -350,32 +354,17 @@ def hilbert_companion(cloud: PointCloud):
     raise ValueError("no built-in companion for general lp clouds")
 
 
-def _lazy_power_rayleigh(chain: ReversibleChain, d2h: np.ndarray, t_cap: int):
-    """Yield (t, R(x; L^(2t), H^2)) for t = 1..t_cap with L the lazy chain.
-
-    Powers accumulate by repeated multiplication with L^2; rows are
-    renormalized every 16 multiplications to counter drift.
-    """
-    n = chain.n
-    lazy = 0.5 * np.eye(n) + 0.5 * chain.A
-    l2 = lazy @ lazy
-    power = l2.copy()
-    mults = 0
-    for t in range(1, t_cap + 1):
-        yield t, _rayleigh_from_matrix(d2h, power, chain.pi)
-        power = power @ l2
-        mults += 1
-        if mults % 16 == 0:
-            power = power / power.sum(axis=1, keepdims=True)
-
-
 def t_parameter(x: Configuration, chain: ReversibleChain, d: float, t_cap: int = 4096):
     """Minimal t with R(x; ((I + A)/2)^(2t), H^2) >= 1 - 1/(4 d^2).
 
     ``d`` is the Hilbert-isomorphism constant of the companion norm (see
     :func:`hilbert_companion`).  Returns ``(t, achieved)``; raises
     CapExceeded if no t up to ``t_cap`` reaches the threshold (the paper-side
-    convention for that case is t = infinity).
+    convention for that case is t = infinity).  In closed form
+    R(t) = 1 - sum_k mu_k^(2t) w_k / sum_k w_k, nondecreasing in t, with
+    mu_k = (1 + lambda_k)/2 and w_k the squared eigen-coefficients of the
+    pi-centred, sqrt(pi)-weighted H-configuration; a bisection on [1, t_cap]
+    makes O(log t_cap) O(n) evaluations, so ``t_cap`` bounds the answer, not the work.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -385,14 +374,21 @@ def t_parameter(x: Configuration, chain: ReversibleChain, d: float, t_cap: int =
         raise ValueError("configuration size must match the chain")
     h_coords, _ = hilbert_companion(x.space)
     v = h_coords[x.assignment]
-    d2h = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
-    if (d2h == 0).all():
+    if (v == v[0]).all():
         raise DegenerateConfiguration("constant configuration")
+    vals, vecs = chain._spectrum
+    z = np.sqrt(chain.pi)[:, None] * (v - chain.pi @ v)
+    w = ((vecs.T @ z) ** 2).sum(axis=1)
+    mu = (1.0 + vals) / 2.0
+
+    def quotient(t):
+        return 1.0 - float(mu ** (2 * t) @ w) / float(w.sum())
+
     threshold = 1.0 - 1.0 / (4.0 * d * d)
-    for t, val in _lazy_power_rayleigh(chain, d2h, t_cap):
-        if val >= threshold:
-            return t, val
-    raise CapExceeded(f"no t <= {t_cap} reaches the Hilbert Rayleigh threshold")
+    t = bisect_left(range(t_cap + 1), True, lo=1, key=lambda s: quotient(s) >= threshold)
+    if t > t_cap:
+        raise CapExceeded(f"no t <= {t_cap} reaches the Hilbert Rayleigh threshold")
+    return t, quotient(t)
 
 
 def power_expander_check(x: Configuration, chain: ReversibleChain, d: float, t_cap: int = 4096):
@@ -403,8 +399,7 @@ def power_expander_check(x: Configuration, chain: ReversibleChain, d: float, t_c
     X-norm Rayleigh quotient of that power away from zero.
     """
     t, _ = t_parameter(x, chain, d, t_cap)
-    n = chain.n
-    lazy = 0.5 * np.eye(n) + 0.5 * chain.A
+    lazy = 0.5 * np.eye(chain.n) + 0.5 * chain.A
     power = np.linalg.matrix_power(lazy, t)
     dx = x.distances() ** 2
     return _rayleigh_from_matrix(dx, power, chain.pi), t
@@ -441,18 +436,20 @@ def cheeger_sweep(chain: ReversibleChain):
 
     Returns ``(cut, conductance)`` where ``cut`` is the tuple of states on
     the prefix side.  The sweep cut always satisfies
-    conductance <= sqrt(2 (1 - lambda_2)).
+    conductance <= sqrt(2 (1 - lambda_2)).  The eigenvector's sign is fixed
+    so that its first entry above 1e-8 of its largest magnitude is negative,
+    which makes the side returned independent of the LAPACK build.
     """
     n = chain.n
-    if n < 2:
-        raise Disconnected("need at least two states")
-    s = np.sqrt(chain.pi)
-    sym = (s[:, None] * chain.A) / s[None, :]
-    vals, vecs = np.linalg.eigh((sym + sym.T) / 2)
+    vals, vecs = chain._spectrum
     if vals[-2] >= 1 - 1e-12:
         raise Disconnected("no spectral gap; chain is reducible")
-    order = np.argsort(vecs[:, -2] / s)
+    v = vecs[:, -2]
+    mag = np.abs(v)
+    if v[np.argmax(mag > 1e-8 * mag.max())] > 0:
+        v = -v
     pi = chain.pi
+    order = np.argsort(v / np.sqrt(pi))
     flows = pi[:, None] * chain.A
     best = (None, np.inf)
     side = np.zeros(n, dtype=bool)
@@ -573,17 +570,9 @@ def markov_convexity_ratio(
         marginals = [spec.initial]
         for _ in range(t_max):
             marginals.append(marginals[-1] @ p)
-        powers = {1: p}
-
-        def p_power(j):
-            if j not in powers:
-                half = p_power(j // 2)
-                powers[j] = half @ half if j % 2 == 0 else p_power(j - 1) @ p
-            return powers[j]
-
         lhs_q = 0.0
         for k, span in _fork_scales(t_max):
-            pj = p_power(span)
+            pj = np.linalg.matrix_power(p, span)
             cross = pj @ dq @ pj.T
             for t in range(span, t_max + 1):
                 mu = marginals[t - span]
@@ -592,41 +581,39 @@ def markov_convexity_ratio(
         for t in range(1, t_max + 1):
             mu = marginals[t - 1]
             rhs_q += float((mu[:, None] * p * dq).sum())
-        lhs = lhs_q ** (1.0 / q)
-        rhs = rhs_q ** (1.0 / q)
-        ratio = 0.0 if lhs == 0 else (math.inf if rhs == 0 else lhs / rhs)
-        return MarkovConvexityEstimate(lhs, rhs, ratio, 0.0, 0.0, "dp")
+        lhs_se = rhs_se = 0.0
+    else:
+        if samples < 1:
+            raise ValueError("monte carlo requires samples >= 1")
+        rng = np.random.default_rng(seed)
+        cum = np.cumsum(p, axis=1)
 
-    if samples < 1:
-        raise ValueError("monte carlo requires samples >= 1")
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(p, axis=1)
+        def step_states(states):
+            u = rng.random(states.shape[0])
+            return (u[:, None] > cum[states]).sum(axis=1)
 
-    def step_states(states):
-        u = rng.random(states.shape[0])
-        return (u[:, None] > cum[states]).sum(axis=1)
-
-    # base trajectories
-    traj = np.empty((t_max + 1, samples), dtype=int)
-    traj[0] = (rng.random(samples)[:, None] > np.cumsum(spec.initial)[None, :]).sum(axis=1)
-    for t in range(1, t_max + 1):
-        traj[t] = step_states(traj[t - 1])
-    lhs_per = np.zeros(samples)
-    rhs_per = np.zeros(samples)
-    for t in range(1, t_max + 1):
-        rhs_per += dq[traj[t - 1], traj[t]]
-    for k, span in _fork_scales(t_max):
-        weight = 2.0 ** (-q * k)
-        for branch in range(0, t_max - span + 1):
-            fork = traj[branch].copy()
-            for _ in range(span):
-                fork = step_states(fork)
-            lhs_per += weight * dq[fork, traj[branch + span]]
-    lhs_q = float(lhs_per.mean())
-    rhs_q = float(rhs_per.mean())
-    lhs_se = float(lhs_per.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    rhs_se = float(rhs_per.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+        # base trajectories
+        traj = np.empty((t_max + 1, samples), dtype=int)
+        traj[0] = (rng.random(samples)[:, None] > np.cumsum(spec.initial)[None, :]).sum(axis=1)
+        for t in range(1, t_max + 1):
+            traj[t] = step_states(traj[t - 1])
+        lhs_per = np.zeros(samples)
+        rhs_per = np.zeros(samples)
+        for t in range(1, t_max + 1):
+            rhs_per += dq[traj[t - 1], traj[t]]
+        for k, span in _fork_scales(t_max):
+            weight = 2.0 ** (-q * k)
+            for branch in range(0, t_max - span + 1):
+                fork = traj[branch].copy()
+                for _ in range(span):
+                    fork = step_states(fork)
+                lhs_per += weight * dq[fork, traj[branch + span]]
+        lhs_q = float(lhs_per.mean())
+        rhs_q = float(rhs_per.mean())
+        lhs_se = float(lhs_per.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+        rhs_se = float(rhs_per.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+        method = f"mc({samples})"
     lhs = lhs_q ** (1.0 / q)
     rhs = rhs_q ** (1.0 / q)
     ratio = 0.0 if lhs == 0 else (math.inf if rhs == 0 else lhs / rhs)
-    return MarkovConvexityEstimate(lhs, rhs, ratio, lhs_se, rhs_se, f"mc({samples})")
+    return MarkovConvexityEstimate(lhs, rhs, ratio, lhs_se, rhs_se, method)

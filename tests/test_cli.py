@@ -646,6 +646,18 @@ class TestMainExits:
         code, out, _ = _invoke(["verify", "metric"], capsys)
         assert code == 1 and json.loads(out)["ok"] is False
 
+    @pytest.mark.parametrize("retries", ["0", "-3"])
+    def test_max_retries_below_one_is_a_usage_error(self, retries, tmp_path, capsys):
+        cloud = tmp_path / "cloud.json"
+        cloud.write_text(metric.PointCloud(np.random.default_rng(0).standard_normal((12, 8)), "l2").to_json())
+        m = tmp_path / "m.json"
+        m.write_text(cycle4().to_json())
+        for argv in (["jl-project", "--cloud", str(cloud), "--alpha", "3"],
+                     ["pipeline", "--metric", str(m), "--alpha-total", "8"]):
+            code, out, err = _invoke([*argv, "--max-retries", retries], capsys)
+            assert code == 2 and out == ""
+            assert "--max-retries" in err
+
     def test_pipeline_retries_exhausted(self, tmp_path, capsys):
         f = tmp_path / "m.json"
         f.write_text(metric.random_metric(64, 9, style="shortest_path").to_json())

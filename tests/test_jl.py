@@ -218,6 +218,12 @@ class TestTransform:
         assert res.attempts == 3
         assert res.measured_distortion > 1.02
 
+    @pytest.mark.parametrize("retries", [0, -3])
+    def test_retries_below_one_rejected(self, retries):
+        cloud = metric.PointCloud(np.random.default_rng(6).standard_normal((12, 8)), "l2")
+        with pytest.raises(ParameterDomain):
+            jl.jl_transform(cloud, 3.0, "haar_projection", seed=0, max_retries=retries)
+
     def test_zero_distance_pair(self):
         cloud = metric.PointCloud(np.zeros((3, 2)), "l2")
         with pytest.raises(ZeroDistancePair):

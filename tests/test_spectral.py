@@ -88,6 +88,19 @@ class TestChainConstruction:
         with pytest.raises(ValueError):
             ReversibleChain(np.full((2, 2), 0.5), np.array([np.nan, 0.5]))
 
+    def test_read_only_copies(self):
+        a = np.array([[0.5, 0.5], [0.5, 0.5]])
+        pi = np.array([0.5, 0.5])
+        chain = ReversibleChain(a, pi)
+        assert not chain.A.flags.writeable and not chain.pi.flags.writeable
+        with pytest.raises(ValueError):
+            chain.A[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            chain.pi[0] = 1.0
+        assert a.flags.writeable and pi.flags.writeable
+        a[0, 0] = pi[0] = 0.0  # the caller's arrays stay theirs
+        assert chain.A[0, 0] == 0.5 and chain.pi[0] == 0.5
+
     def test_json_roundtrip(self):
         chain = random_reversible_chain(5, 1)
         again = ReversibleChain.from_json(chain.to_json())
@@ -310,6 +323,39 @@ class TestTParameter:
         with pytest.raises(CapExceeded):
             t_parameter(Configuration(cloud), chain, 50.0, t_cap=1)
 
+    def test_closed_form_minimal_against_matrix_powers(self):
+        # reference: R(x; L^(2t), H^2) from explicit matrix powers of the lazy chain
+        rng = np.random.default_rng(26)
+        for _ in range(100):
+            n = int(rng.integers(2, 10))
+            mdim = int(rng.integers(1, 8))
+            lazy = float(rng.choice([0.0, 0.5, 0.9, 0.99]))
+            chain = random_reversible_chain(n, rng.integers(2**32), lazy=lazy)
+            cloud = metric.PointCloud(rng.standard_normal((n, mdim)), str(rng.choice(["l1", "l2", "linf"])))
+            h_coords, d = spectral.hilbert_companion(cloud)
+            h = Configuration(metric.PointCloud(h_coords, "l2"))
+            step = 0.5 * np.eye(n) + 0.5 * chain.A
+
+            def reference(t):
+                return rayleigh_general(h, np.linalg.matrix_power(step, 2 * t), chain.pi)
+
+            t, achieved = t_parameter(Configuration(cloud), chain, d)
+            threshold = 1 - 1 / (4 * d * d)
+            assert reference(t) >= threshold
+            assert t == 1 or reference(t - 1) < threshold
+            assert achieved == pytest.approx(reference(t), abs=1e-12)
+
+    def test_reducible_chain_block_constant_cloud(self):
+        # two closed classes: a cloud constant on each never mixes, so no t reaches the threshold
+        blocks = [random_reversible_chain(3, 27), random_reversible_chain(4, 28)]
+        a = np.zeros((7, 7))
+        a[:3, :3], a[3:, 3:] = blocks[0].A, blocks[1].A
+        pi = np.concatenate([0.4 * blocks[0].pi, 0.6 * blocks[1].pi])
+        chain = ReversibleChain(a, pi)
+        cloud = metric.PointCloud(np.repeat([[0.0, 0.0], [1.0, 2.0]], [3, 4], axis=0), "l2")
+        with pytest.raises(CapExceeded):
+            t_parameter(Configuration(cloud), chain, 1.0)
+
     def test_constant_configuration(self):
         chain = random_reversible_chain(3, 25)
         cloud = metric.PointCloud(np.zeros((3, 2)), "l1")
@@ -404,6 +450,24 @@ class TestCheeger:
             cross = flows[side][:, ~side].sum()
             best = min(best, cross / min(vol, 1 - vol))
         assert cond == pytest.approx(best, abs=1e-12)
+
+    def test_side_independent_of_eigenvector_sign(self, monkeypatch):
+        def graphs():
+            path = WeightedGraph.build(4, [(0, 1), (1, 2), (2, 3)])
+            tri = WeightedGraph.build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+            return [chain_from_graph(path), chain_from_graph(tri)]
+
+        want = [cheeger_sweep(chain) for chain in graphs()]
+        assert [cut for cut, _ in want] == [(0, 1), (0, 1, 2)]
+        eigh = np.linalg.eigh
+
+        def negated(m):
+            vals, vecs = eigh(m)
+            return vals, -vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", negated)
+        # fresh chains: each chain caches its spectrum
+        assert [cheeger_sweep(chain) for chain in graphs()] == want
 
     def test_complete_graph_no_sparse_cut(self):
         chain = chain_from_graph(graph_complete(6))
