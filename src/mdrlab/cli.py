@@ -67,7 +67,7 @@ def _emit(payload, fmt: str, out: str | None):
             writer.writerow([_fmt(row[k]) for k in header])
         text = buf.getvalue()
     else:
-        text = json.dumps(_round_floats(payload), indent=2) + "\n"
+        text = json.dumps(_round_floats(payload), indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -80,9 +80,17 @@ def _fail(code: str, message: str) -> int:
     return 2
 
 
+def _parse_real(text: str) -> float:
+    """Float parser that rejects nan and the infinities."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return v
+
+
 def _parse_count(text: str) -> int:
     """Integer parser accepting scientific notation (1e9)."""
-    v = float(text)
+    v = _parse_real(text)
     if v <= 0 or v != int(v):
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return int(v)
@@ -408,27 +416,26 @@ def cmd_pipeline(args):
     else:
         k = n - 1
     if k >= n - 1:
-        # reduction cannot beat the trivial dimension: isometric realization
-        final = metric.PointCloud(jl._isometrize(cloud.coords, n - 1), "l2")
-        attempts = 0
+        # reduction cannot beat the trivial dimension: n points span at most
+        # n - 1 dimensions, so the Bourgain image has an isometric copy there
+        dimension, attempts, end_to_end = n - 1, 0, alpha1
     else:
         res = jl.jl_transform(
             cloud, budget, "haar_projection", seed=rng.integers(2**63 - 1), max_retries=args.max_retries, k=k
         )
-        final = res.cloud
-        attempts = res.attempts
         if not res.success:
-            raise RetriesExhausted(f"no successful draw in {attempts} attempts")
-    end_rep = metric.distortion(m, final.to_metric(), list(range(m.n)))
+            raise RetriesExhausted(f"no successful draw in {res.attempts} attempts")
+        dimension, attempts = res.plan.k, res.attempts
+        end_to_end = metric.distortion(m, res.cloud.to_metric(), list(range(n))).distortion
     payload = {
         "n": n,
         "bourgain_distortion": alpha1,
         "jl_budget": budget,
-        "dimension": final.dim,
+        "dimension": dimension,
         "attempts": attempts,
-        "end_to_end_distortion": end_rep.distortion,
+        "end_to_end_distortion": end_to_end,
         "alpha_total": args.alpha_total,
-        "within_budget": end_rep.distortion <= args.alpha_total,
+        "within_budget": end_to_end <= args.alpha_total,
     }
     return payload
 
@@ -515,12 +522,12 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
     p = add("jl-dim", cmd_jl_dim, "minimal certified JL dimension")
     p.add_argument("--n", type=_parse_count, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_parse_real, required=True)
     p.add_argument("--mode", choices=("haar", "gaussian"), default="gaussian")
 
     p = add("jl-project", cmd_jl_project, "apply a JL transform to a point cloud")
     p.add_argument("--cloud", required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_parse_real, required=True)
     p.add_argument("--mode", choices=("haar", "gaussian"), default="haar")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--max-retries", type=_parse_count, default=64)
@@ -528,13 +535,13 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = add("psi", cmd_psi, "success probability of the rotation transform")
     p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--k", type=_parse_count, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--alpha", type=_parse_real, required=True)
+    p.add_argument("--sigma", type=_parse_real, required=True)
 
     p = add("sigma-max", cmd_sigma_max, "optimal scaling factor")
     p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--k", type=_parse_count, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_parse_real, required=True)
 
     p = add("distortion", cmd_distortion, "distortion of an index map between metrics")
     p.add_argument("--source", required=True)
@@ -549,33 +556,33 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
     p = add("snowflake", cmd_snowflake, "entrywise power of a metric")
     p.add_argument("--metric", required=True)
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_parse_real, required=True)
 
     p = add("doubling", cmd_doubling, "doubling constant and dimension bound")
     p.add_argument("--metric", required=True)
     p.add_argument("--mode", choices=("exact", "greedy"), default="greedy")
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=_parse_real, default=None)
 
     p = add("c2-sdp", cmd_c2_sdp, "Euclidean distortion by alternating projections")
     p.add_argument("--metric", required=True)
-    p.add_argument("--tol", type=float, default=1e-4, help="bisection tolerance on the distortion")
+    p.add_argument("--tol", type=_parse_real, default=1e-4, help="bisection tolerance on the distortion")
 
     p = add("certificate", cmd_certificate, "check or search negative-type certificates")
     p.add_argument("--metric", required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_parse_real, required=True)
     p.add_argument("--cert", default=None, help='JSON file {"A": [[...]]}')
     p.add_argument("--search", action="store_true", help="search for a violating certificate")
 
     p = add("gamma", cmd_gamma, "spectral gap reciprocals")
     p.add_argument("--chain", required=True, help="chain or graph JSON")
     p.add_argument("--metric", default=None, help="enables brute-force nonlinear gamma")
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=_parse_real, default=2.0)
 
     p = add("rayleigh", cmd_rayleigh, "nonlinear Rayleigh quotient")
     p.add_argument("--chain", required=True)
     p.add_argument("--metric", required=True)
     p.add_argument("--assignment", required=True, help="JSON list of point indices")
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=_parse_real, default=2.0)
 
     p = add("t-param", cmd_t_param, "lazy-power Hilbert threshold parameter")
     p.add_argument("--chain", required=True)
@@ -606,30 +613,30 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = add("signed-metric", cmd_signed_metric, "coin-flip truncated shortest-path metric")
     p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--g", type=_parse_count, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--s", type=_parse_real, required=True)
+    p.add_argument("--T", type=_parse_real, required=True)
 
     p = add("matousek-harness", cmd_matousek_harness, "sampled-metric survey rows")
     p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--g", type=_parse_count, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--s", type=_parse_real, required=True)
+    p.add_argument("--T", type=_parse_real, required=True)
     p.add_argument("--trials", type=_parse_count, default=10)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_parse_real, default=1.0)
 
     p = add("beta", cmd_beta, "coarse modulus exponent")
     p.add_argument("--family", choices=("bilipschitz", "snowflake"), default="bilipschitz")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--theta", type=float, default=1.0)
+    p.add_argument("--alpha", type=_parse_real, required=True)
+    p.add_argument("--theta", type=_parse_real, default=1.0)
     p.add_argument("--n-points", type=_parse_count, default=None)
 
     p = add("volumetric", cmd_volumetric, "simplex-packing dimension lower bound")
     p.add_argument("--n", type=_parse_count, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_parse_real, required=True)
 
     p = add("pipeline", cmd_pipeline, "Bourgain-embed then JL-reduce")
     p.add_argument("--metric", required=True)
-    p.add_argument("--alpha-total", type=float, required=True)
+    p.add_argument("--alpha-total", type=_parse_real, required=True)
     p.add_argument("--max-retries", type=_parse_count, default=64)
 
     p = add("sweep", cmd_sweep, "cross-product runner over a parameter grid")

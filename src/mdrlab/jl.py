@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.spatial.distance import pdist
 from scipy.special import gammaln
 from scipy.stats import beta as beta_dist
 from scipy.stats import chi2
@@ -472,22 +473,6 @@ def make_plan(n: int, alpha: float, mode: str, k: int | None = None) -> JlPlan:
     )
 
 
-def _isometrize(coords: np.ndarray, ambient: int) -> np.ndarray:
-    """Isometric copy of the points inside R^ambient (differences preserved)."""
-    n = coords.shape[0]
-    x = coords - coords[0]
-    if x.shape[1] > n - 1:
-        # express the differences from point 0 in an orthonormal basis of
-        # their span; the R factor carries exactly the pairwise geometry
-        _, r = np.linalg.qr(x[1:].T, mode="reduced")  # x[1:].T is dim x (n-1)
-        x = np.vstack([np.zeros((1, r.shape[0])), r.T])
-    if x.shape[1] < ambient:
-        x = np.hstack([x, np.zeros((n, ambient - x.shape[1]))])
-    elif x.shape[1] > ambient:
-        raise ParameterDomain(f"cannot isometrize rank {x.shape[1]} points into R^{ambient}")
-    return x
-
-
 def jl_transform(
     cloud: PointCloud,
     alpha: float,
@@ -510,24 +495,27 @@ def jl_transform(
     n = cloud.n
     if n < 2:
         raise ParameterDomain("need at least two points")
-    iu = np.triu_indices(n, 1)
-    src = cloud.pairwise()[iu]
+    src = pdist(cloud.coords)
     if src.min() <= 0.0:
         raise ZeroDistancePair("coincident points cannot satisfy the lower distortion bound")
     plan = make_plan(n, alpha, mode, k)
-    x = _isometrize(cloud.coords, plan.ambient)
+    x = cloud.coords - cloud.coords[0]
+    if x.shape[1] > n - 1:
+        # the R factor of the differences from point 0 carries exactly their geometry
+        r = np.linalg.qr(x[1:].T, mode="r")
+        x = np.vstack([np.zeros((1, r.shape[0])), r.T])
     rng = np.random.default_rng(seed)
     best_y = None
     best_alpha = np.inf
     for attempt in range(1, max_retries + 1):
+        # the draw acts on x padded with zeros up to R^ambient, so only its
+        # first x.shape[1] columns reach y
         if mode == "haar_projection":
-            o = sample_haar_orthogonal(plan.ambient, rng)
-            y = plan.sigma * (x @ o.T)[:, : plan.k]
+            m = sample_haar_orthogonal(plan.ambient, rng)[: plan.k]
         else:
-            g = rng.standard_normal((plan.k, plan.ambient))
-            y = plan.sigma * (x @ g.T)
-        img = np.sqrt(((y[iu[0]] - y[iu[1]]) ** 2).sum(axis=1))
-        ratios = img / src
+            m = rng.standard_normal((plan.k, plan.ambient))
+        y = plan.sigma * (x @ m[:, : x.shape[1]].T)
+        ratios = pdist(y) / src
         if ratios.min() >= 1.0 and ratios.max() <= alpha:
             return JlResult(
                 cloud=PointCloud(y, "l2"),

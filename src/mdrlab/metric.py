@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import (
     ConfigTooLarge,
@@ -65,7 +65,9 @@ class FiniteMetric:
         return build_metric(np.asarray(obj["dist"], dtype=float))
 
 
-NORM_TAGS = ("l2", "l1", "linf", "lp")
+# the scipy.spatial.distance metric of each norm tag; "lp" also passes p
+_PDIST_METRIC = {"l2": "euclidean", "l1": "cityblock", "linf": "chebyshev", "lp": "minkowski"}
+NORM_TAGS = tuple(_PDIST_METRIC)
 
 
 @dataclass(frozen=True)
@@ -98,32 +100,12 @@ class PointCloud:
 
     def pairwise(self) -> np.ndarray:
         """Pairwise distance matrix under the cloud's norm."""
-        x = self.coords
-        if self.norm == "l2":
-            d = cdist(x, x, "euclidean")
-        elif self.norm == "l1":
-            d = cdist(x, x, "cityblock")
-        elif self.norm == "linf":
-            d = cdist(x, x, "chebyshev")
-        else:
-            d = cdist(x, x, "minkowski", p=self.p)
-        d = (d + d.T) / 2
-        np.fill_diagonal(d, 0.0)
-        return d
+        kwargs = {"p": self.p} if self.norm == "lp" else {}
+        return squareform(pdist(self.coords, _PDIST_METRIC[self.norm], **kwargs))
 
     def to_metric(self) -> FiniteMetric:
         """Induced finite metric; raises if two points coincide."""
         return build_metric(self.pairwise())
-
-    def norm_of(self, v: np.ndarray) -> float:
-        """The cloud's norm applied to a single vector."""
-        if self.norm == "l2":
-            return float(np.linalg.norm(v))
-        if self.norm == "l1":
-            return float(np.abs(v).sum())
-        if self.norm == "linf":
-            return float(np.abs(v).max())
-        return float((np.abs(v) ** self.p).sum() ** (1.0 / self.p))
 
     def to_json(self) -> str:
         norm = {"lp": self.p} if self.norm == "lp" else self.norm
@@ -372,19 +354,21 @@ def doubling_dim_lower_bound(m: FiniteMetric, alpha: float) -> float:
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     d = m.dist
-    n = m.n
-    radii = sorted({v for v in d.flat if v > 0} | {v / 2 for v in d.flat if v > 0})
+    pos = d[d > 0]
+    radii = np.unique(np.concatenate([pos, pos / 2]))
     denom = math.log(4 * alpha + 1)
     best = 0.0
-    for x in range(n):
-        for r in radii:
-            ball = np.flatnonzero(d[x] <= 2 * r)
-            chosen: list[int] = []
-            for y in ball:
-                if all(d[y, z] >= r for z in chosen):
-                    chosen.append(int(y))
-            if len(chosen) > 1:
-                best = max(best, math.log(len(chosen)) / denom)
+    for r in radii:
+        far = d >= r
+        # greedy packing of each center's ball in index order: take the first
+        # eligible point, then drop every point closer than r to it
+        for free in d <= 2 * r:
+            taken = 0
+            while free.any():
+                free &= far[free.argmax()]
+                taken += 1
+            if taken > 1:
+                best = max(best, math.log(taken) / denom)
     return best
 
 

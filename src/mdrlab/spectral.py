@@ -330,9 +330,7 @@ def hilbert_rayleigh_identity(x: Configuration, chain: ReversibleChain):
         raise DegenerateConfiguration("configuration is a single point")
     av = chain.A @ v
     lhs = math.sqrt(float((pi * (av * av).sum(axis=1)).sum())) / norm_x
-    a2 = chain.A @ chain.A
-    d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
-    r2 = _rayleigh_from_matrix(d2, a2, pi)
+    r2 = _rayleigh_from_matrix(x.distances() ** 2, chain.A @ chain.A, pi)
     rhs = math.sqrt(max(0.0, 1.0 - r2))
     return lhs, rhs
 

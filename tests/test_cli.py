@@ -147,6 +147,16 @@ class TestPipeline:
             assert obj["end_to_end_distortion"] <= 4 * alpha1
             assert obj["dimension"] < 64
 
+    def test_trivial_dimension_reports_the_bourgain_stage(self, tmp_path):
+        # 4 points span at most 3 dimensions, so the Bourgain image needs no JL draw
+        f = tmp_path / "m.json"
+        f.write_text(cycle4().to_json())
+        out = tmp_path / "out.json"
+        assert cli.main(["pipeline", "--metric", str(f), "--alpha-total", "100", "--out", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        assert obj["dimension"] == 3 and obj["attempts"] == 0
+        assert obj["end_to_end_distortion"] == obj["bourgain_distortion"]
+
 
 class TestSweep:
     def write_spec(self, tmp_path):
@@ -589,6 +599,15 @@ class TestSweepDispatch:
         assert "expected a positive integer, got 0" in bad["error"] and bad["k"] == ""
         assert good["error"] == "" and good["k"] == "98"
 
+    def test_non_finite_cell_recorded_and_sweep_goes_on(self, tmp_path, capsys):
+        spec = {"command": "volumetric", "grid": {"alpha": ["nan", 2]}, "args": {"n": 10}}
+        code, out, _ = _sweep(tmp_path, capsys, spec)
+        bad, good = _csv_rows(out)
+        assert code == 0
+        assert "argument --alpha: expected a finite number, got nan" in bad["error"]
+        assert bad["k_min"] == ""
+        assert good["error"] == "" and float(good["k_min"]) == pytest.approx(math.log(10) / math.log(3))
+
     def test_help_key_is_a_cell_error(self, tmp_path, capsys):
         spec = {"command": "jl-dim", "grid": {"help": [True, False]},
                 "args": {"n": 1000, "alpha": 2}}
@@ -657,6 +676,27 @@ class TestMainExits:
             code, out, err = _invoke([*argv, "--max-retries", retries], capsys)
             assert code == 2 and out == ""
             assert "--max-retries" in err
+
+    @pytest.mark.parametrize("argv", [
+        "psi --n 20 --k 5 --alpha 2 --sigma nan",
+        "sigma-max --n 7 --k 2 --alpha nan",
+        "volumetric --n 10 --alpha nan",
+        "beta --alpha nan",
+        "jl-dim --n 1000 --alpha nan --mode haar",
+        "jl-dim --n inf --alpha 2",
+        "volumetric --n 10 --alpha=-inf",
+    ])
+    def test_non_finite_option_is_a_usage_error(self, argv, capsys):
+        code, out, err = _invoke(argv.split(), capsys)
+        assert code == 2 and out == ""
+        assert "expected a finite number" in err
+
+    def test_non_finite_payload_is_a_json_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_volumetric", lambda args: {"k_min": math.inf})
+        out = tmp_path / "out.json"
+        code, stdout, err = _invoke(["volumetric", "--n", "10", "--alpha", "2", "--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert json.loads(err)["error"] == "ValueError"
 
     def test_pipeline_retries_exhausted(self, tmp_path, capsys):
         f = tmp_path / "m.json"

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.spatial.distance import pdist
 
 from mdrlab import jl, metric
 from mdrlab.errors import NoFeasibleK, ParameterDomain, ZeroDistancePair
@@ -251,19 +253,44 @@ class TestTransform:
         assert obj["k"] == plan.k and obj["mode"] == "scaled_gaussian"
 
 
-class TestIsometrize:
-    def test_high_ambient_reduction_preserves_distances(self):
-        rng = np.random.default_rng(6)
-        coords = rng.standard_normal((5, 40))
-        x = jl._isometrize(coords, 4)
-        src = metric.PointCloud(coords, "l2").pairwise()
-        dst = metric.PointCloud(x, "l2").pairwise()
-        assert np.abs(src - dst).max() <= 1e-10 * src.max()
+class TestRankAndPadding:
+    """Clouds whose rank differs from the ambient dimension the draw acts on."""
 
-    def test_padding(self):
-        coords = np.array([[0.0], [1.0], [2.0]])
-        x = jl._isometrize(coords, 2)
-        assert x.shape == (3, 2)
-        assert np.abs(
-            metric.PointCloud(x, "l2").pairwise() - metric.PointCloud(coords, "l2").pairwise()
-        ).max() == 0.0
+    @staticmethod
+    def assert_ratios_within(cloud, res, alpha):
+        ratios = pdist(res.cloud.coords) / pdist(cloud.coords)
+        assert ratios.min() >= 1.0 and ratios.max() <= alpha
+
+    def test_dim_above_n_minus_one(self):
+        # 80 coordinates, but 30 points span at most 29 dimensions
+        cloud = metric.PointCloud(np.random.default_rng(6).standard_normal((30, 80)), "l2")
+        res = jl.jl_transform(cloud, 4.0, "haar_projection", seed=0, max_retries=200, k=10)
+        assert res.success and res.plan.ambient == 29 and res.cloud.dim == 10
+        self.assert_ratios_within(cloud, res, 4.0)
+
+    @pytest.mark.parametrize("mode", jl.MODES)
+    def test_rank_below_ambient(self, mode):
+        # haar mode rotates R^4 (k + 3 > n - 1) and gaussian mode R^2; the cloud has rank 1
+        cloud = metric.PointCloud(np.array([[0.0], [1.0], [2.0]]), "l2")
+        res = jl.jl_transform(cloud, 4.0, mode, seed=0, max_retries=200, k=1)
+        assert res.success and res.cloud.dim == 1
+        assert res.plan.ambient == (4 if mode == "haar_projection" else 2)
+        self.assert_ratios_within(cloud, res, 4.0)
+
+
+def _peak_bytes(fn, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    @pytest.mark.parametrize("mode", jl.MODES)
+    def test_transform_verifies_pairs_without_pair_by_k_array(self, mode):
+        # the n^2/2 x k difference array alone would be 172 MB here
+        cloud = metric.PointCloud(np.random.default_rng(12).standard_normal((600, 40)), "l2")
+        peak = _peak_bytes(jl.jl_transform, cloud, 2.0, mode, seed=0, max_retries=2, k=120)
+        assert peak < 40e6

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from helpers import equilateral, path_metric
 from mdrlab import metric
@@ -116,6 +117,22 @@ class TestFrechet:
         assert abs(rep.distortion - 1.0) <= 1e-12
 
 
+class TestPairwise:
+    @pytest.mark.parametrize(
+        "norm, name", [("l2", "euclidean"), ("l1", "cityblock"), ("linf", "chebyshev"), ("lp", "minkowski")]
+    )
+    def test_equals_symmetrized_cdist(self, norm, name):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            coords = rng.standard_normal((int(rng.integers(1, 25)), int(rng.integers(1, 9))))
+            kwargs = {"p": float(rng.uniform(1, 5))} if norm == "lp" else {}
+            ref = cdist(coords, coords, name, **kwargs)
+            ref = (ref + ref.T) / 2
+            np.fill_diagonal(ref, 0.0)
+            got = metric.PointCloud(coords, norm, **kwargs).pairwise()
+            assert got.tobytes() == ref.tobytes()
+
+
 class TestBourgain:
     def test_two_points(self):
         m = path_metric([0.0, 3.0])
@@ -210,6 +227,28 @@ class TestDoublingDimLowerBound:
         m = metric.random_metric(9, 13, style="shortest_path")
         values = [metric.doubling_dim_lower_bound(m, a) for a in (1.0, 1.5, 2.0, 4.0, 10.0)]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+    def test_equals_packing_loop(self):
+        def reference(m, alpha):
+            d = m.dist
+            radii = sorted({v for v in d.flat if v > 0} | {v / 2 for v in d.flat if v > 0})
+            best = 0.0
+            for x in range(m.n):
+                for r in radii:
+                    chosen = []
+                    for y in np.flatnonzero(d[x] <= 2 * r):
+                        if all(d[y, z] >= r for z in chosen):
+                            chosen.append(int(y))
+                    if len(chosen) > 1:
+                        best = max(best, math.log(len(chosen)) / math.log(4 * alpha + 1))
+            return best
+
+        rng = np.random.default_rng(17)
+        for style in ("shortest_path", "box"):
+            for _ in range(4):
+                m = metric.random_metric(int(rng.integers(2, 12)), rng.integers(2**32), style=style)
+                assert metric.doubling_dim_lower_bound(m, 1.5) == reference(m, 1.5)
 
 
 class TestVolumetric:

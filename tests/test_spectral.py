@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,19 @@ class TestHilbertIdentity:
             assert abs(lhs - rhs) <= 1e-10
             a2 = ReversibleChain(chain.A @ chain.A, chain.pi)
             assert rayleigh(x, a2, 2.0) <= 1.0 + 1e-12
+
+    def test_memory_is_quadratic_in_n_only(self):
+        # an n x n x dim difference array alone would be 40 MB here
+        rng = np.random.default_rng(21)
+        chain = random_reversible_chain(500, 3)
+        x = Configuration(metric.PointCloud(rng.standard_normal((500, 20)), "l2"))
+        tracemalloc.start()
+        try:
+            hilbert_rayleigh_identity(x, chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15e6
 
 
 class TestTParameter:
