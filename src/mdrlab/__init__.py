@@ -7,6 +7,10 @@ feasibility), :mod:`mdrlab.spectral` (reversible chains and nonlinear
 spectral gaps), :mod:`mdrlab.matousek` (random coarse-obstruction
 metrics), :mod:`mdrlab.moduli` (coarse embedding moduli), and
 :mod:`mdrlab.cli` (the command line).
+
+scipy subpackages other than ``scipy.special`` are imported at their call
+sites, so importing the package or the CLI loads only numpy and
+``scipy.special``.
 """
 
 from . import errors

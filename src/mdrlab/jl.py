@@ -35,11 +35,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.spatial.distance import pdist
-from scipy.special import gammaln
-from scipy.stats import beta as beta_dist
-from scipy.stats import chi2
+from scipy.special import betainc, betaincc, chdtr, chdtrc, gammaln
 
 from .errors import (
     NoFeasibleK,
@@ -178,6 +174,8 @@ def psi(n: int, k: int, alpha: float, sigma: float) -> ProbabilityEstimate:
         lead = e * math.log(s * s - 1.0) if e else 0.0
         return math.exp(log_c + lead - (n - 2) * math.log(s))
 
+    from scipy import integrate
+
     points = [p for p in (_radial_peak(n, k),) if lo < p < hi]
     value, err = integrate.quad(
         integrand, lo, hi, points=points or None, epsabs=QUAD_ABS_TOL, epsrel=1e-11, limit=400
@@ -200,11 +198,11 @@ def psi_failure(n: int, k: int, alpha: float, sigma: float) -> float:
     _check_psi_domain(n, k, alpha)
     if sigma <= 1.0:
         return 1.0
-    law = beta_dist(k / 2.0, (n - 1 - k) / 2.0)
+    a, b = k / 2.0, (n - 1 - k) / 2.0
     r_lo = min(1.0, 1.0 / sigma)
     r_hi = min(1.0, alpha / sigma)
-    low = float(law.cdf(r_lo * r_lo))
-    high = float(law.sf(r_hi * r_hi)) if r_hi < 1.0 else 0.0
+    low = float(betainc(a, b, r_lo * r_lo))
+    high = float(betaincc(a, b, r_hi * r_hi)) if r_hi < 1.0 else 0.0
     return min(1.0, low + high)
 
 
@@ -337,6 +335,8 @@ def gaussian_sigma(k: int, alpha: float) -> float:
 
 
 def _gaussian_failure_quad(k: int, alpha: float) -> float:
+    from scipy import integrate
+
     log_pref = math.log(2.0) + (k / 2) * math.log(k) - gammaln(k / 2)
 
     def integrand(b):
@@ -355,7 +355,7 @@ def _gaussian_failure_quad(k: int, alpha: float) -> float:
 def _gaussian_failure_chi2(k: int, alpha: float) -> float:
     la = math.log(alpha)
     lo = 2.0 * k * la / (alpha**2 - 1.0)
-    return float(chi2.cdf(lo, k) + chi2.sf(alpha**2 * lo, k))
+    return float(chdtr(k, lo) + chdtrc(k, alpha**2 * lo))
 
 
 def gaussian_failure(k: int, alpha: float) -> float:
@@ -492,6 +492,8 @@ def jl_transform(
         raise ParameterDomain("transform requires an l2 point cloud")
     if max_retries < 1:
         raise ParameterDomain(f"need max_retries >= 1, got {max_retries}")
+    from scipy.spatial.distance import pdist
+
     n = cloud.n
     if n < 2:
         raise ParameterDomain("need at least two points")

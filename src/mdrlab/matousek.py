@@ -27,8 +27,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import IndexMismatch
 from .metric import FiniteMetric, build_metric
@@ -231,6 +229,9 @@ def signed_metric(
     Vertex layout: plus copies 0..n-1, minus copies n..2n-1, right side
     2n..3n-1.  Distances between different components hit the truncation T.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     n = template.n
     if set(signs.signs.keys()) != set(template.edges):
         raise IndexMismatch("sign assignment must cover exactly the template edges")

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import (
     ConfigTooLarge,
@@ -100,6 +99,8 @@ class PointCloud:
 
     def pairwise(self) -> np.ndarray:
         """Pairwise distance matrix under the cloud's norm."""
+        from scipy.spatial.distance import pdist, squareform
+
         kwargs = {"p": self.p} if self.norm == "lp" else {}
         return squareform(pdist(self.coords, _PDIST_METRIC[self.norm], **kwargs))
 

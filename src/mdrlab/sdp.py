@@ -26,7 +26,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import CertificateInvalid, IterationCapExceeded, NotPSD, TooLarge
 from .metric import FiniteMetric, PointCloud
@@ -300,6 +299,8 @@ def c2_bruteforce(m: FiniteMetric, starts: int = 64, seed=0) -> float:
     log-stress descent, then direct simplex polishing of the exact max/min
     log-ratio.  Embedding dimension n - 1 (always sufficient).
     """
+    from scipy import optimize
+
     n = m.n
     if n < 2:
         return 1.0

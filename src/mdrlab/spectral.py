@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (
     CapExceeded,
@@ -80,12 +78,16 @@ class WeightedGraph:
             w[i, j] = w[j, i] = wt
         return w
 
-    def _csgraph(self) -> csr_matrix:
-        """Unit-weight adjacency for hop counts and components."""
+    def _csgraph(self):
+        """Unit-weight CSR adjacency for hop counts and components."""
+        from scipy.sparse import csr_matrix
+
         ij = np.array([e[:2] for e in self.edges], dtype=int).reshape(-1, 2)
         return csr_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(self.n, self.n))
 
     def is_connected(self) -> bool:
+        from scipy.sparse.csgraph import connected_components
+
         return connected_components(self._csgraph(), directed=False)[0] == 1
 
     def to_json(self) -> str:
@@ -98,6 +100,8 @@ class WeightedGraph:
 
     def shortest_path_metric(self) -> FiniteMetric:
         """Hop-count metric (edge weights ignored); graph must be connected."""
+        from scipy.sparse.csgraph import shortest_path
+
         from .metric import build_metric
 
         if not self.is_connected():
@@ -449,13 +453,23 @@ def cheeger_sweep(chain: ReversibleChain):
     pi = chain.pi
     order = np.argsort(v / np.sqrt(pi))
     flows = pi[:, None] * chain.A
+    # Prefix t holds order[:t+1].  Its crossing flow is the sum over j > t of
+    # the column sums of rows <= t, and its smaller side the lesser of a prefix
+    # and a suffix sum of pi: sums of nonnegative terms, relatively accurate to
+    # ~n eps, in O(n^2) for all prefixes together.
+    reach = np.cumsum(flows[np.ix_(order, order)], axis=0)
+    cross = np.triu(reach, 1).sum(axis=1)[:-1]
+    p = pi[order]
+    fast = cross / np.minimum(np.cumsum(p)[:-1], np.cumsum(p[::-1])[-2::-1])
+    # Prefixes near the least are recomputed as sums over the prefix, and the
+    # first strict minimum among them wins, so ties resolve as a per-prefix
+    # scan over every t would resolve them.
     best = (None, np.inf)
-    side = np.zeros(n, dtype=bool)
-    for t in range(n - 1):
-        side[order[t]] = True
+    for t in np.flatnonzero(fast <= fast.min() * (1 + 1e-9)):
+        side = np.zeros(n, dtype=bool)
+        side[order[: t + 1]] = True
         vol = pi[side].sum()
-        cross = flows[side][:, ~side].sum()
-        cond = cross / min(vol, 1 - vol)
+        cond = flows[side][:, ~side].sum() / min(vol, 1 - vol)
         if cond < best[1]:
             best = (tuple(int(i) for i in np.flatnonzero(side)), float(cond))
     return best

@@ -177,6 +177,48 @@ class TestGaussianProb:
                 assert gauss_p <= haar_p + 1e-9
 
 
+class TestTailsMatchScipyStats:
+    """The scipy.special tails equal the frozen scipy.stats laws they replaced."""
+
+    @staticmethod
+    def psi_failure_stats(n, k, alpha, sigma):
+        law = stats.beta(k / 2.0, (n - 1 - k) / 2.0)
+        r_lo = min(1.0, 1.0 / sigma)
+        r_hi = min(1.0, alpha / sigma)
+        low = float(law.cdf(r_lo * r_lo))
+        high = float(law.sf(r_hi * r_hi)) if r_hi < 1.0 else 0.0
+        return min(1.0, low + high)
+
+    @staticmethod
+    def gaussian_failure_stats(k, alpha):
+        lo = 2.0 * k * math.log(alpha) / (alpha**2 - 1.0)
+        return float(stats.chi2.cdf(lo, k) + stats.chi2.sf(alpha**2 * lo, k))
+
+    def test_psi_failure_bit_identical(self):
+        rng = np.random.default_rng(61)
+        cases = 0
+        for n in (10**3, 10**4, 10**5, 10**6, 10**7, 10**8, 10**9):
+            for alpha in (1.5, 2.0, 4.0, 10.0, float(rng.uniform(1.01, 500.0))):
+                ks = {1, 2, 329, n - 4} | {int(k) for k in rng.integers(1, min(n - 4, 5000), 6)}
+                for k in sorted(ks):
+                    s_max = jl.sigma_max(n, k, alpha)
+                    # sigma <= alpha puts r_hi at 1, where the upper tail is skipped
+                    spread = float(rng.uniform(0.5, 2.0))
+                    for sigma in (s_max, float(rng.uniform(1.0, alpha)), alpha, s_max * spread):
+                        want = self.psi_failure_stats(n, k, alpha, sigma)
+                        assert jl.psi_failure(n, k, alpha, sigma) == want, (n, k, alpha, sigma)
+                        cases += 1
+        assert cases >= 1000
+
+    def test_gaussian_chi2_bit_identical(self):
+        rng = np.random.default_rng(62)
+        alphas = [1.5, 2.0, 4.0, 10.0, 450.0] + list(rng.uniform(1.001, 1000.0, 20))
+        for alpha in alphas:
+            for k in list(range(1, 40)) + [int(k) for k in rng.integers(40, 2000, 40)]:
+                want = self.gaussian_failure_stats(k, alpha)
+                assert jl._gaussian_failure_chi2(k, alpha) == want, (k, alpha)
+
+
 class TestTransform:
     def two_points(self):
         return metric.PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]), "l2")

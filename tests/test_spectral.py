@@ -502,6 +502,51 @@ class TestCheeger:
             _, cond = cheeger_sweep(chain)
             assert cond <= math.sqrt(2 * (1 - lambda2(chain))) + 1e-12
 
+    @staticmethod
+    def per_prefix_scan(chain):
+        """Reference: every prefix's crossing flow and volume summed afresh, O(n^3)."""
+        n = chain.n
+        v = chain._spectrum[1][:, -2]
+        mag = np.abs(v)
+        if v[np.argmax(mag > 1e-8 * mag.max())] > 0:
+            v = -v
+        pi = chain.pi
+        order = np.argsort(v / np.sqrt(pi))
+        flows = pi[:, None] * chain.A
+        best = (None, np.inf)
+        side = np.zeros(n, dtype=bool)
+        for t in range(n - 1):
+            side[order[t]] = True
+            vol = pi[side].sum()
+            cross = flows[side][:, ~side].sum()
+            cond = cross / min(vol, 1 - vol)
+            if cond < best[1]:
+                best = (tuple(int(i) for i in np.flatnonzero(side)), float(cond))
+        return best
+
+    def test_matches_per_prefix_scan(self):
+        rng = np.random.default_rng(52)
+        chains = []
+        for seed in range(80):
+            n = int(rng.integers(2, 40))
+            chains.append(random_reversible_chain(n, seed, lazy=float(rng.choice([0.0, 0.5, 0.9]))))
+        for norm in ("l1", "l2", "linf"):
+            for _ in range(20):
+                n = int(rng.integers(3, 30))
+                d = metric.PointCloud(rng.standard_normal((n, 3)), norm).pairwise()
+                edges = [(i, j, math.exp(-d[i, j])) for i in range(n) for j in range(i + 1, n)]
+                chains.append(chain_from_graph(WeightedGraph.build(n, edges)))
+        for n in range(3, 40, 2):
+            path = WeightedGraph.build(n, [(i, i + 1) for i in range(n - 1)])
+            chains += [chain_from_graph(path), chain_from_graph(graph_cycle(n))]
+            chains.append(chain_from_graph(graph_complete(n)))
+        chains += [chain_from_graph(random_regular_graph(256, 4, seed)) for seed in range(6)]
+        assert len(chains) >= 200
+        for chain in chains:
+            cut, cond = cheeger_sweep(chain)
+            want_cut, want_cond = self.per_prefix_scan(chain)
+            assert cut == want_cut and cond == want_cond
+
 
 class TestRandomRegular:
     def test_degrees(self):
