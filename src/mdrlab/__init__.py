@@ -61,8 +61,10 @@ from .metric import (
 )
 from .moduli import ModulusPair, PowerModulus, TabulatedModulus, beta_modulus, coarse_dim_exponent
 from .sdp import (
+    C2Bracket,
     GramCandidate,
     NegativeTypeCertificate,
+    c2_bracket,
     c2_bruteforce,
     c2_sdp,
     check_certificate,

@@ -225,8 +225,15 @@ def cmd_doubling(args):
 
 def cmd_c2_sdp(args):
     m = _load_metric(args.metric)
-    alpha, witness, iters = sdp.c2_sdp(m, tol=args.tol)
-    return {"alpha": alpha, "Q": witness.Q.tolist(), "iterations": iters}
+    b = sdp.c2_bracket(m, tol=args.tol)
+    return {
+        "alpha": b.hi,
+        "lo": b.lo,
+        "hi": b.hi,
+        "status": b.status,
+        "iterations": b.iterations,
+        "Q": b.witness.Q.tolist(),
+    }
 
 
 def cmd_certificate(args):
@@ -563,15 +570,15 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--mode", choices=("exact", "greedy"), default="greedy")
     p.add_argument("--alpha", type=_parse_real, default=None)
 
-    p = add("c2-sdp", cmd_c2_sdp, "Euclidean distortion by alternating projections")
+    p = add("c2-sdp", cmd_c2_sdp, "Euclidean distortion as a checked bracket [lo, hi]")
     p.add_argument("--metric", required=True)
-    p.add_argument("--tol", type=_parse_real, default=1e-4, help="bisection tolerance on the distortion")
+    p.add_argument("--tol", type=_parse_real, default=1e-4, help="target width hi - lo of the bracket")
 
     p = add("certificate", cmd_certificate, "check or search negative-type certificates")
     p.add_argument("--metric", required=True)
     p.add_argument("--alpha", type=_parse_real, required=True)
     p.add_argument("--cert", default=None, help='JSON file {"A": [[...]]}')
-    p.add_argument("--search", action="store_true", help="search for a violating certificate")
+    p.add_argument("--search", action="store_true", help="search for a violating certificate (deterministic)")
 
     p = add("gamma", cmd_gamma, "spectral gap reciprocals")
     p.add_argument("--chain", required=True, help="chain or graph JSON")

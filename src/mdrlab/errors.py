@@ -68,14 +68,6 @@ class ZeroDistancePair(MdrlabError):
 
 # -- distortion SDP -----------------------------------------------------------
 
-class IterationCapExceeded(MdrlabError):
-    """Feasibility iteration cap hit before a verdict; carries the bisection bracket."""
-
-    def __init__(self, lo, hi):
-        self.bracket = (float(lo), float(hi))
-        super().__init__(f"iteration cap exceeded; distortion bracketed in {self.bracket}")
-
-
 class TooLarge(MdrlabError):
     pass
 

@@ -1,4 +1,4 @@
-"""Euclidean distortion of a finite metric by semidefinite feasibility.
+"""Euclidean distortion of a finite metric as a checked two-sided bracket.
 
 A metric embeds into a Hilbert space with distortion alpha iff there is a
 Gram matrix Q (psd) whose squared point distances lie entrywise between
@@ -7,31 +7,54 @@ distances must lie in the negative-type cone
 
     K = { D symmetric : x'Dx <= 0 whenever x is orthogonal to the ones },
 
-intersected with the entrywise box [d^2, alpha^2 d^2].  The solver runs
-alternating orthogonal projections in D-space: the box projection is an
-entrywise clip, and the cone projection clips the positive eigenvalues of
-the block of D in an orthonormal basis whose last vector is 1/sqrt(n).
-Bisection over alpha^2 then pins the distortion.
+intersected with the entrywise box [d^2, alpha^2 d^2].  By duality
+(Linial, London and Rabinovich 1995) the level alpha is infeasible exactly
+when some psd matrix A with zero row sums satisfies
 
-The same cone shows up as a certificate system: a psd matrix A with zero
-row sums witnesses non-embeddability at level alpha whenever
+    sum a_ij d_ij^2  >  (alpha^2-1)/(alpha^2+1) * sum |a_ij| d_ij^2,
 
-    sum a_ij d_ij^2  >  (alpha^2-1)/(alpha^2+1) * sum |a_ij| d_ij^2.
+that is, when alpha^2 < P/N with P the sum of a_ij d_ij^2 over a_ij > 0
+and N minus the sum over a_ij < 0.
+
+The solver runs alternating orthogonal projections in D-space: the box
+projection is an entrywise clip, and the cone projection P_K clips the
+positive eigenvalues of the block of D in an orthonormal basis whose last
+vector is 1/sqrt(n).  Every CHECK_EVERY iterations it reads two objects off
+the box iterate D and checks each before using it:
+
+* upper side: -P_K(D)/2, read in the ones-complement basis, is a psd Gram
+  matrix.  The exact distortion of its points (max ratio over min ratio) is
+  an upper bound hi; rescaled so that its smallest ratio is 1, the witness
+  lies in the box [d^2, hi^2 d^2];
+* lower side: the gap D - P_K(D) is psd with zero row sums, a certificate
+  refuting every level below sqrt(P/N).  At a fixed point of the
+  projections at an infeasible level it refutes that level.
+
+Bisection over alpha moves lo and hi only on these checked values and
+warm-starts each level from the previous iterate.  A level that spends its
+iteration budget without either side passing it is undecided, never
+infeasible.  The stretches of the bracket between lo, hi and the undecided
+levels are probed from the top down, and the run ends "undecided" when
+none is left that is wider than both tol and a quarter of the bracket.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateInvalid, IterationCapExceeded, NotPSD, TooLarge
+from .errors import CertificateInvalid, NotPSD, TooLarge
 from .metric import FiniteMetric, PointCloud
 
 MAX_POINTS = 64
-STALL_WINDOW = 500
+# Iterations one bisection level may spend before it is left undecided.  Sized
+# on random 12-point shortest-path metrics, where most levels near c2 end
+# undecided: doubling the budget there about halves the final bracket width
+# and doubles the time (about 1 s at 2000 iterations).
+LEVEL_ITERATIONS = 2000
+CHECK_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -102,116 +125,130 @@ def _dist2_of(q: np.ndarray) -> np.ndarray:
     return g[:, None] + g[None, :] - 2 * q
 
 
-def _box_feasible(d2: np.ndarray, a2: float, tol: float, max_iter: int):
-    """Alternating projections onto the box and the negative-type cone.
+class _Bracket:
+    """Alternating projections level by level; lo and hi move only on checked objects."""
 
-    Returns (status, D, iterations) with status in {"feasible", "infeasible",
-    "capped"}.  Near the feasibility boundary the gap between the cone and
-    the box scales like the square of the distortion margin, so certifying
-    alpha to within tol demands a residual threshold of order tol^2: a point
-    is accepted when every box constraint holds within max(tol^2/4, 1e-12)
-    relative to its own d_ij^2.  Infeasibility is declared when the
-    violation has converged (or stalled for STALL_WINDOW iterations) while
-    still positive.
+    def __init__(self, m: FiniteMetric):
+        n = m.n
+        self.m = m
+        self.d2 = m.dist**2
+        self.u1 = _ones_complement_basis(n)[:, :-1]
+        self.off = ~np.eye(n, dtype=bool)
+        self.lo, self.certificate = 1.0, None
+        self.hi, self.witness = math.inf, None
+        self.iterations = 0
+        self.d = self.d2.copy()  # the box iterate, warm-started across levels
+        # the regular simplex realizes max d / min d, a finite start for hi
+        self._offer_gram(np.eye(n) / 2)
+
+    def _offer_gram(self, q: np.ndarray) -> None:
+        """Take a psd Gram matrix as the witness if its exact distortion beats hi."""
+        r2 = _dist2_of(q)[self.off] / self.d2[self.off]
+        if r2.min() <= 0 or math.sqrt(r2.max() / r2.min()) >= self.hi:
+            return
+        witness = GramCandidate(q / r2.min())
+        r2 = _dist2_of(witness.Q)[self.off] / self.d2[self.off]
+        self.hi, self.witness = math.sqrt(r2.max() / r2.min()), witness
+
+    def _offer_gap(self, a: np.ndarray) -> None:
+        """Take a psd zero-row-sum gap as the certificate if check_certificate confirms it beats lo."""
+        w = a * self.d2
+        p, neg = w[w > 0].sum(), -w[w < 0].sum()
+        if neg <= 0:
+            return
+        level = math.sqrt(p / neg) * (1 - 1e-9)
+        if level <= self.lo:
+            return
+        cert = NegativeTypeCertificate(a)
+        holds, _, _ = check_certificate(self.m, cert, level)
+        if not holds:
+            self.lo, self.certificate = level, cert
+
+    def level(self, alpha: float, slack: float, budget: int) -> bool:
+        """Project at level alpha until hi <= alpha + slack or lo >= alpha - slack.
+
+        Returns False if the budget runs out first.  The slack decides levels
+        in finite time: at a feasible level the witness distortion tends to
+        alpha itself, often from above, since the limit of the projections
+        touches both faces of the box.
+        """
+        box_hi = alpha * alpha * self.d2
+        d = np.clip(self.d, self.d2, box_hi)  # the zero diagonal of d2 keeps d hollow
+        try:
+            for it in range(budget):
+                self.iterations += 1
+                vals, vecs = np.linalg.eigh(self.u1.T @ d @ self.u1)
+                pos = vals > 0
+                g = self.u1 @ vecs[:, pos]
+                gap = (g * vals[pos]) @ g.T
+                gap = (gap + gap.T) / 2  # d - gap is the cone projection P_K(d)
+                if it % CHECK_EVERY == 0 or not pos.any():
+                    g = self.u1 @ vecs[:, ~pos]
+                    self._offer_gram((g * (-0.5 * vals[~pos])) @ g.T)
+                    self._offer_gap(gap)
+                    if self.hi <= alpha + slack or self.lo >= alpha - slack:
+                        return True
+                d = np.clip(d - gap, self.d2, box_hi)
+            return False
+        finally:
+            self.d = d
+
+
+@dataclass(frozen=True)
+class C2Bracket:
+    """A checked bracket lo <= c2(m) <= hi.
+
+    ``witness`` is a Gram matrix whose points have distortion hi, scaled so
+    that their squared distances lie in [d^2, hi^2 d^2].  ``certificate``
+    refutes every level below lo under ``check_certificate``; it is None
+    when lo is the trivial bound 1.  ``status`` is "converged" when
+    hi - lo <= tol and "undecided" when bisection levels ran out of
+    iterations before the bracket got that narrow.
     """
-    n = d2.shape[0]
-    u = _ones_complement_basis(n)
-    scale = d2.max()
-    residual_tol = max(tol * tol / 4, 1e-12)
-    lo = d2.copy()
-    hi = a2 * d2
-    np.fill_diagonal(lo, 0.0)
-    np.fill_diagonal(hi, 0.0)
-    d = (lo + hi) / 2  # hollow, box-exact throughout
-    history = deque(maxlen=STALL_WINDOW)
-    for it in range(1, max_iter + 1):
-        # cone violation of the hollow iterate: top of the 1-perp spectrum
-        w = u.T @ d @ u
-        block = (w[:-1, :-1] + w[:-1, :-1].T) / 2
-        vals, vecs = np.linalg.eigh(block)
-        viol = max(0.0, float(vals[-1]) / scale)
-        if viol <= residual_tol:
-            return "feasible", d, it
-        w[:-1, :-1] = (vecs * np.minimum(vals, 0.0)) @ vecs.T
-        dn = u @ w @ u.T  # the cone projection
-        db = np.clip((dn + dn.T) / 2, lo, hi)
-        np.fill_diagonal(db, 0.0)
-        move = np.abs(db - d).max()
-        d = db
-        if move <= 1e-15 * scale:
-            return "infeasible", d, it
-        # less than 1% progress over a full window: converging to a positive
-        # gap, or to zero so slowly that the bracket endpoint is the honest
-        # answer; either way the level is declared infeasible (the final
-        # reported alpha is always positively certified)
-        history.append(viol)
-        if len(history) == STALL_WINDOW and viol > 0.99 * history[0]:
-            return "infeasible", d, it
-    return "capped", d, max_iter
+
+    lo: float
+    hi: float
+    witness: GramCandidate
+    certificate: NegativeTypeCertificate | None
+    iterations: int
+    status: str
 
 
-def c2_sdp(m: FiniteMetric, tol: float = 1e-4, max_iter: int = 20000):
-    """Euclidean distortion by bisection over alpha^2, with a Gram witness.
+def c2_bracket(m: FiniteMetric, tol: float = 1e-4, max_iter: int = LEVEL_ITERATIONS) -> C2Bracket:
+    """Euclidean distortion as a checked bracket of target width ``tol``.
 
-    Returns ``(alpha, witness, iterations)``: ``alpha`` is a positively
-    certified distortion level with bisection resolution ``tol``, and
-    ``witness`` is the Gram matrix of the certifying iterate (box-exact
-    squared distances, negative-type up to the residual threshold, so the
-    extracted points realize alpha up to a vanishing correction).
+    Bisection over alpha with at most ``max_iter`` projection iterations per
+    level; see the module docstring for the two checks that move lo and hi.
     """
     if m.n > MAX_POINTS:
         raise TooLarge(f"instances capped at {MAX_POINTS} points")
     if tol < 1e-6:
         raise ValueError("tol below 1e-6 is not supported")
-    n = m.n
-    if n < 3:
+    if m.n < 3:
         # one or two points embed isometrically on a line
-        q = _gram_of(m.dist**2)
-        return 1.0, GramCandidate(q), 0
-    d2 = m.dist**2
-    total_iters = 0
-
-    status, d_feas, it = _box_feasible(d2, 1.0, tol, max_iter)
-    total_iters += it
-    if status == "feasible":
-        return 1.0, GramCandidate(_round_psd(_gram_of(d_feas))), total_iters
-    if status == "capped":
-        raise IterationCapExceeded(1.0, math.inf)
-
-    # classical-scaling embedding gives a finite feasible upper bracket
-    q0 = _round_psd(_gram_of(d2))
-    with np.errstate(invalid="ignore"):
-        ratio = np.sqrt(np.maximum(_dist2_of(q0), 0.0) / np.where(d2 > 0, d2, 1.0))
-    off = ~np.eye(n, dtype=bool)
-    r = ratio[off]
-    hi = float(r.max() / max(r.min(), 1e-12)) * 1.01 + tol
-    lo = 1.0
-    status, d_feas, it = _box_feasible(d2, hi * hi, tol, max_iter)
-    total_iters += it
-    while status != "feasible":
-        if status == "capped" or hi > 1e9:
-            raise IterationCapExceeded(lo, hi)
-        lo, hi = hi, hi * 2
-        status, d_feas, it = _box_feasible(d2, hi * hi, tol, max_iter)
-        total_iters += it
-
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        status, d_mid, it = _box_feasible(d2, mid * mid, tol, max_iter)
-        total_iters += it
-        if status == "feasible":
-            hi, d_feas = mid, d_mid
-        else:
-            # undecided caps count as infeasible: the final alpha is always
-            # backed by a positively certified witness, and the bracket
-            # absorbs the (rare, tangency-induced) misclassification
-            lo = mid
-    return hi, GramCandidate(_round_psd(_gram_of(d_feas))), total_iters
+        return C2Bracket(1.0, 1.0, GramCandidate(_gram_of(m.dist**2)), None, 0, "converged")
+    b = _Bracket(m)
+    undecided = []  # levels that ran out of iterations
+    while True:
+        # untested stretches: between lo, hi and the undecided levels, wider
+        # than tol and than a quarter of the bracket; the highest goes first
+        ends = sorted([b.lo, b.hi] + [u for u in undecided if b.lo < u < b.hi])
+        wide = max(tol, (b.hi - b.lo) / 4)
+        gaps = [(x, y) for x, y in zip(ends, ends[1:]) if y - x > wide]
+        if not gaps:
+            break
+        x, y = gaps[-1]
+        # a verdict within (y - x) / 8 of the probe still cuts the stretch
+        if not b.level((x + y) / 2, (y - x) / 8, max_iter):
+            undecided.append((x + y) / 2)
+    status = "converged" if b.hi - b.lo <= tol else "undecided"
+    return C2Bracket(b.lo, b.hi, b.witness, b.certificate, b.iterations, status)
 
 
-def _round_psd(q: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((q + q.T) / 2)
-    return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+def c2_sdp(m: FiniteMetric, tol: float = 1e-4, max_iter: int = LEVEL_ITERATIONS):
+    """Upper end of ``c2_bracket``: ``(hi, witness, iterations)``."""
+    b = c2_bracket(m, tol, max_iter)
+    return b.hi, b.witness, b.iterations
 
 
 def check_certificate(m: FiniteMetric, cert: NegativeTypeCertificate, alpha: float):
@@ -232,57 +269,25 @@ def check_certificate(m: FiniteMetric, cert: NegativeTypeCertificate, alpha: flo
     return lhs <= rhs + 1e-12 * rhs, lhs, rhs
 
 
-def find_violating_certificate(
-    m: FiniteMetric, alpha: float, seed=0, iters: int = 400, restarts: int = 8
-):
-    """Projected-supergradient search for a certificate violating level alpha.
+def find_violating_certificate(m: FiniteMetric, alpha: float, seed=0):
+    """The gap certificate of the projections at level alpha, or None.
 
-    Maximizes lhs - rhs over the unit-norm slice of the psd row-sum-zero
-    cone.  Returns a violating NegativeTypeCertificate or None; existence
-    for alpha < c2(m) is guaranteed, but the search is heuristic.
+    Runs one level of ``c2_bracket`` at alpha from the lower corner of the
+    box and returns the first gap certificate that ``check_certificate``
+    finds violated at alpha.  Returns None when a witness shows that alpha
+    is feasible, so that no violating certificate exists, or when the level
+    runs out of iterations.  The search is deterministic: ``seed`` is
+    accepted for compatibility and does not affect the result.
     """
-    n = m.n
-    d2 = m.dist**2
-    c = (alpha**2 - 1) / (alpha**2 + 1)
-    j = np.eye(n) - np.ones((n, n)) / n
-    rng = np.random.default_rng(seed)
-
-    def project(a):
-        a = j @ ((a + a.T) / 2) @ j
-        vals, vecs = np.linalg.eigh(a)
-        a = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-        norm = np.linalg.norm(a)
-        return a / norm if norm > 0 else a
-
-    best = None
-    best_gap = 0.0
-    for _ in range(restarts):
-        a = project(rng.standard_normal((n, n)))
-        step = 1.0
-        for _ in range(iters):
-            grad = d2 - c * np.sign(a) * d2
-            a2 = project(a + step * grad)
-            gap2 = float((a2 * d2).sum() - c * (np.abs(a2) * d2).sum())
-            gap1 = float((a * d2).sum() - c * (np.abs(a) * d2).sum())
-            if gap2 < gap1:
-                step *= 0.7
-                if step < 1e-8:
-                    break
-            else:
-                a = a2
-        gap = float((a * d2).sum() - c * (np.abs(a) * d2).sum())
-        if gap > best_gap + 1e-12:
-            best_gap = gap
-            best = a
-    if best is None:
+    if alpha < 1:
+        raise ValueError("alpha must be >= 1")
+    if m.n < 3:
+        return None  # one or two points embed isometrically
+    b = _Bracket(m)
+    b.level(alpha, 0.0, LEVEL_ITERATIONS)
+    if b.certificate is None or check_certificate(m, b.certificate, alpha)[0]:
         return None
-    # symmetrize/clean tiny numerical dirt before the strict constructor
-    best = j @ ((best + best.T) / 2) @ j
-    vals, vecs = np.linalg.eigh(best)
-    best = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-    cert = NegativeTypeCertificate(best)
-    holds, _, _ = check_certificate(m, cert, alpha)
-    return None if holds else cert
+    return b.certificate
 
 
 def extract_points(q: GramCandidate) -> PointCloud:

@@ -145,6 +145,16 @@ def verify_sdp(seed: int = 0) -> dict:
     cert = sdp.find_violating_certificate(c4, 1.3, seed=seed)
     _prop(results, "violating_certificate_found", cert is not None)
 
+    hops = np.abs(np.arange(12)[:, None] - np.arange(12))
+    c12 = metric.build_metric(np.minimum(hops, 12 - hops).astype(float))
+    b = sdp.c2_bracket(c12, tol=1e-4)
+    exact = 6 * math.sin(math.pi / 12)  # the regular 12-gon (Linial and Magen 2000)
+    _prop(results, "cycle12_bracket", b.lo <= exact <= b.hi and b.hi - b.lo <= 1e-3,
+          f"[{b.lo:.6f}, {b.hi:.6f}]")
+
+    ok = b.certificate is not None and not sdp.check_certificate(c12, b.certificate, b.lo * (1 - 1e-9))[0]
+    _prop(results, "gap_certificate_checked", ok, f"lo={b.lo:.6f}")
+
     return _finish("sdp", results)
 
 

@@ -469,14 +469,17 @@ GOLDEN_SHA256 = {
 
 GOLDEN_PAYLOAD = {
     "c2-sdp": {
-        "alpha": 1.4142296299,
+        "alpha": 1.41421356237,
+        "lo": 1.41421356096,
+        "hi": 1.41421356237,
+        "status": "converged",
+        "iterations": 1,
         "Q": [
-            [1.00002272541, 8.22767675943e-17, -1.00002272541, 3.49853231467e-17],
-            [8.22767675943e-17, 1.00002272541, 1.7783431433e-16, -1.00002272541],
-            [-1.00002272541, 1.7783431433e-16, 1.00002272541, 3.40106653063e-17],
-            [3.49853231467e-17, -1.00002272541, 3.40106653063e-17, 1.00002272541],
+            [1.0, -3.04391365064e-16, -1.0, 2.83295076752e-16],
+            [-3.04391365064e-16, 1.0, 3.59902516295e-16, -1.0],
+            [-1.0, 3.59902516295e-16, 1.0, -3.38806227983e-16],
+            [2.83295076752e-16, -1.0, -3.38806227983e-16, 1.0],
         ],
-        "iterations": 402,
     },
     "cheeger": {"cut": [0, 1], "conductance": 0.333333333333, "lambda2": 0.5, "cheeger_bound": 1.0},
     "gamma": {"lambda2": 0.5, "gamma_hilbert": 2.0, "gamma_bruteforce": 1.95238095238, "p": 2.0},

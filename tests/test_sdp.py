@@ -142,6 +142,73 @@ class TestCertificates:
             sdp.check_certificate(m, good, 1.5)  # size mismatch
 
 
+def cycle(n: int) -> metric.FiniteMetric:
+    hops = np.abs(np.arange(n)[:, None] - np.arange(n))
+    return metric.build_metric(np.minimum(hops, n - hops).astype(float))
+
+
+def star(n: int) -> metric.FiniteMetric:
+    """K_{1,n}: a centre at distance 1 from n leaves that are pairwise 2 apart."""
+    d = 2.0 * (np.ones((n + 1, n + 1)) - np.eye(n + 1))
+    d[0, 1:] = d[1:, 0] = 1.0
+    return metric.build_metric(d)
+
+
+def assert_checked(m, b):
+    """lo carries a violated certificate; the witness realizes hi inside the box [d^2, hi^2 d^2]."""
+    holds, lhs, rhs = sdp.check_certificate(m, b.certificate, b.lo * (1 - 1e-9))
+    assert not holds and lhs > rhs
+    off = ~np.eye(m.n, dtype=bool)
+    r2 = sdp._dist2_of(b.witness.Q)[off] / m.dist[off] ** 2
+    assert abs(math.sqrt(r2.max() / r2.min()) - b.hi) <= 1e-9
+    assert r2.min() >= 1 - 1e-9 and r2.max() <= b.hi**2 * (1 + 1e-9)
+
+
+class TestC2Bracket:
+    # even cycles: the regular polygon, c2(C_2m) = m sin(pi/2m) (Linial and
+    # Magen 2000); stars: the centred regular simplex, c2(K_1,n) = sqrt(2 - 2/n)
+    @pytest.mark.parametrize(
+        "m, exact",
+        [
+            (cycle(12), 6 * math.sin(math.pi / 12)),
+            (cycle(14), 7 * math.sin(math.pi / 14)),
+            (star(31), math.sqrt(2 - 2 / 31)),
+        ],
+        ids=["C12", "C14", "K1,31"],
+    )
+    def test_hard_instances_bracket_exact(self, m, exact):
+        b = sdp.c2_bracket(m, tol=1e-4)
+        assert b.status == "converged"
+        assert b.lo <= exact <= b.hi and b.hi - b.lo <= 1e-3
+        assert_checked(m, b)
+
+    def test_tiny_budget_is_undecided_and_checked(self):
+        m = cycle(12)
+        b = sdp.c2_bracket(m, tol=1e-4, max_iter=3)
+        assert b.status == "undecided"
+        assert 1 < b.lo < b.hi and b.hi - b.lo > 1e-4
+        assert b.lo <= 6 * math.sin(math.pi / 12) <= b.hi
+        assert_checked(m, b)
+
+    def test_c2_sdp_is_the_upper_end(self):
+        b = sdp.c2_bracket(cycle(8), tol=1e-4)
+        alpha, witness, iterations = sdp.c2_sdp(cycle(8), tol=1e-4)
+        assert (alpha, iterations) == (b.hi, b.iterations)
+        assert np.array_equal(witness.Q, b.witness.Q)
+
+    def test_certificate_search_is_deterministic(self):
+        m = cycle4()
+        first = sdp.find_violating_certificate(m, 1.3, seed=0)
+        for seed in range(300):
+            cert = sdp.find_violating_certificate(m, 1.3, seed=seed)
+            assert cert is not None and np.array_equal(cert.A, first.A)
+            holds, lhs, rhs = sdp.check_certificate(m, cert, 1.3)
+            assert not holds and lhs > rhs
+
+    def test_no_certificate_at_a_feasible_level(self):
+        assert sdp.find_violating_certificate(cycle4(), 1.5, seed=0) is None
+
+
 class TestExtractPoints:
     def test_identity_gram(self):
         cloud = sdp.extract_points(sdp.GramCandidate(np.eye(3)))
