@@ -133,7 +133,10 @@ def cmd_jl_dim(args):
     if certified:  # the trivial k = n - 1 fallback has no haar certificate
         plan = jl.make_plan(args.n, args.alpha, mode, k)
         payload.update(
-            sigma=plan.sigma, success_prob=plan.success_prob, union_bound=plan.union_bound
+            sigma=plan.sigma,
+            success_prob=plan.success_prob,
+            failure_prob=plan.failure_prob,
+            union_bound=plan.union_bound,
         )
     return payload
 
@@ -150,6 +153,7 @@ def cmd_jl_project(args):
         "attempts": res.attempts,
         "success": res.success,
         "measured_distortion": res.measured_distortion,
+        "failure_prob": res.plan.failure_prob,
         "union_bound": res.plan.union_bound,
         "coords": res.cloud.coords.tolist(),
     }

@@ -58,10 +58,6 @@ class NoFeasibleK(UserWarning):
     """No dimension k certifies the union bound; the trivial k = n - 1 is returned."""
 
 
-class QuadratureNonConvergence(MdrlabError):
-    pass
-
-
 class ZeroDistancePair(MdrlabError):
     pass
 

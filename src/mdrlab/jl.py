@@ -15,15 +15,17 @@ vector to length in [1, alpha].  The global maximizer of psi is
     sigma_max(n,k,alpha)
         = sqrt((alpha^((2n-6)/(n-k-3)) - 1) / (alpha^(2k/(n-k-3)) - 1)).
 
-The module computes psi by adaptive quadrature (absolute error 1e-10),
-its complement from the Beta law of the radial variable (relatively
+In the radial variable r = 1/s the integrand is the density of a
+Beta(k/2, (n-1-k)/2) law of r^2, so psi is one minus two Beta tails.  The
+module evaluates psi and its complement from those tails (relatively
 accurate down to the 1e-18 failure rates that a billion-point union bound
-requires), the optimally rescaled Gaussian alternative, the minimal
-dimensions certified by either route, and retrying transforms for
-Euclidean point clouds.
+requires), the optimally rescaled Gaussian alternative from two chi-square
+tails, the minimal dimensions certified by either route, and retrying
+transforms for Euclidean point clouds.  The integrals themselves are
+recomputed by quadrature only in ``verify``, as an independent check.
 
 Note the normalizing constant C(n,k): the radial density of the projected
-point integrates to exactly 1 with it (a Beta integral), and Monte Carlo
+point has total mass exactly 1 with it (a Beta integral), and Monte Carlo
 agrees; see the ledger for the discrepancy with a commonly printed
 prefactor.
 """
@@ -37,15 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, betaincc, chdtr, chdtrc, gammaln
 
-from .errors import (
-    NoFeasibleK,
-    ParameterDomain,
-    QuadratureNonConvergence,
-    ZeroDistancePair,
-)
+from .errors import NoFeasibleK, ParameterDomain, ZeroDistancePair
 from .metric import PointCloud
 
-QUAD_ABS_TOL = 1e-12
 MODES = ("haar_projection", "scaled_gaussian")
 
 
@@ -67,7 +63,9 @@ class JlPlan:
     """A dimension-reduction instance with its success certificate.
 
     ``success_prob`` is the per-pair probability that one unit direction
-    lands in [1, alpha]; ``union_bound`` = 1 - C(n,2)(1 - success_prob)
+    lands in [1, alpha] and ``failure_prob`` = 1 - success_prob its
+    complement, evaluated directly from the tails so it stays readable when
+    success_prob rounds to 1; ``union_bound`` = 1 - C(n,2) failure_prob
     lower-bounds the probability that a single draw works for all pairs.
     ``ambient`` is the dimension the rotation acts on: n - 1 whenever the
     requested k permits, padded up to k + 3 otherwise (zero-padding is an
@@ -80,6 +78,7 @@ class JlPlan:
     sigma: float
     mode: str
     success_prob: float
+    failure_prob: float
     union_bound: float
     ambient: int
 
@@ -94,6 +93,7 @@ class JlPlan:
                 "sigma": self.sigma,
                 "mode": self.mode,
                 "success_prob": self.success_prob,
+                "failure_prob": self.failure_prob,
                 "union_bound": self.union_bound,
                 "ambient": self.ambient,
             }
@@ -140,49 +140,17 @@ def _check_sigma_domain(n: int, k: int, alpha: float):
         raise ParameterDomain(f"sigma_max needs k <= n - 4, got k={k}, n={n}")
 
 
-def _psi_log_constant(n: int, k: int) -> float:
-    """log of the normalizing constant C(n,k) of the radial success density."""
-    return math.log(2.0) + gammaln((n - 1) / 2) - gammaln(k / 2) - gammaln((n - 1 - k) / 2)
-
-
-def _radial_peak(n: int, k: int) -> float:
-    """Stationary point of the integrand (s^2-1)^e s^-(n-2); mass concentrates here."""
-    return math.sqrt((n - 2) / (k + 1))
-
-
 def psi(n: int, k: int, alpha: float, sigma: float) -> ProbabilityEstimate:
     """Per-pair success probability of the sigma-scaled rotation-projection.
 
     Vanishes for sigma <= 1, increases on [1, alpha], and decays to zero as
-    sigma grows; the integrand is evaluated in log space and the quadrature
-    is split at the interior stationary point so sharply peaked large-n
-    instances converge.
+    sigma grows; evaluated as 1 - psi_failure, the two Beta tails of the
+    radial law.
     """
     _check_psi_domain(n, k, alpha)
     if sigma < 0:
         raise ParameterDomain("sigma must be nonnegative")
-    lo = max(1.0, sigma / alpha)
-    hi = max(1.0, sigma)
-    if hi <= lo:
-        return ProbabilityEstimate(0.0, 0.0, "quadrature")
-    e = (n - k - 3) / 2
-    log_c = _psi_log_constant(n, k)
-
-    def integrand(s):
-        if s <= 1.0:
-            return 0.0
-        lead = e * math.log(s * s - 1.0) if e else 0.0
-        return math.exp(log_c + lead - (n - 2) * math.log(s))
-
-    from scipy import integrate
-
-    points = [p for p in (_radial_peak(n, k),) if lo < p < hi]
-    value, err = integrate.quad(
-        integrand, lo, hi, points=points or None, epsabs=QUAD_ABS_TOL, epsrel=1e-11, limit=400
-    )
-    if err > 1e-10:
-        raise QuadratureNonConvergence(f"psi quadrature error estimate {err:.2e}")
-    return ProbabilityEstimate(min(max(value, 0.0), 1.0), 0.0, "quadrature")
+    return ProbabilityEstimate(1.0 - psi_failure(n, k, alpha, sigma), 0.0, "beta")
 
 
 def psi_failure(n: int, k: int, alpha: float, sigma: float) -> float:
@@ -192,8 +160,8 @@ def psi_failure(n: int, k: int, alpha: float, sigma: float) -> float:
     alpha/sigma, and r^2 follows a Beta(k/2, (n-1-k)/2) law (the same fact
     that fixes the normalizing constant of psi).  Both tails are therefore
     Beta CDF values, which stay relatively accurate down to the 1e-18 scale
-    needed to certify union bounds for a billion points; tests reconcile
-    this route against the psi quadrature and Monte Carlo.
+    needed to certify union bounds for a billion points; ``verify`` and the
+    tests reconcile this route against the psi integral and Monte Carlo.
     """
     _check_psi_domain(n, k, alpha)
     if sigma <= 1.0:
@@ -334,24 +302,6 @@ def gaussian_sigma(k: int, alpha: float) -> float:
     return math.sqrt((alpha**2 - 1.0) / (2.0 * k * math.log(alpha)))
 
 
-def _gaussian_failure_quad(k: int, alpha: float) -> float:
-    from scipy import integrate
-
-    log_pref = math.log(2.0) + (k / 2) * math.log(k) - gammaln(k / 2)
-
-    def integrand(b):
-        lem = _log_expm1(2.0 * b)
-        t = b * math.exp(-lem)
-        return math.exp(log_pref + (k / 2) * (math.log(b) - lem) - k * t)
-
-    val, err = integrate.quad(
-        integrand, math.log(alpha), np.inf, epsabs=1e-13, epsrel=1e-11, limit=400
-    )
-    if err > 1e-10 * max(val, 1e-30) and err > 1e-12:
-        raise QuadratureNonConvergence(f"gaussian tail quadrature error {err:.2e}")
-    return val
-
-
 def _gaussian_failure_chi2(k: int, alpha: float) -> float:
     la = math.log(alpha)
     lo = 2.0 * k * la / (alpha**2 - 1.0)
@@ -359,31 +309,20 @@ def _gaussian_failure_chi2(k: int, alpha: float) -> float:
 
 
 def gaussian_failure(k: int, alpha: float) -> float:
-    """Failure probability of the rescaled Gaussian, quadrature cross-checked
-    against the chi-square CDF form (the two must agree to 1e-9)."""
+    """Failure probability of the rescaled Gaussian as two chi-square tails:
+    the squared image length is (alpha^2 - 1)/(2k log alpha) times a
+    chi-square with k degrees of freedom."""
     if k < 1:
         raise ParameterDomain("k must be >= 1")
     if alpha <= 1:
         raise ParameterDomain("alpha must exceed 1")
-    fail = _gaussian_failure_quad(k, alpha)
-    cdf = _gaussian_failure_chi2(k, alpha)
-    if abs(fail - cdf) > 1e-9:
-        raise QuadratureNonConvergence(
-            f"quadrature/chi-square disagreement {abs(fail - cdf):.2e} at k={k}, alpha={alpha}"
-        )
-    return fail
+    return _gaussian_failure_chi2(k, alpha)
 
 
 def gaussian_success_prob(k: int, alpha: float) -> ProbabilityEstimate:
-    """P(1 <= ||G_k^alpha z|| <= alpha) for the optimally rescaled Gaussian.
-
-    Evaluated as 1 minus the single-integral form of the failure probability;
-    the squared image length is a multiple of a chi-square with k degrees of
-    freedom, and the equivalent CDF difference must agree to 1e-9 or the
-    quadrature is rejected.
-    """
+    """P(1 <= ||G_k^alpha z|| <= alpha) for the optimally rescaled Gaussian."""
     fail = gaussian_failure(k, alpha)
-    return ProbabilityEstimate(min(1.0, max(0.0, 1.0 - fail)), 0.0, "quadrature")
+    return ProbabilityEstimate(min(1.0, max(0.0, 1.0 - fail)), 0.0, "chi2")
 
 
 def gaussian_success_monte_carlo(k: int, alpha: float, samples: int, seed) -> ProbabilityEstimate:
@@ -413,8 +352,8 @@ def jl_min_dim_gaussian(n: int, alpha: float, k_cap: int = 10**6) -> int:
 
     with D(alpha) = 2a^4 log a + 2a^2 - a^4 - 4a^2 (log a)^2 - 2 log a - 1
     evaluated at a = alpha.  D must be positive for the estimate to apply;
-    callers hitting the error should fall back to gaussian_success_prob with
-    the union bound.
+    callers hitting the error should fall back to gaussian_failure with the
+    union bound.
     """
     if n < 2:
         raise ParameterDomain("need n >= 2")
@@ -425,7 +364,8 @@ def jl_min_dim_gaussian(n: int, alpha: float, k_cap: int = 10**6) -> int:
     denom = 2 * a**4 * la + 2 * a**2 - a**4 - 4 * a**2 * la**2 - 2 * la - 1
     if denom <= 0:
         raise ParameterDomain(
-            f"tail-estimate denominator nonpositive at alpha={alpha}; use the quadrature route"
+            f"tail-estimate denominator nonpositive at alpha={alpha}; "
+            "use gaussian_failure with the union bound"
         )
     log_rhs = math.log(2.0) + 2 * math.log(n) + 2 * math.log(a**2 - 1) + math.log(la) - math.log(denom)
     log_ratio = math.log((a**2 - 1) / la) + 2 * la / (a**2 - 1)
@@ -468,6 +408,7 @@ def make_plan(n: int, alpha: float, mode: str, k: int | None = None) -> JlPlan:
         sigma=float(sig),
         mode=mode,
         success_prob=1.0 - failure,
+        failure_prob=failure,
         union_bound=1.0 - pairs * failure,
         ambient=int(ambient),
     )

@@ -305,6 +305,7 @@ def c2_bruteforce(m: FiniteMetric, starts: int = 64, seed=0) -> float:
     log-ratio.  Embedding dimension n - 1 (always sufficient).
     """
     from scipy import optimize
+    from scipy.stats import qmc
 
     n = m.n
     if n < 2:
@@ -313,13 +314,8 @@ def c2_bruteforce(m: FiniteMetric, starts: int = 64, seed=0) -> float:
     iu = np.triu_indices(n, 1)
     d = m.dist[iu]
 
-    try:
-        from scipy.stats import qmc
-
-        sob = qmc.Sobol(d=n * dim, scramble=True, seed=seed)
-        inits = 2.0 * sob.random(starts) - 1.0
-    except Exception:
-        inits = np.random.default_rng(seed).uniform(-1, 1, (starts, n * dim))
+    sob = qmc.Sobol(d=n * dim, scramble=True, seed=seed)
+    inits = 2.0 * sob.random(starts) - 1.0
 
     def ratios(x):
         pts = x.reshape(n, dim)

@@ -3,7 +3,7 @@
 Each suite re-runs a compact version of the module's invariants and
 returns a summary dict; any failed property makes the suite fail.  The
 suites intentionally recompute expectations from independent routes
-(closed forms, Monte Carlo, exhaustive enumeration) so that a silently
+(closed forms, quadrature, Monte Carlo, exhaustive enumeration) so that a silently
 altered constant or tolerance shows up as a red property.
 """
 
@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import jl, matousek, metric, moduli, sdp, spectral
-
-SUITES = ("metric", "jl", "sdp", "spectral", "matousek")
 
 
 def _prop(results: list, name: str, ok: bool, detail: str = ""):
@@ -61,6 +60,56 @@ def verify_metric(seed: int = 0) -> dict:
     return _finish("metric", results)
 
 
+def _psi_log_constant(n: int, k: int) -> float:
+    """log of the normalizing constant C(n,k) of the radial success density."""
+    return math.log(2.0) + gammaln((n - 1) / 2) - gammaln(k / 2) - gammaln((n - 1 - k) / 2)
+
+
+def _psi_quadrature(n: int, k: int, alpha: float, sigma: float) -> float:
+    """psi as the integral of C(n,k) (s^2-1)^((n-k-3)/2) / s^(n-2) over
+    [max(1, sigma/alpha), max(1, sigma)], in log space and split at the
+    integrand's stationary point sqrt((n-2)/(k+1))."""
+    from scipy import integrate
+
+    lo = max(1.0, sigma / alpha)
+    hi = max(1.0, sigma)
+    if hi <= lo:
+        return 0.0
+    e = (n - k - 3) / 2
+    log_c = _psi_log_constant(n, k)
+
+    def integrand(s):
+        if s <= 1.0:
+            return 0.0
+        lead = e * math.log(s * s - 1.0) if e else 0.0
+        return math.exp(log_c + lead - (n - 2) * math.log(s))
+
+    peak = math.sqrt((n - 2) / (k + 1))
+    value, _ = integrate.quad(
+        integrand, lo, hi, points=[peak] if lo < peak < hi else None,
+        epsabs=1e-12, epsrel=1e-11, limit=400,
+    )
+    return value
+
+
+def _gaussian_failure_quadrature(k: int, alpha: float) -> float:
+    """Failure probability of the rescaled Gaussian as one integral over
+    b = log(image length ratio) from log(alpha) to infinity."""
+    from scipy import integrate
+
+    log_pref = math.log(2.0) + (k / 2) * math.log(k) - gammaln(k / 2)
+
+    def integrand(b):
+        lem = jl._log_expm1(2.0 * b)
+        t = b * math.exp(-lem)
+        return math.exp(log_pref + (k / 2) * (math.log(b) - lem) - k * t)
+
+    value, _ = integrate.quad(
+        integrand, math.log(alpha), np.inf, epsabs=1e-13, epsrel=1e-11, limit=400
+    )
+    return value
+
+
 def verify_jl(seed: int = 0, mc_samples: int = 200_000) -> dict:
     results = []
 
@@ -78,26 +127,26 @@ def verify_jl(seed: int = 0, mc_samples: int = 200_000) -> dict:
         ok &= abs(jl.psi(5, 2, 2.0, sig).value - closed) <= 1e-10
     _prop(results, "psi_closed_form_n5_k2", ok)
 
+    grid = [(n, k, alpha, jl.sigma_max(n, k, alpha)) for n, k, alpha in
+            [(12, 3, 1.5), (20, 5, 2.0), (16, 4, 3.0)]]
+    devs = [abs(jl.psi(n, k, a, sig).value - _psi_quadrature(n, k, a, sig)) for n, k, a, sig in grid]
+    _prop(results, "psi_quadrature_agreement", all(d <= 1e-10 for d in devs),
+          f"worst deviation {max(devs):.2e}")
+
     ok = True
-    grid = [(12, 3, 1.5), (20, 5, 2.0), (16, 4, 3.0)]
     worst = 0.0
-    for n, k, alpha in grid:
-        sig = jl.sigma_max(n, k, alpha)
-        quadv = jl.psi(n, k, alpha, sig).value
+    for n, k, alpha, sig in grid:
+        value = jl.psi(n, k, alpha, sig).value
         mc = jl.psi_monte_carlo(n, k, alpha, sig, mc_samples, seed)
-        dev = abs(quadv - mc.value) / max(mc.std_error, 1e-12)
+        dev = abs(value - mc.value) / max(mc.std_error, 1e-12)
         worst = max(worst, dev)
         ok &= dev <= 4.0
     _prop(results, "psi_monte_carlo_agreement", ok, f"worst deviation {worst:.2f} se")
 
-    ok = True
-    for k in (1, 2, 5, 10, 25):
-        for alpha in (1.2, 1.5, 2.0, 4.0, 10.0):
-            try:
-                jl.gaussian_success_prob(k, alpha)
-            except Exception:
-                ok = False
-    _prop(results, "gaussian_quadrature_chi2_agreement", ok)
+    devs = [abs(jl.gaussian_failure(k, a) - _gaussian_failure_quadrature(k, a))
+            for k in (1, 2, 5, 10, 25) for a in (1.2, 1.5, 2.0, 4.0, 10.0)]
+    _prop(results, "gaussian_quadrature_chi2_agreement", all(d <= 1e-9 for d in devs),
+          f"worst deviation {max(devs):.2e}")
 
     ok = (
         jl.jl_min_dim_gaussian(10**9, 2.0) == 329
@@ -290,15 +339,15 @@ def _finish(suite: str, results: list) -> dict:
     }
 
 
+_RUNNERS = {
+    "metric": verify_metric,
+    "jl": verify_jl,
+    "sdp": verify_sdp,
+    "spectral": verify_spectral,
+    "matousek": verify_matousek,
+}
+SUITES = tuple(_RUNNERS)
+
+
 def run_suite(name: str, seed: int = 0) -> dict:
-    if name == "metric":
-        return verify_metric(seed)
-    if name == "jl":
-        return verify_jl(seed)
-    if name == "sdp":
-        return verify_sdp(seed)
-    if name == "spectral":
-        return verify_spectral(seed)
-    if name == "matousek":
-        return verify_matousek(seed)
-    raise KeyError(name)
+    return _RUNNERS[name](seed)

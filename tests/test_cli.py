@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import cycle4, path_metric
-from mdrlab import cli, metric, verify
+from mdrlab import cli, jl, metric, verify
 
 
 def run_cli(*args, env_extra=None):
@@ -61,6 +61,13 @@ class TestOutputsAndFormats:
         proc = run_cli("psi", "--n", "5", "--k", "2", "--alpha", "2", "--sigma", "1.8")
         obj = json.loads(proc.stdout)
         assert obj["psi"] == pytest.approx(min(1, 4 / 1.8**2) - 1 / 1.8**2, abs=1e-9)
+
+    def test_psi_billion_points_k329(self):
+        proc = run_cli("psi", "--n", "1e9", "--k", "329", "--alpha", "2", "--sigma", "2564.690484")
+        assert proc.returncode == 0, proc.stderr
+        obj = json.loads(proc.stdout)
+        want = 1.0 - jl.psi_failure(10**9, 329, 2.0, 2564.690484)
+        assert (obj["psi"], obj["method"]) == (float(f"{want:.12g}"), "beta")
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "x.json"
@@ -219,20 +226,38 @@ class TestVerifyCommand:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
 
-    def test_tampered_psi_constant_fails_mc_agreement(self, monkeypatch):
-        # swap in the printed-but-unnormalized prefactor; the Monte Carlo
-        # agreement property must go red
+    @staticmethod
+    def printed_prefactor(n, k):
+        # the commonly printed, unnormalized constant in place of C(n,k)
         from scipy.special import gammaln
 
-        def printed_prefactor(n, k):
-            return math.log(2.0) + (k / 2) * math.log(math.pi) - gammaln(k / 2)
+        return math.log(2.0) + (k / 2) * math.log(math.pi) - gammaln(k / 2)
 
-        from mdrlab import jl
+    @staticmethod
+    def failed_properties(summary):
+        return {p["property"] for p in summary["properties"] if not p["passed"]}
 
-        monkeypatch.setattr(jl, "_psi_log_constant", printed_prefactor)
+    @pytest.mark.filterwarnings("ignore::mdrlab.errors.NoFeasibleK")
+    def test_tampered_psi_constant_fails_mc_agreement(self, monkeypatch):
+        # scale the Beta route's psi by the printed prefactor's ratio to
+        # C(n,k); the Monte Carlo agreement property must go red (the
+        # tampered route also starves the dimension search, which warns)
+        beta_route = jl.psi_failure
+
+        def tampered(n, k, alpha, sigma):
+            ratio = math.exp(self.printed_prefactor(n, k) - verify._psi_log_constant(n, k))
+            return max(0.0, 1.0 - ratio * (1.0 - beta_route(n, k, alpha, sigma)))
+
+        monkeypatch.setattr(jl, "psi_failure", tampered)
         summary = verify.verify_jl(seed=0, mc_samples=50_000)
-        failed = {p["property"] for p in summary["properties"] if not p["passed"]}
-        assert "psi_monte_carlo_agreement" in failed
+        assert "psi_monte_carlo_agreement" in self.failed_properties(summary)
+        assert not summary["ok"]
+
+    def test_tampered_quadrature_constant_fails_quadrature_agreement(self, monkeypatch):
+        # the same prefactor in the independent route turns its check red
+        monkeypatch.setattr(verify, "_psi_log_constant", self.printed_prefactor)
+        summary = verify.verify_jl(seed=0, mc_samples=50_000)
+        assert self.failed_properties(summary) == {"psi_quadrature_agreement"}
         assert not summary["ok"]
 
 
@@ -445,23 +470,23 @@ GOLDEN_SHA256 = {
     "distortion": (0, "bdfbd8886bc02a0127c32eb1527de90d85bf0669ccf59ac5f39f8f145dda52cf"),
     "doubling": (0, "5556200f492deacfdc75dbb11f0d8bd875a83aeb2f849806f91e7940abb5d34f"),
     "frechet": (0, "e6d4df6d5177ac559076b8407b33a2d77dd05497211fd622a311bb5f2947021b"),
-    "jl-dim": (0, "aeea0d83422e6743dcf75676f83ee6fe49de2b5a6cec69b71be156f4acd6219e"),
+    "jl-dim": (0, "b8bf644e17f449f047f2b0f637abd697792af345e9a28b27629a0d410faa820e"),
     "jl-dim-domain": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "jl-dim-haar-csv": (0, "7673ccb6c4e60e8c4a1e575a704e134799b3e9cc0680190e81c1ca5ea458b128"),
-    "jl-project": (0, "711a2140393e8d6272818ac287726f31409152c4edaa12f717c1b6e85dcfc12f"),
+    "jl-dim-haar-csv": (0, "f48380a70783922fcb69f2e63c2c49a6ad9e62994c7d0aeac3692d6eef41cd9f"),
+    "jl-project": (0, "3bc2a08a417e024c5bb12b43976722452eed794125605544a1421e344fc7939d"),
     "markov-convexity": (0, "bf4ff56a44fee32106fcc065ee86ca0ba4b4e05bd9da82c5095eb6130d139624"),
     "matousek-gen": (0, "ad090a62f0f3f4aec86028e574c98e27f8d22ce7cff04a706a5bb54d8d951553"),
     "matousek-harness": (0, "f7ad4a02218a18bc6a5ac58a51d1ff39796982a0eb3ec91290cbd18e12546619"),
     "matousek-harness-csv": (0, "12ea86778930f0fadd4b1137871ab8bfaa5d57d84ff5ab6f066d66ae71ac7576"),
     "pipeline": (0, "527c9032e5e715885e44dbf9c72b565fb92392c80ee1183dc1e1ee8579ae8ffc"),
     "pipeline-infeasible": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "psi": (0, "24d87162c04b1b7c77e039e443fc7218db731a0813f9d12551bccbfcfcc6a215"),
-    "psi-csv": (0, "a92fe66ba9b7471a0a38f3e18526021204da97d1ab19cfbab6b30fdfe795ec14"),
+    "psi": (0, "49ab16d89a7995ac5bbefee815070cdcb359f89f8c69819c191d211c16060eae"),
+    "psi-csv": (0, "0d856374e36e47e7a250ed2c2c7f8f3834d9018e9f0d8e84fd1d4651babfd10a"),
     "rayleigh": (0, "21cd77c9b28ae8bad23383c7ee11f2e4fe80bc652065f471ce06f46e3a5db6c2"),
     "sigma-max": (0, "d0ec78e8fe5a572633d3a8a6b8e9e58d575b678d04e3a1eb00d3ca45685a3c66"),
     "signed-metric": (0, "4324978f90c3460efd47f7a60f96285eca0aab496a4e8ff4695fd1756809ac89"),
     "snowflake": (0, "139a7315656cf7a1ed1dcafd9ca002b40df887a9e029b8e60457ebb5935bf7e4"),
-    "sweep-haar": (0, "ea740319862793fbda785f02eeaa57dc502a0766476e615742448927f0020b30"),
+    "sweep-haar": (0, "04070dbf5206249add32ba473b06f584767e4eda36490a7a52653deeaafc8326"),
     "sweep-volumetric": (0, "873fa457091892394b5c6ab0dd14b245dca949902e5700b6fdad61c3cb389029"),
     "verify": (0, "86ccec84e16656311851422fa9e0cbef825fd5bfe906db9c6a9a866a2d446859"),
     "verify-unknown": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -572,7 +597,7 @@ class TestSweepDispatch:
         spec = {"command": "psi", "grid": {"n": [20]}, "args": {"k": 5, "alpha": 2, "sigma": 2.8}}
         code, out, _ = _sweep(tmp_path, capsys, spec)
         (row,) = _csv_rows(out)
-        assert code == 0 and row["method"] == "quadrature" and row["sigma"] == "2.8"
+        assert code == 0 and row["method"] == "beta" and row["sigma"] == "2.8"
 
     def test_list_payload_gives_one_row_each(self, tmp_path, capsys):
         spec = {"command": "matousek-harness", "grid": {"trials": [2, 3]},

@@ -32,15 +32,19 @@ def test_import_loads_no_heavy_scipy(code):
     assert sorted(loaded.intersection(HEAVY)) == []
 
 
-def test_gaussian_jl_dim_loads_integrate_not_stats():
-    # scipy.integrate imports scipy.optimize (and scipy.spatial) itself, so
-    # those come with the quadrature and are not part of this budget
-    loaded = modules_after(
-        "from mdrlab.cli import main\n"
-        "assert main(['jl-dim', '--n', '1e9', '--alpha', '2', '--mode', 'gaussian']) == 0"
-    )
-    assert "scipy.integrate" in loaded
-    assert "scipy.stats" not in loaded and "scipy.sparse.csgraph" not in loaded
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jl-dim", "--n", "1e9", "--alpha", "2", "--mode", "gaussian"],
+        ["psi", "--n", "20", "--k", "5", "--alpha", "2", "--sigma", "2.8"],
+    ],
+    ids=["jl-dim-gaussian", "psi"],
+)
+def test_tail_commands_load_no_heavy_scipy(argv):
+    # psi and the Gaussian certificate are scipy.special tails; the
+    # quadratures that cross-check them live in verify
+    loaded = modules_after(f"from mdrlab.cli import main\nassert main({argv!r}) == 0")
+    assert sorted(loaded.intersection(HEAVY)) == []
 
 
 def test_closed_form_command_loads_no_heavy_scipy():

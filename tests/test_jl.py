@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 from scipy.spatial.distance import pdist
 
-from mdrlab import jl, metric
+from mdrlab import jl, metric, verify
 from mdrlab.errors import NoFeasibleK, ParameterDomain, ZeroDistancePair
 
 
@@ -52,17 +52,26 @@ class TestPsi:
         assert jl.psi(n, k, alpha, 300.0).value <= 1e-6
 
     def test_failure_complements_psi(self):
+        # the psi integral by quadrature is the independent route
         for n, k, alpha in [(12, 3, 1.5), (20, 5, 2.0), (9, 5, 2.0), (10, 7, 3.0)]:
             sigma = 1.0 + 0.7 * alpha
-            p = jl.psi(n, k, alpha, sigma).value
+            p = verify._psi_quadrature(n, k, alpha, sigma)
             assert abs(p - (1.0 - jl.psi_failure(n, k, alpha, sigma))) <= 1e-10
+            assert jl.psi(n, k, alpha, sigma).value == 1.0 - jl.psi_failure(n, k, alpha, sigma)
+
+    def test_pinned_value_at_million_points(self):
+        # 1 - (two Beta tails) at sigma_max, evaluated with 50-digit mpmath
+        n, k, alpha = 10**6, 100, 2.0
+        est = jl.psi(n, k, alpha, jl.sigma_max(n, k, alpha))
+        assert abs(est.value - 0.99999863759734929) <= 1e-14
+        assert est.method == "beta"
 
     def test_monte_carlo_agreement(self):
         n, k, alpha = 20, 5, 2.0
         sigma = jl.sigma_max(n, k, alpha)
-        quad = jl.psi(n, k, alpha, sigma).value
+        value = jl.psi(n, k, alpha, sigma).value
         mc = jl.psi_monte_carlo(n, k, alpha, sigma, 200_000, 4)
-        assert abs(quad - mc.value) <= 3 * mc.std_error
+        assert abs(value - mc.value) <= 3 * mc.std_error
 
     def test_sampler_consistency(self):
         # explicit Haar matrices against the spherical shortcut
@@ -164,9 +173,21 @@ class TestGaussianProb:
         assert abs(jl.gaussian_success_prob(2, alpha).value - elementary) <= 1e-9
 
     def test_monte_carlo_agreement(self):
-        quad = jl.gaussian_success_prob(10, 2.0).value
+        value = jl.gaussian_success_prob(10, 2.0).value
         mc = jl.gaussian_success_monte_carlo(10, 2.0, 1_000_000, 12)
-        assert abs(quad - mc.value) <= 3 * mc.std_error
+        assert abs(value - mc.value) <= 3 * mc.std_error
+
+    def test_tail_integral_agreement(self):
+        for k in (1, 3, 10, 40):
+            for alpha in (1.3, 2.0, 10.0):
+                quad = verify._gaussian_failure_quadrature(k, alpha)
+                assert abs(jl.gaussian_failure(k, alpha) - quad) <= 1e-9
+
+    def test_pinned_failure_at_k_329(self):
+        # the 1e9-point, alpha = 2 certificate, evaluated with 50-digit mpmath
+        exact = 1.7675874660809711e-18
+        assert abs(jl.gaussian_failure(329, 2.0) - exact) <= 1e-12 * exact
+        assert jl.gaussian_success_prob(329, 2.0).method == "chi2"
 
     def test_haar_beats_gaussian_pointwise(self):
         # the rotation plan's per-pair probability dominates the Gaussian one
@@ -293,6 +314,13 @@ class TestTransform:
         plan = jl.make_plan(32, 2.0, "scaled_gaussian")
         obj = json.loads(plan.to_json())
         assert obj["k"] == plan.k and obj["mode"] == "scaled_gaussian"
+        assert obj["failure_prob"] == plan.failure_prob == jl.gaussian_failure(plan.k, 2.0)
+
+    def test_failure_prob_readable_where_success_rounds_to_one(self):
+        plan = jl.make_plan(10**9, 2.0, "scaled_gaussian")
+        assert plan.success_prob == 1.0
+        assert 0.0 < plan.failure_prob < 1e-17
+        assert plan.union_bound == 1.0 - 10**9 * (10**9 - 1) / 2.0 * plan.failure_prob
 
 
 class TestRankAndPadding:
