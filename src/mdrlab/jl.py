@@ -174,6 +174,22 @@ def psi_failure(n: int, k: int, alpha: float, sigma: float) -> float:
     return min(1.0, low + high)
 
 
+def _squared_normal_chunks(rng: np.random.Generator, samples: int, width: int):
+    """Yield ``samples`` rows of squared standard normals, ``width`` per row.
+
+    One buffer of at most 2**20 normals (8 MiB) is refilled and squared in
+    place for each chunk.  ``Generator.standard_normal`` fills sequentially,
+    so the rows are those of one (samples, width) draw; each row is summed
+    within the row, so ``np.sqrt(chunk.sum(axis=1))`` is bit for bit
+    ``np.linalg.norm`` of the unsquared rows, whatever the chunk size.
+    """
+    buf = np.empty((max(1, min(samples, 2**20 // width)), width))
+    for start in range(0, samples, len(buf)):
+        chunk = rng.standard_normal(out=buf[: samples - start])
+        chunk *= chunk
+        yield chunk
+
+
 def psi_monte_carlo(
     n: int, k: int, alpha: float, sigma: float, samples: int, seed, sampler: str = "sphere"
 ) -> ProbabilityEstimate:
@@ -188,13 +204,9 @@ def psi_monte_carlo(
     rng = np.random.default_rng(seed)
     if sampler == "sphere":
         hits = 0
-        remaining = samples
-        while remaining > 0:
-            chunk = min(remaining, 200_000)
-            w = rng.standard_normal((chunk, n - 1))
-            r = np.linalg.norm(w[:, :k], axis=1) / np.linalg.norm(w, axis=1)
+        for w2 in _squared_normal_chunks(rng, samples, n - 1):
+            r = np.sqrt(w2[:, :k].sum(axis=1)) / np.sqrt(w2.sum(axis=1))
             hits += int(((sigma * r >= 1.0) & (sigma * r <= alpha)).sum())
-            remaining -= chunk
     elif sampler == "haar":
         z = np.zeros(n - 1)
         z[0] = 1.0
@@ -330,13 +342,9 @@ def gaussian_success_monte_carlo(k: int, alpha: float, samples: int, seed) -> Pr
     rng = np.random.default_rng(seed)
     s = gaussian_sigma(k, alpha)
     hits = 0
-    remaining = samples
-    while remaining > 0:
-        chunk = min(remaining, 500_000)
-        g = rng.standard_normal((chunk, k))
-        r = s * np.linalg.norm(g, axis=1)
+    for g2 in _squared_normal_chunks(rng, samples, k):
+        r = s * np.sqrt(g2.sum(axis=1))
         hits += int(((r >= 1.0) & (r <= alpha)).sum())
-        remaining -= chunk
     p = hits / samples
     se = math.sqrt(max(p * (1 - p), 1.0 / samples) / samples)
     return ProbabilityEstimate(p, se, f"monte_carlo({samples})")

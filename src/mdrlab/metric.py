@@ -46,7 +46,11 @@ class FiniteMetric:
 
     Instances are produced by :func:`build_metric`, which enforces symmetry,
     a zero diagonal, positive off-diagonal entries, and the triangle
-    inequality up to ``TRIANGLE_RTOL`` times the largest entry.
+    inequality up to ``TRIANGLE_RTOL`` times the largest entry.  That check
+    scans at each pivot j only the rows i whose bound
+    ``max_k d[i,k] - (d[j,i] + min_{k != j} d[j,k])`` exceeds the tolerance;
+    the bound holds in floating point, not only in real arithmetic, so every
+    instance passes the scan of all n^3 triples.
     """
 
     dist: np.ndarray
@@ -140,7 +144,23 @@ class EmbeddingReport:
 
 
 def build_metric(dist: np.ndarray) -> FiniteMetric:
-    """Validate a square distance matrix and wrap it as a FiniteMetric."""
+    """Validate a square distance matrix and wrap it as a FiniteMetric.
+
+    The triangle inequality is checked per pivot j, in order: the first j
+    with a slack ``d[i,k] - (d[i,j] + d[j,k])`` above ``tol =
+    TRIANGLE_RTOL * d.max()`` raises :class:`TriangleViolation` with the
+    largest slack of that pivot and its row-major first (i, j, k).
+
+    Rows that cannot fail are not scanned.  With ``top[i] = max_k d[i,k]``
+    and ``near[j] = min_{k != j} d[j,k]``, row i is skipped at pivot j when
+    ``top[i] - (d[j,i] + near[j]) <= tol``.  This is exact in floating
+    point: rounded addition and subtraction are monotone in each operand,
+    so ``d[i,k] <= top[i]`` and ``d[j,k] >= near[j]`` make the computed
+    slack at every k != j at most the computed bound, and the slack at
+    k = j is exactly 0.  Every skipped slack is therefore <= tol, below any
+    violating maximum, and the verdict, the triple and the slack are those
+    of the scan of every row.
+    """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
@@ -153,17 +173,37 @@ def build_metric(dist: np.ndarray) -> FiniteMetric:
     if np.abs(np.diag(d)).max(initial=0.0) != 0.0:
         raise NonzeroDiagonal("diagonal entries must be exactly zero")
     if n > 1:
-        off = d[~np.eye(n, dtype=bool)]
+        off = d[~np.eye(n, dtype=bool)].reshape(n, n - 1)
         if off.min() <= 0.0:
             raise ValueError("off-diagonal distances must be strictly positive")
-    tol = TRIANGLE_RTOL * d.max(initial=0.0)
-    # d[i,k] <= d[i,j] + d[j,k] for every ordered triple, checked per pivot j.
-    for j in range(n):
-        slack = d - (d[:, j][:, None] + d[j, :][None, :])
-        i, k = np.unravel_index(np.argmax(slack), slack.shape)
-        if slack[i, k] > tol:
-            raise TriangleViolation((i, j, k), slack[i, k])
+        _check_triangles(d, off.min(axis=1), TRIANGLE_RTOL * d.max())
     return FiniteMetric(_frozen(d))
+
+
+def _check_triangles(d: np.ndarray, near: np.ndarray, tol: float) -> None:
+    """Raise at the first pivot j with some d[i,k] - (d[i,j] + d[j,k]) > tol.
+
+    ``near[j]`` is the smallest off-diagonal entry of row j.  Row i is
+    scanned at pivot j only if top[i] - (d[j,i] + near[j]) > tol, with
+    ``top[i]`` the largest entry of row i; :func:`build_metric` says why
+    the skipped rows cannot fail.
+    """
+    n = d.shape[0]
+    buf = np.empty_like(d)
+    np.add(d, near[:, None], out=buf)
+    live = np.subtract(d.max(axis=1), buf, out=buf) > tol  # live[j, i]: row i at pivot j
+    for j in np.flatnonzero(live.any(axis=1)):
+        c = d[j]
+        rows = np.flatnonzero(live[j])
+        # past half the rows, scanning the whole slab beats gathering them
+        slab, cr = (d, c) if 2 * len(rows) > n else (d[rows], c[rows])
+        slack = buf[: len(cr)]
+        np.add(cr[:, None], c, out=slack)
+        np.subtract(slab, slack, out=slack)
+        a = np.argmax(slack)
+        if slack.flat[a] > tol:
+            i, k = divmod(a, n)
+            raise TriangleViolation((rows[i] if slab is not d else i, int(j), k), slack.flat[a])
 
 
 def random_metric(n: int, seed, style: str = "shortest_path") -> FiniteMetric:

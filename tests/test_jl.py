@@ -364,3 +364,34 @@ class TestBoundedMemory:
         cloud = metric.PointCloud(np.random.default_rng(12).standard_normal((600, 40)), "l2")
         peak = _peak_bytes(jl.jl_transform, cloud, 2.0, mode, seed=0, max_retries=2, k=120)
         assert peak < 40e6
+
+    def test_psi_monte_carlo_holds_one_chunk(self):
+        # one 200k x 19 draw plus its squares took 65.6 MB
+        n, k, alpha = 20, 5, 2.0
+        peak = _peak_bytes(jl.psi_monte_carlo, n, k, alpha, jl.sigma_max(n, k, alpha), 200_000, 4)
+        assert peak <= 16e6
+
+
+class TestMonteCarloChunks:
+    """Chunked draws give the estimate of one whole draw, bit for bit."""
+
+    def test_psi_sphere_sampler_over_ragged_chunks(self):
+        n, k, alpha, seed = 400, 40, 2.0, 5
+        rows = 2**20 // (n - 1)
+        samples = 3 * rows + 123
+        sigma = jl.sigma_max(n, k, alpha)
+        w = np.random.default_rng(seed).standard_normal((samples, n - 1))
+        r = np.linalg.norm(w[:, :k], axis=1) / np.linalg.norm(w, axis=1)
+        hits = int(((sigma * r >= 1.0) & (sigma * r <= alpha)).sum())
+        assert 0 < hits < samples
+        assert jl.psi_monte_carlo(n, k, alpha, sigma, samples, seed).value == hits / samples
+
+    def test_gaussian_over_ragged_chunks(self):
+        k, alpha, seed = 700, 1.1, 6
+        rows = 2**20 // k
+        samples = 2 * rows + 17
+        s = jl.gaussian_sigma(k, alpha)
+        r = s * np.linalg.norm(np.random.default_rng(seed).standard_normal((samples, k)), axis=1)
+        hits = int(((r >= 1.0) & (r <= alpha)).sum())
+        assert 0 < hits < samples
+        assert jl.gaussian_success_monte_carlo(k, alpha, samples, seed).value == hits / samples

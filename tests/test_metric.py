@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from helpers import equilateral, path_metric
-from mdrlab import metric
+from mdrlab import matousek, metric, spectral
 from mdrlab.errors import (
     ConfigTooLarge,
     DegenerateSource,
@@ -58,6 +58,135 @@ class TestBuildMetric:
         m = metric.random_metric(5, 3)
         again = metric.FiniteMetric.from_json(m.to_json())
         assert np.array_equal(again.dist, m.dist)
+
+
+def _scan_oracle(d):
+    """Every row at every pivot, as build_metric scanned before it skipped rows."""
+    n = d.shape[0]
+    tol = metric.TRIANGLE_RTOL * d.max(initial=0.0)
+    for j in range(n):
+        slack = d - (d[:, j][:, None] + d[j, :][None, :])
+        i, k = np.unravel_index(np.argmax(slack), slack.shape)
+        if slack[i, k] > tol:
+            return TriangleViolation((i, j, k), slack[i, k])
+    return None
+
+
+def _scan_verdict(d):
+    try:
+        metric.build_metric(d)
+    except TriangleViolation as exc:
+        return exc
+    return None
+
+
+def _hops(rng, n):
+    return spectral.random_regular_graph(2 * max(2, n // 2), 3, rng.integers(2**32)).shortest_path_metric().dist
+
+
+def _signed(rng, n):
+    template = matousek.gen_template(max(2, n // 3), 4, rng.integers(2**32))
+    signs = matousek.random_signs(template, rng.integers(2**32))
+    s = rng.uniform(0.3, 2.0)
+    return matousek.signed_metric(template, signs, matousek.SignedMetricParams(s, s * rng.uniform(1, 5))).dist
+
+
+def _truncated(rng, n):
+    d = metric.random_metric(n, rng.integers(2**32), "shortest_path").dist
+    t = np.quantile(d[d > 0], rng.uniform(0.1, 0.9))
+    return np.minimum(d, t) * (1 - np.eye(n))
+
+
+def _cloud(norm):
+    def draw(rng, n):
+        return metric.PointCloud(rng.standard_normal((n, rng.integers(1, 6))), norm).pairwise()
+
+    return draw
+
+
+def _snowflake(rng, n):
+    return metric.random_metric(n, rng.integers(2**32), "shortest_path").dist ** rng.uniform(0.2, 1.0)
+
+
+SCAN_FAMILIES = {
+    "box": lambda rng, n: metric.random_metric(n, rng.integers(2**32), "box").dist,
+    "shortest_path": lambda rng, n: metric.random_metric(n, rng.integers(2**32), "shortest_path").dist,
+    "truncated": _truncated,
+    "l1": _cloud("l1"),
+    "l2": _cloud("l2"),
+    "linf": _cloud("linf"),
+    "snowflake": _snowflake,
+    "signed": _signed,
+    "hops": _hops,
+}
+SCAN_FACTORS = (1 + 1e-13, 1 + 3e-12, 1 + 1e-11, 0.3, 1.5, 3.0)
+
+
+class TestTriangleScan:
+    """build_metric skips rows it can bound; the verdicts, triples and slacks
+    must be those of the full per-pivot scan, bit for bit."""
+
+    def check(self, d):
+        want, got = _scan_oracle(d), _scan_verdict(d)
+        assert (want is None) == (got is None)
+        if want is not None:
+            assert got.triple == want.triple
+            assert got.slack == want.slack
+            assert str(got) == str(want)
+        return want is not None
+
+    @pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
+    def test_fuzzed_corpus_matches_full_scan(self, family):
+        rng = np.random.default_rng(sorted(SCAN_FAMILIES).index(family))
+        verdicts = []
+        for _ in range(250):
+            d = np.array(SCAN_FAMILIES[family](rng, int(rng.integers(3, 25))))
+            n = d.shape[0]
+            if rng.random() < 0.2:  # ties: distances on a 0.1 grid, smallest 1
+                d = np.round(d / d[d > 0].min(), 1)
+            if rng.random() < 0.8:  # one symmetric pair moved
+                p, q = rng.choice(n, 2, replace=False)
+                d[p, q] = d[q, p] = d[p, q] * SCAN_FACTORS[rng.integers(len(SCAN_FACTORS))]
+            verdicts.append(self.check(d))
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_violation_in_the_only_live_rows_of_its_pivot(self):
+        # a violating pair (i, k) has equal slack in rows i and k, so both rows
+        # stay live; here they are the only live rows of every pivot but 3, 7
+        d = np.ones((8, 8)) - np.eye(8)
+        d[3, 7] = d[7, 3] = 2.25
+        top = d.max(axis=1)
+        near = np.where(np.eye(8, dtype=bool), np.inf, d).min(axis=1)
+        live = top[None, :] - (d + near[:, None]) > metric.TRIANGLE_RTOL * d.max()
+        assert np.flatnonzero(live[0]).tolist() == [3, 7]
+        assert self.check(d)
+        assert _scan_verdict(d).triple == (3, 0, 7)
+        assert _scan_verdict(d).slack == 0.25
+
+    @pytest.mark.parametrize("excess, fails", [(1.5e-12, False), (3e-12, True)])
+    def test_tight_bound_at_the_tolerance(self, excess, fails):
+        # the bound of rows 3 and 7 equals their slack, which sits on either
+        # side of tol = 1e-12 * (2 + excess)
+        d = np.ones((8, 8)) - np.eye(8)
+        d[3, 7] = d[7, 3] = 2 + excess
+        assert self.check(d) is fails
+
+    def test_tie_for_largest_slack_across_rows(self):
+        d = np.ones((8, 8)) - np.eye(8)
+        d[2, 5] = d[5, 2] = d[4, 6] = d[6, 4] = 2.5
+        assert self.check(d)
+        assert _scan_verdict(d).triple == (2, 0, 5)
+
+    def test_tie_in_full_slab(self):
+        # every row is live at pivot 2, the first that fails, so the whole slab
+        # is scanned; rows 1 and 4 tie for the largest slack
+        x = np.arange(6.0)
+        d = np.abs(x[:, None] - x[None, :])
+        d[1, 4] = d[4, 1] = d[2, 5] = d[5, 2] = 3.5
+        near = np.where(np.eye(6, dtype=bool), np.inf, d).min(axis=1)
+        assert (d.max(axis=1) - (d[2] + near[2]) > metric.TRIANGLE_RTOL * d.max()).all()
+        assert self.check(d)
+        assert _scan_verdict(d).triple == (1, 2, 4)
 
 
 class TestDistortion:
