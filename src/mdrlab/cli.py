@@ -672,7 +672,7 @@ def main(argv=None) -> int:
     try:
         payload = args.func(args)
         _emit(payload, "csv" if args.func is cmd_sweep else args.format, args.out)
-    except (MdrlabError, OverflowError, ValueError, KeyError, OSError) as exc:
+    except (MdrlabError, OverflowError, ValueError, TypeError, KeyError, OSError) as exc:
         return _fail(type(exc).__name__, str(exc))
     return 1 if args.func is cmd_verify and not payload["ok"] else 0
 

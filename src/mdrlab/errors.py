@@ -19,7 +19,7 @@ class TriangleViolation(MdrlabError):
     """Triangle inequality failure; carries the witnessing (i, j, k) triple."""
 
     def __init__(self, triple, slack):
-        self.triple = tuple(triple)
+        self.triple = tuple(int(v) for v in triple)
         self.slack = float(slack)
         super().__init__(f"triangle inequality violated on {self.triple} by {self.slack:.3e}")
 

@@ -87,6 +87,8 @@ class PointCloud:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _frozen(np.atleast_2d(self.coords)))
+        if not np.all(np.isfinite(self.coords)):
+            raise ValueError("point coordinates have non-finite entries")
         if self.norm not in NORM_TAGS:
             raise ValueError(f"unknown norm tag {self.norm!r}")
         if self.norm == "lp":
@@ -299,34 +301,26 @@ def snowflake(m: FiniteMetric, theta: float) -> FiniteMetric:
     return build_metric(m.dist ** theta)
 
 
-def _min_cover(target_mask: int, ball_masks: list[int], n: int) -> int:
-    """Exact minimum number of ball_masks whose union covers target_mask."""
-    useful = [b & target_mask for b in ball_masks]
-    useful = [b for b in set(useful) if b]
-    # drop sets contained in others
-    useful.sort(key=lambda b: -bin(b).count("1"))
-    kept: list[int] = []
-    for b in useful:
-        if not any(b & ~c == 0 for c in kept):
-            kept.append(b)
-    best = {0: 0}
-    frontier = {0}
-    count = 0
-    while frontier:
-        count += 1
-        nxt = set()
-        for mask in frontier:
-            for b in kept:
-                new = mask | b
-                if new == target_mask:
-                    return count
-                if new not in best:
-                    best[new] = count
-                    nxt.add(new)
-        frontier = nxt
-        if count > n:
-            break
-    return len(kept) if target_mask else 0
+def _greedy_cover(cover: np.ndarray) -> int:
+    """Rows taken by greedy set cover of the columns of a boolean matrix: the
+    row with the most uncovered columns, the first one on ties."""
+    used = 0
+    while cover.shape[1]:
+        cover = cover[:, ~cover[cover.sum(axis=1).argmax()]]
+        used += 1
+    return used
+
+
+def _exact_cover(cover: np.ndarray) -> int:
+    """Least number of rows of a boolean matrix whose union has every column."""
+    rows = np.unique(cover, axis=0)
+    # only rows inside no other row are needed; distinct rows contain just themselves
+    rows = rows[(rows[:, None, :] <= rows[None, :, :]).all(axis=2).sum(axis=1) == 1]
+    # unions[s] is the union of the rows picked by the bits of s, sizes[s] their count
+    unions, sizes = np.zeros((1, cover.shape[1]), bool), np.zeros(1, int)
+    for row in rows:
+        unions, sizes = np.concatenate([unions, unions | row]), np.concatenate([sizes, sizes + 1])
+    return int(sizes[unions.all(axis=1)].min())
 
 
 def doubling_constant(m: FiniteMetric, mode: str = "exact") -> int:
@@ -335,49 +329,21 @@ def doubling_constant(m: FiniteMetric, mode: str = "exact") -> int:
     Only radii equal to pairwise distances matter: within each interval
     between consecutive distances from the center the target ball is constant
     while the half-radius balls only grow, so the left endpoint is the worst
-    case.  ``mode="exact"`` solves each set cover exactly (n <= 16);
-    ``mode="greedy"`` returns the greedy upper bound.
+    case.  One half-ball matrix ``d <= r/2`` per radius r serves every center
+    that has a point at distance r.  ``mode="exact"`` solves each set cover
+    exactly (n <= 16); ``mode="greedy"`` returns the greedy upper bound.
     """
-    n = m.n
-    if n == 1:
-        return 1
-    if mode == "exact" and n > 16:
-        raise TooLargeForExact("exact set cover restricted to n <= 16")
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact" and m.n > 16:
+        raise TooLargeForExact("exact set cover restricted to n <= 16")
+    cover = _exact_cover if mode == "exact" else _greedy_cover
     d = m.dist
     K = 1
-    for x in range(n):
-        for r in sorted(set(d[x])):
-            if r <= 0:
-                continue
-            target = np.flatnonzero(d[x] <= r)
-            halves = [np.flatnonzero(d[y] <= r / 2) for y in range(n)]
-            if mode == "exact":
-                tmask = 0
-                for i in target:
-                    tmask |= 1 << int(i)
-                masks = []
-                for h in halves:
-                    hm = 0
-                    for i in h:
-                        hm |= 1 << int(i)
-                    masks.append(hm)
-                K = max(K, _min_cover(tmask, masks, n))
-            else:
-                uncovered = set(target.tolist())
-                used = 0
-                sets = [set(h.tolist()) for h in halves]
-                while uncovered:
-                    gain, pick = max(
-                        ((len(uncovered & s), idx) for idx, s in enumerate(sets)),
-                        key=lambda t: (t[0], -t[1]),
-                    )
-                    if gain == 0:
-                        raise RuntimeError("cover stalled; metric invariants violated")
-                    uncovered -= sets[pick]
-                    used += 1
-                K = max(K, used)
+    for r in np.unique(d[d > 0]):
+        half = d <= r / 2
+        for x in np.flatnonzero((d == r).any(axis=1)):
+            K = max(K, cover(half[:, d[x] <= r]))
     return K
 
 

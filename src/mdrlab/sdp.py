@@ -104,14 +104,9 @@ class NegativeTypeCertificate:
 
 
 def _ones_complement_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of R^n whose last column is the normalized ones vector."""
-    u = np.zeros((n, n))
-    u[:, -1] = 1.0 / math.sqrt(n)
-    if n > 1:
-        b = np.eye(n)[:, : n - 1] - 1.0 / n
-        q, _ = np.linalg.qr(b)
-        u[:, : n - 1] = q
-    return u
+    """n x (n-1) orthonormal basis of the complement of the ones vector in R^n."""
+    q, _ = np.linalg.qr(np.eye(n)[:, : n - 1] - 1.0 / n)
+    return q
 
 
 def _gram_of(d: np.ndarray) -> np.ndarray:
@@ -132,7 +127,7 @@ class _Bracket:
         n = m.n
         self.m = m
         self.d2 = m.dist**2
-        self.u1 = _ones_complement_basis(n)[:, :-1]
+        self.u1 = _ones_complement_basis(n)
         self.off = ~np.eye(n, dtype=bool)
         self.lo, self.certificate = 1.0, None
         self.hi, self.witness = math.inf, None

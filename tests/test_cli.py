@@ -438,6 +438,8 @@ GOLDEN_ARGV = {
     "bourgain": "bourgain --metric {big} --seed 3",
     "snowflake": "snowflake --metric {m} --theta 0.5",
     "doubling": "doubling --metric {m} --mode exact --alpha 2",
+    "doubling-big-exact": "doubling --metric {big} --mode exact --alpha 2",
+    "doubling-big-greedy": "doubling --metric {big} --mode greedy --alpha 2",
     "c2-sdp": "c2-sdp --metric {c4}",
     "certificate": "certificate --metric {c4} --alpha 1.3 --cert {cert}",
     "gamma": "gamma --chain {graph} --metric {m}",
@@ -469,6 +471,8 @@ GOLDEN_SHA256 = {
     "dim-exponent-csv": (0, "81f522c8f5cca770b91f5a53a2288d2be542c9ddd7779e3acd8b2bf0d04dc82e"),
     "distortion": (0, "bdfbd8886bc02a0127c32eb1527de90d85bf0669ccf59ac5f39f8f145dda52cf"),
     "doubling": (0, "5556200f492deacfdc75dbb11f0d8bd875a83aeb2f849806f91e7940abb5d34f"),
+    "doubling-big-exact": (0, "7672c36a361c9c304ece47fdc41778a5b500019a587cae658c4d22f2399609fd"),
+    "doubling-big-greedy": (0, "742c91ad832a0e21ab1512cb9070fe02c398445fbd763ccf00b09978960e8241"),
     "frechet": (0, "e6d4df6d5177ac559076b8407b33a2d77dd05497211fd622a311bb5f2947021b"),
     "jl-dim": (0, "b8bf644e17f449f047f2b0f637abd697792af345e9a28b27629a0d410faa820e"),
     "jl-dim-domain": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -736,3 +740,54 @@ class TestMainExits:
         assert err == (
             '{"error": "RetriesExhausted", "message": "no successful draw in 1 attempts"}\n'
         )
+
+    def test_triangle_violation_names_plain_indices(self, tmp_path, capsys):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"n": 3, "dist": [[0, 1, 4], [1, 0, 1], [4, 1, 0]]}))
+        code, out, err = _invoke(["frechet", "--metric", str(f)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "TriangleViolation",
+            "message": "triangle inequality violated on (0, 1, 2) by 2.000e+00",
+        }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cloud_is_a_json_error(self, bad, tmp_path, capsys):
+        coords = np.random.default_rng(0).standard_normal((6, 3)).tolist()
+        coords[2][1] = bad
+        f = tmp_path / "cloud.json"
+        f.write_text(json.dumps({"n": 6, "dim": 3, "norm": "l2", "coords": coords}))
+        code, out, err = _invoke(["jl-project", "--cloud", str(f), "--alpha", "3"], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "point coordinates have non-finite entries"
+        }
+
+    def test_malformed_map_is_a_json_error(self, tmp_path, capsys):
+        f = tmp_path / "m.json"
+        f.write_text(cycle4().to_json())
+        argv = ["distortion", "--source", str(f), "--target", str(f), "--map", '{"a":1}']
+        code, out, err = _invoke(argv, capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "TypeError"
+
+    def test_null_horizon_is_a_json_error(self, tmp_path, capsys):
+        p = np.zeros((3, 3))
+        p[0, 1] = p[2, 1] = 1.0
+        p[1, 0] = p[1, 2] = 0.5
+        spec = {"transition": p.tolist(), "initial": [0, 1, 0], "horizon": None,
+                "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "point_map": [0, 1, 2]}
+        f = tmp_path / "mc.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = _invoke(["markov-convexity", "--spec", str(f)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "TypeError"
+
+    def test_null_edge_weight_is_a_json_error(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 2, "edges": [[0, 1, None]]}))
+        m = tmp_path / "m.json"
+        m.write_text(path_metric([0.0, 1.0]).to_json())
+        code, out, err = _invoke(["gamma", "--chain", str(g), "--metric", str(m)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "TypeError"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -33,6 +34,13 @@ class TestBuildMetric:
             metric.build_metric(d)
         i, j, k = exc.value.triple
         assert d[i, k] > d[i, j] + d[j, k]
+
+    def test_triangle_violation_message_has_plain_ints(self):
+        d = np.array([[0, 1, 4], [1, 0, 1], [4, 1, 0]], dtype=float)
+        with pytest.raises(TriangleViolation) as exc:
+            metric.build_metric(d)
+        assert [type(v) for v in exc.value.triple] == [int, int, int]
+        assert str(exc.value) == "triangle inequality violated on (0, 1, 2) by 2.000e+00"
 
     def test_symmetry_violation(self):
         d = np.array([[0, 1], [2, 0]], dtype=float)
@@ -262,6 +270,18 @@ class TestPairwise:
             assert got.tobytes() == ref.tobytes()
 
 
+class TestPointCloudValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        coords = np.random.default_rng(0).standard_normal((5, 3))
+        coords[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            metric.PointCloud(coords, "l2")
+        text = json.dumps({"n": 5, "dim": 3, "norm": "l1", "coords": coords.tolist()})
+        with pytest.raises(ValueError, match="non-finite"):
+            metric.PointCloud.from_json(text)
+
+
 class TestBourgain:
     def test_two_points(self):
         m = path_metric([0.0, 3.0])
@@ -321,6 +341,82 @@ class TestSnowflake:
                 metric.snowflake(m, theta)
 
 
+def _bitmask_min_cover(target_mask, ball_masks, n):
+    """Exact set cover as the library computed it before: a BFS over unions."""
+    useful = [b & target_mask for b in ball_masks]
+    useful = [b for b in set(useful) if b]
+    useful.sort(key=lambda b: -bin(b).count("1"))
+    kept = []
+    for b in useful:
+        if not any(b & ~c == 0 for c in kept):
+            kept.append(b)
+    best = {0: 0}
+    frontier = {0}
+    count = 0
+    while frontier:
+        count += 1
+        nxt = set()
+        for mask in frontier:
+            for b in kept:
+                new = mask | b
+                if new == target_mask:
+                    return count
+                if new not in best:
+                    best[new] = count
+                    nxt.add(new)
+        frontier = nxt
+        if count > n:
+            break
+    return len(kept) if target_mask else 0
+
+
+def _bitmask_doubling(m, mode):
+    """doubling_constant with integer bitmasks and Python sets, as it was
+    computed before the half-ball matrices."""
+    n = m.n
+    d = m.dist
+    K = 1
+    for x in range(n):
+        for r in sorted(set(d[x])):
+            if r <= 0:
+                continue
+            target = np.flatnonzero(d[x] <= r)
+            halves = [np.flatnonzero(d[y] <= r / 2) for y in range(n)]
+            if mode == "exact":
+                tmask = sum(1 << int(i) for i in target)
+                masks = [sum(1 << int(i) for i in h) for h in halves]
+                K = max(K, _bitmask_min_cover(tmask, masks, n))
+            else:
+                uncovered = set(target.tolist())
+                used = 0
+                sets = [set(h.tolist()) for h in halves]
+                while uncovered:
+                    gain, pick = max(
+                        ((len(uncovered & s), idx) for idx, s in enumerate(sets)),
+                        key=lambda t: (t[0], -t[1]),
+                    )
+                    assert gain > 0
+                    uncovered -= sets[pick]
+                    used += 1
+                K = max(K, used)
+    return K
+
+
+def _lattice(rng, n):
+    # distinct integer points in the l1 or linf norm: many equal distances
+    dim = int(rng.integers(1, 4))
+    pts = np.unique(rng.integers(0, 4, size=(3 * n, dim)), axis=0)[:n]
+    return metric.PointCloud(pts.astype(float), str(rng.choice(["l1", "linf"]))).pairwise()
+
+
+DOUBLING_FAMILIES = {
+    **{name: SCAN_FAMILIES[name] for name in ("box", "shortest_path", "l1", "l2", "linf", "snowflake")},
+    # the ceiling of a metric is a metric; a half-unit grid makes ties
+    "grid": lambda rng, n: np.ceil(SCAN_FAMILIES["shortest_path"](rng, n) * rng.uniform(2, 8)) / 2,
+    "lattice": _lattice,
+}
+
+
 class TestDoubling:
     def test_single_point(self):
         assert metric.doubling_constant(metric.build_metric(np.zeros((1, 1)))) == 1
@@ -339,6 +435,26 @@ class TestDoubling:
     def test_exact_size_cap(self):
         with pytest.raises(TooLargeForExact):
             metric.doubling_constant(equilateral(17), "exact")
+
+    def test_mode_checked_before_any_shortcut(self):
+        for m in (metric.build_metric(np.zeros((1, 1))), equilateral(17)):
+            with pytest.raises(ValueError, match="unknown mode"):
+                metric.doubling_constant(m, "bogus")
+
+    def test_matches_bitmask_cover(self):
+        rng = np.random.default_rng(2)
+        cases = 0
+        for family in sorted(DOUBLING_FAMILIES):
+            for _ in range(45):
+                m = metric.build_metric(DOUBLING_FAMILIES[family](rng, int(rng.integers(2, 13))))
+                for mode in ("exact", "greedy"):
+                    assert metric.doubling_constant(m, mode) == _bitmask_doubling(m, mode), (family, mode)
+                    cases += 1
+        for n in (2, 3, 5, 8, 12, 16):
+            for mode in ("exact", "greedy"):
+                assert metric.doubling_constant(equilateral(n), mode) == _bitmask_doubling(equilateral(n), mode)
+                cases += 1
+        assert cases == 732
 
 
 class TestDoublingDimLowerBound:

@@ -209,6 +209,15 @@ class TestC2Bracket:
         assert sdp.find_violating_certificate(cycle4(), 1.5, seed=0) is None
 
 
+class TestOnesComplementBasis:
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_orthonormal_and_orthogonal_to_ones(self, n):
+        u = sdp._ones_complement_basis(n)
+        assert u.shape == (n, n - 1)
+        assert np.abs(u.T @ u - np.eye(n - 1)).max(initial=0.0) <= 1e-12
+        assert np.abs(u.sum(axis=0)).max(initial=0.0) <= 1e-12
+
+
 class TestExtractPoints:
     def test_identity_gram(self):
         cloud = sdp.extract_points(sdp.GramCandidate(np.eye(3)))
