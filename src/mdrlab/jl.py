@@ -447,6 +447,8 @@ def jl_transform(
     if n < 2:
         raise ParameterDomain("need at least two points")
     src = pdist(cloud.coords)
+    if np.isinf(src).any():
+        raise ParameterDomain("point distances overflow to infinity; rescale the cloud")
     if src.min() <= 0.0:
         raise ZeroDistancePair("coincident points cannot satisfy the lower distortion bound")
     plan = make_plan(n, alpha, mode, k)

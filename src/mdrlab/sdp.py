@@ -16,26 +16,28 @@ when some psd matrix A with zero row sums satisfies
 that is, when alpha^2 < P/N with P the sum of a_ij d_ij^2 over a_ij > 0
 and N minus the sum over a_ij < 0.
 
-The solver runs alternating orthogonal projections in D-space: the box
-projection is an entrywise clip, and the cone projection P_K clips the
-positive eigenvalues of the block of D in an orthonormal basis whose last
-vector is 1/sqrt(n).  Every CHECK_EVERY iterations it reads two objects off
-the box iterate D and checks each before using it:
+As alpha^2 enters the box linearly, c2^2 is the least t over pairs (X, t)
+with X in K and d^2 <= X <= t d^2, one convex problem.  The solver runs ADMM
+(Boyd et al. 2011) on the split X = Z, (X, t) in the t-box and Z in K, on
+distances scaled to max 1.  Each iteration: the t-step sorts the ratios
+(Z - U)/d^2 to solve its piecewise-linear optimality condition and sets X to
+the clip of Z - U into [d^2, t d^2]; the Z-step is the cone projection
+P_K(X + U), which clips the positive eigenvalues of X + U in an orthonormal
+basis of the complement of the ones vector; U becomes the removed gap.
+At iterations 1, 11, 21, ... it checks two objects before using them:
 
-* upper side: -P_K(D)/2, read in the ones-complement basis, is a psd Gram
-  matrix.  The exact distortion of its points (max ratio over min ratio) is
-  an upper bound hi; rescaled so that its smallest ratio is 1, the witness
-  lies in the box [d^2, hi^2 d^2];
-* lower side: the gap D - P_K(D) is psd with zero row sums, a certificate
-  refuting every level below sqrt(P/N).  At a fixed point of the
-  projections at an infeasible level it refutes that level.
+* upper side: -P_K(X + U)/2, read in the ones-complement basis, is a psd
+  Gram matrix.  The exact distortion of its points (max ratio over min
+  ratio) is an upper bound hi; rescaled so that its smallest ratio is 1,
+  the witness lies in the box [d^2, hi^2 d^2];
+* lower side: the gap U is psd with zero row sums, a certificate refuting
+  every level below sqrt(P/N); at the optimum it refutes every level below c2.
 
-Bisection over alpha moves lo and hi only on these checked values and
-warm-starts each level from the previous iterate.  A level that spends its
-iteration budget without either side passing it is undecided, never
-infeasible.  The stretches of the bracket between lo, hi and the undecided
-levels are probed from the top down, and the run ends "undecided" when
-none is left that is wider than both tol and a quarter of the bracket.
+At the same iterations rho, which starts at 1, is rebalanced on the
+residuals (Boyd et al. 2011, section 3.4.1): doubled, with U halved, when the
+primal residual |X - Z| exceeds 10 times the dual residual rho |Z - Z_prev|,
+and halved, with U doubled, in the opposite case.  A run ends "converged"
+once hi - lo <= tol and "undecided" if it spends its iteration budget first.
 """
 
 from __future__ import annotations
@@ -48,12 +50,10 @@ import numpy as np
 from .errors import CertificateInvalid, NotPSD, TooLarge
 from .metric import FiniteMetric, PointCloud
 
-MAX_POINTS = 64
-# Iterations one bisection level may spend before it is left undecided.  Sized
-# on random 12-point shortest-path metrics, where most levels near c2 end
-# undecided: doubling the budget there about halves the final bracket width
-# and doubles the time (about 1 s at 2000 iterations).
-LEVEL_ITERATIONS = 2000
+MAX_POINTS = 128
+# ADMM iterations one run may spend before it ends undecided.  Random
+# shortest-path metrics with 8 to 128 points converged in at most ~2500.
+MAX_ITER = 5000
 CHECK_EVERY = 10
 
 
@@ -121,7 +121,7 @@ def _dist2_of(q: np.ndarray) -> np.ndarray:
 
 
 class _Bracket:
-    """Alternating projections level by level; lo and hi move only on checked objects."""
+    """One ADMM run on (X, t) = Z; lo and hi move only on checked objects."""
 
     def __init__(self, m: FiniteMetric):
         n = m.n
@@ -132,7 +132,6 @@ class _Bracket:
         self.lo, self.certificate = 1.0, None
         self.hi, self.witness = math.inf, None
         self.iterations = 0
-        self.d = self.d2.copy()  # the box iterate, warm-started across levels
         # the regular simplex realizes max d / min d, a finite start for hi
         self._offer_gram(np.eye(n) / 2)
 
@@ -159,34 +158,43 @@ class _Bracket:
         if not holds:
             self.lo, self.certificate = level, cert
 
-    def level(self, alpha: float, slack: float, budget: int) -> bool:
-        """Project at level alpha until hi <= alpha + slack or lo >= alpha - slack.
-
-        Returns False if the budget runs out first.  The slack decides levels
-        in finite time: at a feasible level the witness distortion tends to
-        alpha itself, often from above, since the limit of the projections
-        touches both faces of the box.
-        """
-        box_hi = alpha * alpha * self.d2
-        d = np.clip(self.d, self.d2, box_hi)  # the zero diagonal of d2 keeps d hollow
-        try:
-            for it in range(budget):
-                self.iterations += 1
-                vals, vecs = np.linalg.eigh(self.u1.T @ d @ self.u1)
-                pos = vals > 0
-                g = self.u1 @ vecs[:, pos]
-                gap = (g * vals[pos]) @ g.T
-                gap = (gap + gap.T) / 2  # d - gap is the cone projection P_K(d)
-                if it % CHECK_EVERY == 0 or not pos.any():
-                    g = self.u1 @ vecs[:, ~pos]
-                    self._offer_gram((g * (-0.5 * vals[~pos])) @ g.T)
-                    self._offer_gap(gap)
-                    if self.hi <= alpha + slack or self.lo >= alpha - slack:
-                        return True
-                d = np.clip(d - gap, self.d2, box_hi)
-            return False
-        finally:
-            self.d = d
+    def run(self, budget: int, done) -> bool:
+        """Iterate until ``done()`` holds at a check; False if the budget runs out first."""
+        d2 = self.d2 / self.d2.max()
+        iu = np.triu_indices(self.m.n, 1)
+        w = d2[iu] ** 2  # the weights of t in the t-step
+        z, u, rho = d2, np.zeros_like(d2), 1.0
+        for it in range(budget):
+            self.iterations += 1
+            v = z - u
+            # t minimizes t + rho/2 |clip(v, d2, t d2) - v|^2: over the pairs
+            # i < j the derivative 1 - 2 rho sum_{r > t} w (r - t) in the ratios
+            # r = v/d2 is zero at t_k = (sum_{i<=k} w r - 1/(2 rho)) / sum_{i<=k} w
+            # over the k largest r, for the first k with t_k above the next ratio
+            ratio = v[iu] / d2[iu]
+            order = np.argsort(-ratio)
+            r, wk = ratio[order], w[order]
+            tk = (np.cumsum(wk * r) - 0.5 / rho) / np.cumsum(wk)
+            t = max(1.0, tk[np.argmax(tk >= np.append(r[1:], -np.inf))])
+            x = np.clip(v, d2, t * d2)  # the zero diagonal of d2 keeps x hollow
+            vals, vecs = np.linalg.eigh(self.u1.T @ (x + u) @ self.u1)
+            pos = vals > 0
+            g = self.u1 @ vecs[:, pos]
+            gap = (g * vals[pos]) @ g.T
+            gap = (gap + gap.T) / 2  # x + u - gap is the cone projection P_K(x + u)
+            z_prev, z, u = z, x + u - gap, gap
+            if it % CHECK_EVERY == 0:
+                g = self.u1 @ vecs[:, ~pos]
+                self._offer_gram((g * (-0.5 * vals[~pos])) @ g.T)
+                self._offer_gap(gap)
+                if done():
+                    return True
+                primal, dual = np.linalg.norm(x - z), rho * np.linalg.norm(z - z_prev)
+                if primal > 10 * dual:
+                    rho, u = 2 * rho, u / 2
+                elif dual > 10 * primal:
+                    rho, u = rho / 2, 2 * u
+        return False
 
 
 @dataclass(frozen=True)
@@ -197,8 +205,9 @@ class C2Bracket:
     that their squared distances lie in [d^2, hi^2 d^2].  ``certificate``
     refutes every level below lo under ``check_certificate``; it is None
     when lo is the trivial bound 1.  ``status`` is "converged" when
-    hi - lo <= tol and "undecided" when bisection levels ran out of
-    iterations before the bracket got that narrow.
+    hi - lo <= tol and "undecided" when the run spent its iteration budget
+    before the bracket got that narrow.  ``iterations`` counts ADMM
+    iterations.
     """
 
     lo: float
@@ -209,11 +218,11 @@ class C2Bracket:
     status: str
 
 
-def c2_bracket(m: FiniteMetric, tol: float = 1e-4, max_iter: int = LEVEL_ITERATIONS) -> C2Bracket:
+def c2_bracket(m: FiniteMetric, tol: float = 1e-4, max_iter: int = MAX_ITER) -> C2Bracket:
     """Euclidean distortion as a checked bracket of target width ``tol``.
 
-    Bisection over alpha with at most ``max_iter`` projection iterations per
-    level; see the module docstring for the two checks that move lo and hi.
+    One ADMM run of at most ``max_iter`` iterations; see the module docstring
+    for its steps, the rho rule and the two checks that move lo and hi.
     """
     if m.n > MAX_POINTS:
         raise TooLarge(f"instances capped at {MAX_POINTS} points")
@@ -223,24 +232,11 @@ def c2_bracket(m: FiniteMetric, tol: float = 1e-4, max_iter: int = LEVEL_ITERATI
         # one or two points embed isometrically on a line
         return C2Bracket(1.0, 1.0, GramCandidate(_gram_of(m.dist**2)), None, 0, "converged")
     b = _Bracket(m)
-    undecided = []  # levels that ran out of iterations
-    while True:
-        # untested stretches: between lo, hi and the undecided levels, wider
-        # than tol and than a quarter of the bracket; the highest goes first
-        ends = sorted([b.lo, b.hi] + [u for u in undecided if b.lo < u < b.hi])
-        wide = max(tol, (b.hi - b.lo) / 4)
-        gaps = [(x, y) for x, y in zip(ends, ends[1:]) if y - x > wide]
-        if not gaps:
-            break
-        x, y = gaps[-1]
-        # a verdict within (y - x) / 8 of the probe still cuts the stretch
-        if not b.level((x + y) / 2, (y - x) / 8, max_iter):
-            undecided.append((x + y) / 2)
-    status = "converged" if b.hi - b.lo <= tol else "undecided"
+    status = "converged" if b.run(max_iter, lambda: b.hi - b.lo <= tol) else "undecided"
     return C2Bracket(b.lo, b.hi, b.witness, b.certificate, b.iterations, status)
 
 
-def c2_sdp(m: FiniteMetric, tol: float = 1e-4, max_iter: int = LEVEL_ITERATIONS):
+def c2_sdp(m: FiniteMetric, tol: float = 1e-4, max_iter: int = MAX_ITER):
     """Upper end of ``c2_bracket``: ``(hi, witness, iterations)``."""
     b = c2_bracket(m, tol, max_iter)
     return b.hi, b.witness, b.iterations
@@ -265,21 +261,21 @@ def check_certificate(m: FiniteMetric, cert: NegativeTypeCertificate, alpha: flo
 
 
 def find_violating_certificate(m: FiniteMetric, alpha: float, seed=0):
-    """The gap certificate of the projections at level alpha, or None.
+    """A gap certificate of the ADMM run that refutes level alpha, or None.
 
-    Runs one level of ``c2_bracket`` at alpha from the lower corner of the
-    box and returns the first gap certificate that ``check_certificate``
-    finds violated at alpha.  Returns None when a witness shows that alpha
-    is feasible, so that no violating certificate exists, or when the level
-    runs out of iterations.  The search is deterministic: ``seed`` is
-    accepted for compatibility and does not affect the result.
+    Runs the iteration of ``c2_bracket`` until lo > alpha or hi <= alpha
+    and returns the first gap certificate that ``check_certificate`` finds
+    violated at alpha.  Returns None when a witness shows that alpha is
+    feasible, so that no violating certificate exists, or when the run
+    spends its MAX_ITER iterations first.  The search is deterministic:
+    ``seed`` is accepted for compatibility and does not affect the result.
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     if m.n < 3:
         return None  # one or two points embed isometrically
     b = _Bracket(m)
-    b.level(alpha, 0.0, LEVEL_ITERATIONS)
+    b.run(MAX_ITER, lambda: b.lo > alpha or b.hi <= alpha)
     if b.certificate is None or check_certificate(m, b.certificate, alpha)[0]:
         return None
     return b.certificate
@@ -296,8 +292,10 @@ def c2_bruteforce(m: FiniteMetric, starts: int = 64, seed=0) -> float:
     """Multi-start configuration search for the Euclidean distortion.
 
     An independent oracle for small instances: quasi-random starts, a smooth
-    log-stress descent, then direct simplex polishing of the exact max/min
-    log-ratio.  Embedding dimension n - 1 (always sufficient).
+    log-stress descent, then SLSQP on the epigraph form, minimize t subject
+    to s <= log r_ij <= s + t over the distance ratios r_ij.  Returns the
+    exact max/min ratio of the best final point, so the value is always
+    realized by an embedding.  Embedding dimension n - 1 (always sufficient).
     """
     from scipy import optimize
     from scipy.stats import qmc
@@ -312,33 +310,30 @@ def c2_bruteforce(m: FiniteMetric, starts: int = 64, seed=0) -> float:
     sob = qmc.Sobol(d=n * dim, scramble=True, seed=seed)
     inits = 2.0 * sob.random(starts) - 1.0
 
-    def ratios(x):
-        pts = x.reshape(n, dim)
+    def logratios(x):
+        pts = x[: n * dim].reshape(n, dim)
         dt = np.sqrt(((pts[iu[0]] - pts[iu[1]]) ** 2).sum(axis=1))
-        return dt / d
+        return np.log(np.maximum(dt / d, 1e-300))
 
     def logstress(x):
-        r = ratios(x)
-        if (r <= 1e-12).any():
+        lr = logratios(x)
+        if lr.min() <= math.log(1e-12):
             return 1e9
-        lr = np.log(r)
         return float(((lr - lr.mean()) ** 2).sum())
 
-    def logdistortion(x):
-        r = ratios(x)
-        if (r <= 1e-12).any():
-            return 1e9
-        lr = np.log(r)
-        return float(lr.max() - lr.min())
+    def epigraph(y):  # y = (x, s, t): s <= log r_ij <= s + t
+        lr = logratios(y)
+        return np.concatenate([lr - y[-2], y[-2] + y[-1] - lr])
 
-    best = np.inf
+    best = math.inf
     for i in range(starts):
-        res = optimize.minimize(logstress, inits[i], method="L-BFGS-B")
-        res2 = optimize.minimize(
-            logdistortion,
-            res.x,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000, "maxfev": 20000},
-        )
-        best = min(best, res2.fun)
-    return float(np.exp(best))
+        x = optimize.minimize(logstress, inits[i], method="L-BFGS-B").x
+        lr = logratios(x)
+        y = np.concatenate([x, [lr.min(), lr.max() - lr.min()]])
+        cons = {"type": "ineq", "fun": epigraph}
+        y = optimize.minimize(lambda y: y[-1], y, method="SLSQP", constraints=cons,
+                              options={"maxiter": 500, "ftol": 1e-12}).x
+        lr = logratios(y)
+        if lr.min() > math.log(1e-12):
+            best = min(best, float(np.exp(lr.max() - lr.min())))
+    return best

@@ -204,6 +204,18 @@ def verify_sdp(seed: int = 0) -> dict:
     ok = b.certificate is not None and not sdp.check_certificate(c12, b.certificate, b.lo * (1 - 1e-9))[0]
     _prop(results, "gap_certificate_checked", ok, f"lo={b.lo:.6f}")
 
+    m = metric.random_metric(12, seed, style="shortest_path")
+    b = sdp.c2_bracket(m, tol=1e-4)
+    off = ~np.eye(12, dtype=bool)
+    r2 = sdp._dist2_of(b.witness.Q)[off] / m.dist[off] ** 2
+    ok = (
+        b.status == "converged"
+        and b.certificate is not None
+        and not sdp.check_certificate(m, b.certificate, b.lo * (1 - 1e-9))[0]
+        and abs(math.sqrt(r2.max() / r2.min()) - b.hi) <= 1e-9
+    )
+    _prop(results, "random12_bracket_checked", ok, f"[{b.lo:.6f}, {b.hi:.6f}] {b.status}")
+
     return _finish("sdp", results)
 
 

@@ -763,6 +763,18 @@ class TestMainExits:
             "error": "ValueError", "message": "point coordinates have non-finite entries"
         }
 
+    def test_overflowing_cloud_is_a_json_error(self, tmp_path):
+        coords = 1e200 * np.random.default_rng(0).standard_normal((6, 3))
+        f = tmp_path / "cloud.json"
+        f.write_text(metric.PointCloud(coords, "l2").to_json())
+        proc = run_cli("jl-project", "--cloud", str(f), "--alpha", "3", "--k", "6")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "RuntimeWarning" not in proc.stderr
+        assert json.loads(proc.stderr) == {
+            "error": "ParameterDomain",
+            "message": "point distances overflow to infinity; rescale the cloud",
+        }
+
     def test_malformed_map_is_a_json_error(self, tmp_path, capsys):
         f = tmp_path / "m.json"
         f.write_text(cycle4().to_json())

@@ -294,6 +294,11 @@ class TestTransform:
         with pytest.raises(ZeroDistancePair):
             jl.jl_transform(cloud, 2.0, "haar_projection", seed=0, k=1)
 
+    def test_overflowing_distances_rejected(self):
+        cloud = metric.PointCloud(1e200 * np.random.default_rng(7).standard_normal((6, 3)), "l2")
+        with pytest.raises(ParameterDomain, match="overflow"):
+            jl.jl_transform(cloud, 3.0, "haar_projection", seed=0, k=6)
+
     def test_requires_l2(self):
         cloud = metric.PointCloud(np.eye(3), "l1")
         with pytest.raises(ParameterDomain):

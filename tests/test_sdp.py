@@ -50,7 +50,7 @@ class TestC2Sdp:
 
     def test_size_cap(self):
         with pytest.raises(TooLarge):
-            sdp.c2_sdp(equilateral(65))
+            sdp.c2_sdp(equilateral(129))
 
     def test_tol_floor(self):
         with pytest.raises(ValueError):
@@ -85,6 +85,13 @@ class TestBruteforceOracle:
         alpha_sdp, _, _ = sdp.c2_sdp(m, tol=1e-4)
         alpha_bf = sdp.c2_bruteforce(m, starts=32, seed=3)
         assert abs(alpha_sdp - alpha_bf) <= 2e-3
+
+    def test_inside_checked_bracket_on_random_metric(self):
+        m = metric.random_metric(5, 42, style="shortest_path")
+        b = sdp.c2_bracket(m, tol=1e-6)
+        assert b.status == "converged"
+        alpha_bf = sdp.c2_bruteforce(m, starts=32, seed=3)
+        assert b.lo - 1e-9 <= alpha_bf <= b.hi + 1e-6
 
 
 class TestCertificates:
@@ -180,6 +187,13 @@ class TestC2Bracket:
         b = sdp.c2_bracket(m, tol=1e-4)
         assert b.status == "converged"
         assert b.lo <= exact <= b.hi and b.hi - b.lo <= 1e-3
+        assert_checked(m, b)
+
+    @pytest.mark.parametrize("n, seed", [(12, 0), (24, 1), (32, 2)])
+    def test_random_shortest_path_converges(self, n, seed):
+        m = metric.random_metric(n, seed, style="shortest_path")
+        b = sdp.c2_bracket(m, tol=1e-4)
+        assert b.status == "converged" and b.hi - b.lo <= 1e-4
         assert_checked(m, b)
 
     def test_tiny_budget_is_undecided_and_checked(self):
