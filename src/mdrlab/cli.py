@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -123,15 +124,10 @@ def _mode(arg: str) -> str:
 
 
 def cmd_jl_dim(args):
-    mode = _mode(args.mode)
-    if mode == "haar_projection":
-        k = jl.jl_min_dim_projection(args.n, args.alpha)
-    else:
-        k = jl.jl_min_dim_gaussian(args.n, args.alpha)
-    payload = {"n": args.n, "alpha": args.alpha, "mode": args.mode, "k": k}
-    certified = mode == "scaled_gaussian" or k <= args.n - 4
-    if certified:  # the trivial k = n - 1 fallback has no haar certificate
-        plan = jl.make_plan(args.n, args.alpha, mode, k)
+    plan = jl.make_plan(args.n, args.alpha, _mode(args.mode))
+    payload = {"n": args.n, "alpha": args.alpha, "mode": args.mode, "k": plan.k}
+    if plan.mode == "scaled_gaussian" or plan.k <= args.n - 4:
+        # the trivial k = n - 1 fallback has no haar certificate
         payload.update(
             sigma=plan.sigma,
             success_prob=plan.success_prob,
@@ -187,15 +183,7 @@ def cmd_distortion(args):
     src = _load_metric(args.source)
     dst = _load_metric(args.target)
     mapping = json.loads(args.map) if args.map else list(range(src.n))
-    rep = metric.distortion(src, dst, mapping)
-    payload = {
-        "distortion": rep.distortion,
-        "scale": rep.scale,
-        "expansion": rep.expansion,
-        "contraction": rep.contraction,
-        "avg_ratio": rep.avg_ratio,
-    }
-    return payload
+    return dataclasses.asdict(metric.distortion(src, dst, mapping))
 
 
 def cmd_frechet(args):
@@ -247,23 +235,14 @@ def cmd_certificate(args):
     if args.search:
         cert = sdp.find_violating_certificate(m, args.alpha, seed=args.seed)
         if cert is None:
-            payload = {"found": False, "alpha": args.alpha}
-        else:
-            holds, lhs, rhs = sdp.check_certificate(m, cert, args.alpha)
-            payload = {
-                "found": True,
-                "alpha": args.alpha,
-                "holds": holds,
-                "lhs": lhs,
-                "rhs": rhs,
-                "A": cert.A.tolist(),
-            }
+            return {"found": False, "alpha": args.alpha}
     else:
         with open(args.cert, encoding="utf-8") as fh:
-            a = np.asarray(json.loads(fh.read())["A"], dtype=float)
-        cert = sdp.NegativeTypeCertificate(a)
-        holds, lhs, rhs = sdp.check_certificate(m, cert, args.alpha)
-        payload = {"alpha": args.alpha, "holds": holds, "lhs": lhs, "rhs": rhs}
+            cert = sdp.NegativeTypeCertificate(np.asarray(json.loads(fh.read())["A"], dtype=float))
+    holds, lhs, rhs = sdp.check_certificate(m, cert, args.alpha)
+    payload = {"alpha": args.alpha, "holds": holds, "lhs": lhs, "rhs": rhs}
+    if args.search:
+        payload = {"found": True, **payload, "A": cert.A.tolist()}
     return payload
 
 
@@ -358,15 +337,7 @@ def cmd_markov_convexity(args):
         float(obj.get("q", 2.0)),
     )
     est = spectral.markov_convexity_ratio(spec, samples=args.samples, seed=args.seed, method=args.method)
-    payload = {
-        "lhs": est.lhs,
-        "rhs": est.rhs,
-        "ratio": est.ratio,
-        "lhs_q_se": est.lhs_q_se,
-        "rhs_q_se": est.rhs_q_se,
-        "method": est.method,
-    }
-    return payload
+    return dataclasses.asdict(est)
 
 
 def cmd_matousek_gen(args):

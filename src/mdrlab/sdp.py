@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateInvalid, NotPSD, TooLarge
+from .errors import CertificateInvalid, NotPSD, ParameterDomain, TooLarge
 from .metric import FiniteMetric, PointCloud
 
 MAX_POINTS = 128
@@ -115,6 +115,17 @@ def _gram_of(d: np.ndarray) -> np.ndarray:
     return -0.5 * j @ d @ j
 
 
+def _squared_distances(m: FiniteMetric) -> np.ndarray:
+    """``m.dist**2``, refusing a metric whose largest distance squares to inf."""
+    big = float(m.dist.max())
+    if math.isinf(big * big):
+        raise ParameterDomain(
+            f"squared distances overflow: the largest distance {big:.6g} "
+            "exceeds ~1.3e154; rescale the metric"
+        )
+    return m.dist**2
+
+
 def _dist2_of(q: np.ndarray) -> np.ndarray:
     g = np.diag(q)
     return g[:, None] + g[None, :] - 2 * q
@@ -126,7 +137,7 @@ class _Bracket:
     def __init__(self, m: FiniteMetric):
         n = m.n
         self.m = m
-        self.d2 = m.dist**2
+        self.d2 = _squared_distances(m)
         self.u1 = _ones_complement_basis(n)
         self.off = ~np.eye(n, dtype=bool)
         self.lo, self.certificate = 1.0, None
@@ -230,7 +241,7 @@ def c2_bracket(m: FiniteMetric, tol: float = 1e-4, max_iter: int = MAX_ITER) -> 
         raise ValueError("tol below 1e-6 is not supported")
     if m.n < 3:
         # one or two points embed isometrically on a line
-        return C2Bracket(1.0, 1.0, GramCandidate(_gram_of(m.dist**2)), None, 0, "converged")
+        return C2Bracket(1.0, 1.0, GramCandidate(_gram_of(_squared_distances(m))), None, 0, "converged")
     b = _Bracket(m)
     status = "converged" if b.run(max_iter, lambda: b.hi - b.lo <= tol) else "undecided"
     return C2Bracket(b.lo, b.hi, b.witness, b.certificate, b.iterations, status)
@@ -254,7 +265,7 @@ def check_certificate(m: FiniteMetric, cert: NegativeTypeCertificate, alpha: flo
         raise CertificateInvalid(f"certificate size {cert.n} != metric size {m.n}")
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    d2 = m.dist**2
+    d2 = _squared_distances(m)
     lhs = float((cert.A * d2).sum())
     rhs = float((alpha**2 - 1) / (alpha**2 + 1) * (np.abs(cert.A) * d2).sum())
     return lhs <= rhs + 1e-12 * rhs, lhs, rhs

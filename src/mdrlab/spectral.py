@@ -565,14 +565,16 @@ def markov_convexity_ratio(
     over scales k >= 1 and times 2^k <= t <= T; rhs^q sums the expected
     q-th powers of single-step displacements.  The fork copies the
     trajectory up to the branch time and evolves independently afterwards.
-    Expectations are exact (dynamic programming over state marginals) or
-    Monte Carlo with the fork construction; the ratio lhs/rhs lower-bounds
-    the Markov q-convexity constant of the image space.
+    Expectations are exact (``"dp"``, dynamic programming over state
+    marginals) or Monte Carlo with the fork construction (``"mc"``, which
+    needs ``samples >= 1``); ``"auto"`` means ``"dp"``, which the caps of 64
+    states and horizon 64 keep to milliseconds.  The ratio lhs/rhs
+    lower-bounds the Markov q-convexity constant of the image space.
     """
     if spec.horizon > 64 or spec.states > 64:
         raise HorizonTooLarge("horizon and state count are capped at 64")
     if method == "auto":
-        method = "dp" if spec.states**2 * spec.horizon <= 10**5 else "mc"
+        method = "dp"
     q = spec.q
     dq = spec.space.dist[np.ix_(spec.point_map, spec.point_map)] ** q
     p = spec.transition

@@ -49,6 +49,12 @@ class TestJlDim:
         obj = json.loads(proc.stdout)
         assert obj["k"] >= 1 and obj["union_bound"] <= obj["success_prob"]
 
+    def test_haar_fallback_prints_no_certificate(self):
+        proc = run_cli("jl-dim", "--n", "5", "--alpha", "1.05", "--mode", "haar")
+        assert proc.returncode == 0
+        obj = json.loads(proc.stdout)
+        assert obj == {"n": 5, "alpha": 1.05, "mode": "haar", "k": 4}
+
 
 class TestOutputsAndFormats:
     def test_twelve_significant_digits(self):
@@ -300,6 +306,16 @@ class TestMiscCommands:
         assert obj["holds"] is False and obj["lhs"] > obj["rhs"]
         proc = run_cli("certificate", "--metric", str(m_file), "--alpha", "1.3")
         assert proc.returncode == 2  # neither --cert nor --search
+
+    def test_c2_sdp_rejects_distances_whose_squares_overflow(self, tmp_path):
+        f = tmp_path / "huge.json"
+        f.write_text(metric.build_metric(metric.random_metric(12, 5).dist * 1e160).to_json())
+        proc = run_cli("c2-sdp", "--metric", str(f))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "RuntimeWarning" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "ParameterDomain"
+        assert err["message"].startswith("squared distances overflow")
 
     def test_gamma_accepts_raw_chain_json(self, tmp_path):
         from mdrlab import spectral

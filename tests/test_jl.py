@@ -152,6 +152,21 @@ class TestMinDims:
             k = jl.jl_min_dim_projection(5, 1.05)
         assert k == 4
 
+    def test_search_matches_a_scan_of_every_k(self):
+        # the search is exact when the certified k form an interval up to n - 4
+        for n in range(5, 121):
+            budget = jl.union_threshold(n)
+            for alpha in (1.01, 1.05, 1.5, 2.0, 10.0, 450.0):
+                certified = [
+                    k for k in range(1, n - 3)
+                    if jl.psi_failure(n, k, alpha, jl.sigma_max(n, k, alpha)) < budget
+                ]
+                if certified:
+                    assert jl.jl_min_dim_projection(n, alpha) == certified[0], (n, alpha)
+                else:
+                    with pytest.warns(NoFeasibleK):
+                        assert jl.jl_min_dim_projection(n, alpha) == n - 1, (n, alpha)
+
     def test_gaussian_reference_values(self):
         assert jl.jl_min_dim_gaussian(10**9, 2.0) == 329
         assert jl.jl_min_dim_gaussian(10**9, 10.0) == 37

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import cycle4, equilateral, star13
 from mdrlab import metric, sdp
-from mdrlab.errors import CertificateInvalid, NotPSD, TooLarge
+from mdrlab.errors import CertificateInvalid, NotPSD, ParameterDomain, TooLarge
 
 
 class TestC2Sdp:
@@ -221,6 +221,20 @@ class TestC2Bracket:
 
     def test_no_certificate_at_a_feasible_level(self):
         assert sdp.find_violating_certificate(cycle4(), 1.5, seed=0) is None
+
+    def test_overflowing_squares_are_a_domain_error(self):
+        m = metric.build_metric(metric.random_metric(12, 5).dist * 1e160)
+        pair = metric.build_metric(np.array([[0.0, 1e160], [1e160, 0.0]]))
+        centring = sdp.NegativeTypeCertificate(np.eye(12) - 1.0 / 12)
+        calls = [
+            lambda: sdp.c2_bracket(m),
+            lambda: sdp.c2_bracket(pair),
+            lambda: sdp.find_violating_certificate(m, 1.1),
+            lambda: sdp.check_certificate(m, centring, 1.1),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterDomain, match="squared distances overflow"):
+                call()
 
 
 class TestOnesComplementBasis:

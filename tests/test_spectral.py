@@ -635,6 +635,13 @@ class TestMarkovConvexity:
         dp = markov_convexity_ratio(spec, method="dp")
         assert dp.rhs == pytest.approx(math.sqrt(8.0), abs=1e-12)
 
+    def test_default_is_exact_on_large_specs(self):
+        rng = np.random.default_rng(0)
+        p = rng.random((40, 40))
+        p /= p.sum(axis=1, keepdims=True)
+        spec = MarkovChainSpec(p, np.full(40, 1 / 40), 64, path_metric(np.arange(40.0)), np.arange(40))
+        assert markov_convexity_ratio(spec) == markov_convexity_ratio(spec, method="dp")
+
     def test_horizon_cap(self):
         spec = self._path_spec()
         big = MarkovChainSpec(
