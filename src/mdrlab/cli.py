@@ -8,7 +8,8 @@ dict or a list of row dicts; ``main`` emits that payload once, and ``sweep``
 runs any subcommand over a grid through the same parser.  Numeric output is
 printed with 12 significant digits.  Domain errors exit with code 2 and a
 machine-readable JSON object on stderr; ``verify`` exits 1 when a property
-suite fails.
+suite fails.  A dimension search that certifies no k (``NoFeasibleK``) does
+not change the exit code; each such warning is one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import jl, matousek, metric, moduli, sdp, spectral, verify
-from .errors import BudgetInfeasible, MdrlabError, RetriesExhausted, UnknownSuite
+from .errors import BudgetInfeasible, MdrlabError, NoFeasibleK, RetriesExhausted, UnknownSuite
 
 DEFAULT_SEED = 123456789
 
@@ -79,6 +81,20 @@ def _emit(payload, fmt: str, out: str | None):
 def _fail(code: str, message: str) -> int:
     sys.stderr.write(json.dumps({"error": code, "message": message}) + "\n")
     return 2
+
+
+def _run(args):
+    """Run the subcommand; each NoFeasibleK it warns is one JSON object on stderr."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", NoFeasibleK)
+            return args.func(args)
+    finally:
+        for w in caught:
+            if issubclass(w.category, NoFeasibleK):
+                sys.stderr.write(json.dumps({"warning": "NoFeasibleK", "message": str(w.message)}) + "\n")
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno, line=w.line)
 
 
 def _parse_real(text: str) -> float:
@@ -389,14 +405,7 @@ def cmd_pipeline(args):
         )
     budget = args.alpha_total / alpha1
     n = m.n
-    if n >= 5:
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            k = jl.jl_min_dim_projection(n, budget)
-    else:
-        k = n - 1
+    k = jl.jl_min_dim_projection(n, budget) if n >= 5 else n - 1
     if k >= n - 1:
         # reduction cannot beat the trivial dimension: n points span at most
         # n - 1 dimensions, so the Bourgain image has an isometric copy there
@@ -641,7 +650,7 @@ def main(argv=None) -> int:
     if threads < 1:
         return _fail("DomainError", "thread count must be >= 1")
     try:
-        payload = args.func(args)
+        payload = _run(args)
         _emit(payload, "csv" if args.func is cmd_sweep else args.format, args.out)
     except (MdrlabError, OverflowError, ValueError, TypeError, KeyError, OSError) as exc:
         return _fail(type(exc).__name__, str(exc))

@@ -99,12 +99,30 @@ class JlResult:
     measured_distortion: float
 
 
-def sample_haar_orthogonal(m: int, seed) -> np.ndarray:
-    """Haar-distributed orthogonal matrix via QR with the R-sign correction."""
+def sample_haar_orthogonal(m: int, seed, cols: int | None = None) -> np.ndarray:
+    """Leading ``cols`` columns (all m by default) of a Haar-distributed
+    orthogonal matrix, via QR with the R-sign correction.
+
+    The m x m standard normal draw is made in row blocks of at most 2**20
+    normals; ``Generator.standard_normal`` fills row-major, so the blocks are
+    the rows of one (m, m) draw and the generator ends in the same state.
+    Only the first ``cols`` columns of each block are kept, and the m x cols
+    matrix is QR-factored.  Householder QR is column-sequential and the thin
+    QR with a positive R diagonal is unique, so these columns are those of
+    the full matrix up to rounding, with the same law; with ``cols = m`` the
+    factored matrix is the whole draw.
+    """
     if m < 1:
         raise ParameterDomain("dimension must be >= 1")
+    cols = m if cols is None else cols
+    if not 1 <= cols <= m:
+        raise ParameterDomain(f"need 1 <= cols <= {m}, got {cols}")
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, m))
+    a = np.empty((m, cols))
+    buf = np.empty((max(1, min(m, 2**20 // m)), m))
+    for start in range(0, m, len(buf)):
+        block = rng.standard_normal(out=buf[: m - start])
+        a[start : start + len(block)] = block[:, :cols]
     q, r = np.linalg.qr(a)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
@@ -185,8 +203,9 @@ def psi_monte_carlo(
 
     ``sampler="sphere"`` draws the image of the fixed unit vector directly as
     a uniform point on the sphere (the exact distribution of O z), which is
-    what makes 1e6-sample runs cheap; ``sampler="haar"`` multiplies out
-    explicit Haar matrices and is used to cross-check the shortcut.
+    what makes 1e6-sample runs cheap; ``sampler="haar"`` takes O z for
+    z = e_1, the first column of an explicit Haar rotation, and is used to
+    cross-check the shortcut.
     """
     _check_psi_domain(n, k, alpha)
     rng = np.random.default_rng(seed)
@@ -196,12 +215,10 @@ def psi_monte_carlo(
             r = np.sqrt(w2[:, :k].sum(axis=1)) / np.sqrt(w2.sum(axis=1))
             hits += int(((sigma * r >= 1.0) & (sigma * r <= alpha)).sum())
     elif sampler == "haar":
-        z = np.zeros(n - 1)
-        z[0] = 1.0
         hits = 0
         for _ in range(samples):
-            o = sample_haar_orthogonal(n - 1, rng)
-            r = sigma * np.linalg.norm((o @ z)[:k])
+            o = sample_haar_orthogonal(n - 1, rng, 1)
+            r = sigma * np.linalg.norm(o[:k, 0])
             hits += bool(1.0 <= r <= alpha)
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
@@ -439,7 +456,7 @@ def jl_transform(
         # the draw acts on x padded with zeros up to R^ambient, so only its
         # first x.shape[1] columns reach y
         if mode == "haar_projection":
-            m = sample_haar_orthogonal(plan.ambient, rng)[: plan.k]
+            m = sample_haar_orthogonal(plan.ambient, rng, x.shape[1])[: plan.k]
         else:
             m = rng.standard_normal((plan.k, plan.ambient))
         y = plan.sigma * (x @ m[:, : x.shape[1]].T)

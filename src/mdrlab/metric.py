@@ -166,13 +166,15 @@ def build_metric(dist: np.ndarray) -> FiniteMetric:
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
+    n = d.shape[0]
+    if n == 0:
+        raise ValueError("need at least one point")
     if not np.all(np.isfinite(d)):
         raise ValueError("distance matrix has non-finite entries")
-    n = d.shape[0]
-    asym = np.abs(d - d.T).max() if n else 0.0
+    asym = np.abs(d - d.T).max()
     if asym > 0:
         raise SymmetryViolation(f"matrix asymmetric by {asym:.3e}")
-    if np.abs(np.diag(d)).max(initial=0.0) != 0.0:
+    if np.abs(np.diag(d)).max() != 0.0:
         raise NonzeroDiagonal("diagonal entries must be exactly zero")
     if n > 1:
         off = d[~np.eye(n, dtype=bool)].reshape(n, n - 1)

@@ -67,7 +67,7 @@ class GramCandidate:
         q = np.asarray(self.Q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("Q must be square")
-        if np.abs(q - q.T).max(initial=0.0) > 1e-9 * max(1.0, np.abs(q).max()):
+        if np.abs(q - q.T).max() > 1e-9 * max(1.0, np.abs(q).max()):
             raise ValueError("Q must be symmetric")
         scale = max(np.trace(q) / max(q.shape[0], 1), 1e-30)
         if np.linalg.eigvalsh((q + q.T) / 2).min() < -1e-9 * scale:
@@ -90,9 +90,9 @@ class NegativeTypeCertificate:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise CertificateInvalid("A must be square")
         scale = max(1.0, np.abs(a).max())
-        if np.abs(a - a.T).max(initial=0.0) > 1e-9 * scale:
+        if np.abs(a - a.T).max() > 1e-9 * scale:
             raise CertificateInvalid("A must be symmetric")
-        if np.abs(a.sum(axis=1)).max(initial=0.0) > 1e-9 * scale:
+        if np.abs(a.sum(axis=1)).max() > 1e-9 * scale:
             raise CertificateInvalid("rows of A must sum to zero")
         if np.linalg.eigvalsh((a + a.T) / 2).min() < -1e-9 * scale:
             raise CertificateInvalid("A must be positive semidefinite")

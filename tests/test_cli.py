@@ -54,6 +54,10 @@ class TestJlDim:
         assert proc.returncode == 0
         obj = json.loads(proc.stdout)
         assert obj == {"n": 5, "alpha": 1.05, "mode": "haar", "k": 4}
+        assert "jl.py:" not in proc.stderr
+        warning = json.loads(proc.stderr)
+        assert warning["warning"] == "NoFeasibleK"
+        assert "no k <= 1 is certified" in warning["message"]
 
 
 class TestOutputsAndFormats:

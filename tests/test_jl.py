@@ -22,6 +22,34 @@ class TestHaarSampling:
         o = jl.sample_haar_orthogonal(m, m)
         assert np.abs(o.T @ o - np.eye(m)).max() <= 1e-12
         assert abs(abs(np.linalg.det(o)) - 1.0) <= 1e-9
+        for cols in (1, (m + 1) // 2):
+            frame = jl.sample_haar_orthogonal(m, m, cols)
+            assert frame.shape == (m, cols)
+            assert np.abs(frame.T @ frame - np.eye(cols)).max() <= 1e-12
+
+    def test_thin_frame_is_qr_of_leading_columns_of_one_draw(self):
+        # 1500^2 normals exceed 2**20, so the draw spans several row blocks
+        m, cols, seed = 1500, 30, 21
+        q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m))[:, :cols])
+        signs = np.sign(np.diag(r))
+        signs[signs == 0] = 1.0
+        assert np.array_equal(jl.sample_haar_orthogonal(m, seed, cols), q * signs)
+
+    @pytest.mark.parametrize("m, cols", [(11, 8), (999, 100)])
+    def test_thin_frame_leads_the_full_matrix(self, m, cols):
+        full = jl.sample_haar_orthogonal(m, 3)
+        assert np.abs(jl.sample_haar_orthogonal(m, 3, cols) - full[:, :cols]).max() <= 1e-14
+
+    def test_thin_frame_leaves_the_generator_where_the_full_draw_does(self):
+        thin, full = np.random.default_rng(8), np.random.default_rng(8)
+        jl.sample_haar_orthogonal(700, thin, 5)
+        jl.sample_haar_orthogonal(700, full)
+        assert thin.standard_normal() == full.standard_normal()
+
+    @pytest.mark.parametrize("cols", [0, 6])
+    def test_cols_outside_one_to_m_rejected(self, cols):
+        with pytest.raises(ParameterDomain):
+            jl.sample_haar_orthogonal(5, 0, cols)
 
     def test_first_coordinate_beta_law(self):
         # squared first coordinate of a Haar column on O(4) is Beta(1/2, 3/2)
@@ -384,6 +412,10 @@ class TestBoundedMemory:
         cloud = metric.PointCloud(np.random.default_rng(12).standard_normal((600, 40)), "l2")
         peak = _peak_bytes(jl.jl_transform, cloud, 2.0, mode, seed=0, max_retries=2, k=120)
         assert peak < 40e6
+
+    def test_thin_haar_frame_holds_one_row_block(self):
+        # the full 3000 x 3000 draw alone is 72 MB
+        assert _peak_bytes(jl.sample_haar_orthogonal, 3000, 0, 40) <= 16e6
 
     def test_psi_monte_carlo_holds_one_chunk(self):
         # one 200k x 19 draw plus its squares took 65.6 MB

@@ -23,6 +23,12 @@ class TestBuildMetric:
     def test_single_point(self):
         m = metric.build_metric(np.zeros((1, 1)))
         assert m.n == 1
+        back = metric.FiniteMetric.from_json(m.to_json())
+        assert back.n == 1 and np.array_equal(back.dist, m.dist)
+
+    def test_no_points_rejected(self):
+        with pytest.raises(ValueError, match="need at least one point"):
+            metric.build_metric(np.zeros((0, 0)))
 
     def test_line_path(self):
         m = path_metric([0.0, 1.0, 2.0])
