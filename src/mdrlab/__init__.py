@@ -8,9 +8,10 @@ spectral gaps), :mod:`mdrlab.matousek` (random coarse-obstruction
 metrics), :mod:`mdrlab.moduli` (coarse embedding moduli), and
 :mod:`mdrlab.cli` (the command line).
 
-scipy subpackages other than ``scipy.special`` are imported at their call
-sites, so importing the package or the CLI loads only numpy and
-``scipy.special``.
+Importing the package or the CLI loads numpy and no scipy module.  Each
+scipy subpackage is imported inside the function that computes with it;
+``scipy.special``, whose ufuncs are the Beta and chi-square tails of
+:mod:`mdrlab.jl`, loads on the first tail evaluation.
 """
 
 from . import errors

@@ -113,6 +113,16 @@ def _parse_count(text: str) -> int:
     return int(v)
 
 
+def _parse_seed(text: str) -> int:
+    """Integer parser for ``--seed``: numpy accepts only non-negative seeds."""
+    try:
+        if (v := int(text)) >= 0:
+            return v
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+
+
 def _load_metric(path: str) -> metric.FiniteMetric:
     with open(path, encoding="utf-8") as fh:
         return metric.FiniteMetric.from_json(fh.read())
@@ -497,7 +507,7 @@ def cmd_verify(args):
 def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
     ap = parser_class(prog="mdrlab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="global RNG seed (fixed default)")
+    common.add_argument("--seed", type=_parse_seed, default=None, help="global RNG seed (fixed default)")
     common.add_argument(
         "--threads", type=int, default=None,
         help="reserved: must be >= 1 (default $MDRLAB_THREADS, else 1); has no effect",

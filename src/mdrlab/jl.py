@@ -32,12 +32,12 @@ prefactor.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincc, chdtr, chdtrc, gammaln
 
 from .errors import NoFeasibleK, ParameterDomain, ZeroDistancePair
 from .metric import PointCloud
@@ -129,6 +129,20 @@ def sample_haar_orthogonal(m: int, seed, cols: int | None = None) -> np.ndarray:
     return q * signs
 
 
+@functools.cache
+def _special():
+    """``scipy.special``, imported on first use.
+
+    The Beta and chi-square tails are its ufuncs.  Importing it more than
+    doubles the package's import time, which commands that evaluate no tail
+    should not pay; the cache makes each later call a dictionary hit rather
+    than an import statement.
+    """
+    import scipy.special
+
+    return scipy.special
+
+
 def _check_psi_domain(n: int, k: int, alpha: float):
     # psi's integrand stays integrable up to k = n - 3 (exponent 0); only
     # sigma_max needs the stricter k <= n - 4
@@ -175,8 +189,9 @@ def psi_failure(n: int, k: int, alpha: float, sigma: float) -> float:
     a, b = k / 2.0, (n - 1 - k) / 2.0
     r_lo = min(1.0, 1.0 / sigma)
     r_hi = min(1.0, alpha / sigma)
-    low = float(betainc(a, b, r_lo * r_lo))
-    high = float(betaincc(a, b, r_hi * r_hi)) if r_hi < 1.0 else 0.0
+    sp = _special()
+    low = float(sp.betainc(a, b, r_lo * r_lo))
+    high = float(sp.betaincc(a, b, r_hi * r_hi)) if r_hi < 1.0 else 0.0
     return min(1.0, low + high)
 
 
@@ -299,19 +314,36 @@ def jl_min_dim_projection(n: int, alpha: float) -> int:
     return hi
 
 
+# Largest alpha whose powers in the Gaussian formulas stay in double range:
+# alpha**2 for the scaling and the tails, 2 alpha**4 log(alpha) for the
+# closed-form tail estimate behind jl_min_dim_gaussian.
+GAUSSIAN_ALPHA_MAX = 1e154
+TAIL_ESTIMATE_ALPHA_MAX = 1e76
+
+
+def _check_gaussian_alpha(alpha: float, limit: float):
+    if alpha <= 1:
+        raise ParameterDomain("alpha must exceed 1")
+    if alpha > limit:
+        raise ParameterDomain(
+            f"alpha={float(alpha)!r} is out of range: need 1 < alpha <= {limit:g}, "
+            "beyond which the Gaussian formula overflows double precision"
+        )
+
+
 def gaussian_sigma(k: int, alpha: float) -> float:
     """Optimal scaling of an i.i.d. Gaussian matrix: sqrt((alpha^2-1)/(2k log alpha))."""
     if k < 1:
         raise ParameterDomain("k must be >= 1")
-    if alpha <= 1:
-        raise ParameterDomain("alpha must exceed 1")
+    _check_gaussian_alpha(alpha, GAUSSIAN_ALPHA_MAX)
     return math.sqrt((alpha**2 - 1.0) / (2.0 * k * math.log(alpha)))
 
 
 def _gaussian_failure_chi2(k: int, alpha: float) -> float:
     la = math.log(alpha)
     lo = 2.0 * k * la / (alpha**2 - 1.0)
-    return float(chdtr(k, lo) + chdtrc(k, alpha**2 * lo))
+    sp = _special()
+    return float(sp.chdtr(k, lo) + sp.chdtrc(k, alpha**2 * lo))
 
 
 def gaussian_failure(k: int, alpha: float) -> float:
@@ -320,8 +352,7 @@ def gaussian_failure(k: int, alpha: float) -> float:
     chi-square with k degrees of freedom."""
     if k < 1:
         raise ParameterDomain("k must be >= 1")
-    if alpha <= 1:
-        raise ParameterDomain("alpha must exceed 1")
+    _check_gaussian_alpha(alpha, GAUSSIAN_ALPHA_MAX)
     return _gaussian_failure_chi2(k, alpha)
 
 
@@ -359,8 +390,7 @@ def jl_min_dim_gaussian(n: int, alpha: float, k_cap: int = 10**6) -> int:
     """
     if n < 2:
         raise ParameterDomain("need n >= 2")
-    if alpha <= 1:
-        raise ParameterDomain("alpha must exceed 1")
+    _check_gaussian_alpha(alpha, TAIL_ESTIMATE_ALPHA_MAX)
     a = float(alpha)
     la = math.log(a)
     denom = 2 * a**4 * la + 2 * a**2 - a**4 - 4 * a**2 * la**2 - 2 * la - 1
@@ -371,6 +401,7 @@ def jl_min_dim_gaussian(n: int, alpha: float, k_cap: int = 10**6) -> int:
         )
     log_rhs = math.log(2.0) + 2 * math.log(n) + 2 * math.log(a**2 - 1) + math.log(la) - math.log(denom)
     log_ratio = math.log((a**2 - 1) / la) + 2 * la / (a**2 - 1)
+    gammaln = _special().gammaln
     for k in range(1, k_cap + 1):
         log_lhs = gammaln(k / 2) - (k / 2 - 1) * math.log(k) + (k / 2) * log_ratio
         if log_lhs >= log_rhs:

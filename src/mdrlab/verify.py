@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import jl, matousek, metric, moduli, sdp, spectral
 
@@ -62,6 +61,8 @@ def verify_metric(seed: int = 0) -> dict:
 
 def _psi_log_constant(n: int, k: int) -> float:
     """log of the normalizing constant C(n,k) of the radial success density."""
+    from scipy.special import gammaln
+
     return math.log(2.0) + gammaln((n - 1) / 2) - gammaln(k / 2) - gammaln((n - 1 - k) / 2)
 
 
@@ -96,6 +97,7 @@ def _gaussian_failure_quadrature(k: int, alpha: float) -> float:
     """Failure probability of the rescaled Gaussian as one integral over
     b = log(image length ratio) from log(alpha) to infinity."""
     from scipy import integrate
+    from scipy.special import gammaln
 
     log_pref = math.log(2.0) + (k / 2) * math.log(k) - gammaln(k / 2)
 

@@ -660,6 +660,19 @@ class TestSweepDispatch:
         assert bad["k_min"] == ""
         assert good["error"] == "" and float(good["k_min"]) == pytest.approx(math.log(10) / math.log(3))
 
+    def test_negative_seed_cell_recorded_and_sweep_goes_on(self, tmp_path, capsys):
+        message = "argument --seed: expected a non-negative integer, got -1"
+        spec = {"command": "regular-graph", "grid": {"seed": [-1, 5]}, "args": {"n": 8, "r": 3}}
+        code, out, _ = _sweep(tmp_path, capsys, spec)
+        bad, good = _csv_rows(out)
+        assert code == 0
+        assert message in bad["error"] and bad["edges"] == ""
+        assert good["error"] == "" and good["edges"] != ""
+        spec = {"command": "regular-graph", "grid": {"n": [8]}, "args": {"r": 3}, "seed": -1}
+        code, out, _ = _sweep(tmp_path, capsys, spec)
+        (row,) = _csv_rows(out)
+        assert code == 0 and message in row["error"]
+
     def test_help_key_is_a_cell_error(self, tmp_path, capsys):
         spec = {"command": "jl-dim", "grid": {"help": [True, False]},
                 "args": {"n": 1000, "alpha": 2}}
@@ -728,6 +741,23 @@ class TestMainExits:
             code, out, err = _invoke([*argv, "--max-retries", retries], capsys)
             assert code == 2 and out == ""
             assert "--max-retries" in err
+
+    @pytest.mark.parametrize("argv", [
+        "regular-graph --n 8 --r 3",
+        "matousek-gen --n 16 --g 6",
+        "verify metric",
+    ])
+    def test_negative_seed_is_a_usage_error(self, argv, capsys):
+        code, out, err = _invoke([*argv.split(), "--seed", "-1"], capsys)
+        assert code == 2 and out == ""
+        assert "argument --seed: expected a non-negative integer, got -1" in err
+
+    def test_gaussian_alpha_past_double_range_is_a_domain_error(self, capsys):
+        code, out, err = _invoke(["jl-dim", "--n", "1e9", "--alpha", "1e78", "--mode", "gaussian"], capsys)
+        assert code == 2 and out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "ParameterDomain"
+        assert obj["message"].startswith("alpha=1e+78 is out of range: need 1 < alpha <= 1e+76")
 
     @pytest.mark.parametrize("argv", [
         "psi --n 20 --k 5 --alpha 2 --sigma nan",

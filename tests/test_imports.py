@@ -1,6 +1,7 @@
-"""Import budget: scipy subpackages other than ``special`` load only in the
-commands that compute with them, so a top-level import cannot silently bring
-back the cold-start cost of ``import mdrlab.cli``."""
+"""Import budget: ``import mdrlab`` loads numpy and no scipy module, and each
+scipy subpackage loads only in the commands that compute with it, so a
+top-level import cannot silently bring back the cold-start cost of
+``import mdrlab.cli``."""
 
 import json
 import os
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import cycle4
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.spatial", "scipy.sparse.csgraph")
@@ -28,8 +31,7 @@ def modules_after(code: str) -> set:
 @pytest.mark.parametrize("code", ["import mdrlab.cli", "import mdrlab"])
 def test_import_loads_no_heavy_scipy(code):
     loaded = modules_after(code)
-    assert "scipy.special" in loaded
-    assert sorted(loaded.intersection(HEAVY)) == []
+    assert sorted(m for m in loaded if m == "scipy" or m.startswith("scipy.")) == []
 
 
 @pytest.mark.parametrize(
@@ -53,3 +55,26 @@ def test_closed_form_command_loads_no_heavy_scipy():
         "assert main(['sigma-max', '--n', '7', '--k', '2', '--alpha', '2']) == 0"
     )
     assert sorted(loaded.intersection(HEAVY)) == []
+
+
+@pytest.mark.parametrize(
+    "argv, tails",
+    [
+        (["sigma-max", "--n", "7", "--k", "2", "--alpha", "2"], False),
+        (["beta", "--alpha", "2", "--n-points", "30000"], False),
+        (["matousek-gen", "--n", "64", "--g", "6"], False),
+        (["c2-sdp", "--metric", "{c4}"], False),
+        (["jl-dim", "--n", "1e9", "--alpha", "2", "--mode", "gaussian"], True),
+        (["jl-dim", "--n", "1e6", "--alpha", "2", "--mode", "haar"], True),
+        (["psi", "--n", "20", "--k", "5", "--alpha", "2", "--sigma", "2.8"], True),
+    ],
+    ids=["sigma-max", "beta", "matousek-gen", "c2-sdp", "jl-dim-gaussian", "jl-dim-haar", "psi"],
+)
+def test_scipy_special_loads_only_for_tails(argv, tails, tmp_path):
+    # the Beta and chi-square tails are scipy.special ufuncs, imported on
+    # first use; commands that evaluate no tail never import it
+    c4 = tmp_path / "c4.json"
+    c4.write_text(cycle4().to_json())
+    argv = [a.format(c4=c4) for a in argv]
+    loaded = modules_after(f"from mdrlab.cli import main\nassert main({argv!r}) == 0")
+    assert ("scipy.special" in loaded) == tails

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -199,6 +200,27 @@ class TestMinDims:
         assert jl.jl_min_dim_gaussian(10**9, 2.0) == 329
         assert jl.jl_min_dim_gaussian(10**9, 10.0) == 37
         assert jl.jl_min_dim_gaussian(10**9, 450.0) == 9
+
+    def test_gaussian_alpha_range(self):
+        # up to each limit the powers of alpha stay finite and k = 1 is
+        # certified; one step past it is a domain error naming alpha, not
+        # an OverflowError from alpha**4
+        n = 10**9
+        top = jl.TAIL_ESTIMATE_ALPHA_MAX
+        assert math.isfinite(2 * top**4 * math.log(top)) and math.isfinite(jl.GAUSSIAN_ALPHA_MAX**2)
+        assert jl.jl_min_dim_gaussian(n, top) == 1
+        assert jl.gaussian_failure(1, top) < jl.union_threshold(n)
+        assert math.isfinite(jl.gaussian_sigma(1, jl.GAUSSIAN_ALPHA_MAX))
+        assert jl.gaussian_failure(1, jl.GAUSSIAN_ALPHA_MAX) < 1e-150
+        past = [
+            (jl.jl_min_dim_gaussian, n, math.nextafter(top, math.inf)),
+            (jl.jl_min_dim_gaussian, n, 1e78),
+            (jl.gaussian_sigma, 3, math.nextafter(jl.GAUSSIAN_ALPHA_MAX, math.inf)),
+            (jl.gaussian_failure, 3, 1.4e154),
+        ]
+        for f, first, alpha in past:
+            with pytest.raises(ParameterDomain, match=re.escape(f"alpha={alpha!r} is out of range")):
+                f(first, alpha)
 
 
 class TestGaussianProb:
