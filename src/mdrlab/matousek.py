@@ -23,7 +23,6 @@ in ascending vertex order.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,46 +115,61 @@ def _adjacency_lists(vertices: int, pairs) -> list:
     return adj
 
 
-def _short_cycle(adj: list, src: int, bound):
-    """First edge, in BFS scan order from ``src``, closing a cycle shorter than ``bound``.
+def _cycle_finder(adj: list):
+    """Return ``short_cycle(src, bound)``: the first edge, in BFS scan order from
+    ``src``, that closes a cycle shorter than ``bound``.
 
-    Returns ``(length, v, u)`` for the first scanned non-tree edge v-u with
-    depth(v) + depth(u) + 1 < bound, or None.  The tree paths from v and u
-    back to ``src`` plus the edge v-u form a closed walk of that length,
-    which contains a cycle through v-u, so ``length`` bounds the girth from
-    above; it is exact when ``src`` lies on a shortest cycle.  Vertices
-    deeper than bound/2 cannot close such a cycle, so the search neither
-    expands nor scans them.
+    ``short_cycle`` returns ``(length, v, u)`` for the first scanned non-tree
+    edge v-u with depth(v) + depth(u) + 1 < bound, or None.  The tree paths
+    from v and u back to ``src`` plus the edge v-u form a closed walk of that
+    length, which contains a cycle through v-u, so ``length`` bounds the
+    girth from above; it is exact when ``src`` lies on a shortest cycle.
+    A vertex u with 2 depth(u) >= bound closes no such cycle: a neighbour v
+    has depth(v) >= depth(u) - 1, so depth(v) + depth(u) + 1 >= 2 depth(u).
+    The search therefore neither records nor expands such vertices.  ``adj``
+    is read at each call, so edges deleted between calls are seen.
+
+    Depth and parent live in per-vertex lists allocated once here; each
+    search resets only the vertices it reached, which are its queue.
     """
-    depth = {src: 0}
-    parent = {src: -1}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        if 2 * depth[v] >= bound:
-            break
-        for u in adj[v]:
-            if u not in depth:
-                if 2 * depth[v] + 2 <= bound:  # not depth < bound // 2: inf // 2 is nan
-                    depth[u] = depth[v] + 1
-                    parent[u] = v
-                    queue.append(u)
-            elif u != parent[v] and depth[v] + depth[u] + 1 < bound:
-                return depth[v] + depth[u] + 1, v, u
-    return None
+    depth = [-1] * len(adj)
+    parent = [-1] * len(adj)
+
+    def short_cycle(src: int, bound):
+        depth[src], parent[src] = 0, -1
+        queue = [src]
+        try:
+            for v in queue:  # the loop also visits vertices appended while it runs
+                dv, pv = depth[v], parent[v]
+                grow = 2 * dv + 2 < bound
+                for u in adj[v]:
+                    du = depth[u]
+                    if du < 0:
+                        if grow:
+                            depth[u] = dv + 1
+                            parent[u] = v
+                            queue.append(u)
+                    elif u != pv and dv + du + 1 < bound:
+                        return dv + du + 1, v, u
+            return None
+        finally:
+            for v in queue:
+                depth[v] = -1
+
+    return short_cycle
 
 
 def girth(vertices: int, pairs) -> float:
     """Shortest cycle length of a simple undirected graph; inf for forests.
 
     A depth-capped BFS from every vertex, each bounded by the shortest cycle
-    found so far (see :func:`_short_cycle`).  The result is an ``int`` or
+    found so far (see :func:`_cycle_finder`).  The result is an ``int`` or
     ``math.inf``.
     """
-    adj = _adjacency_lists(vertices, pairs)
+    short_cycle = _cycle_finder(_adjacency_lists(vertices, pairs))
     best = math.inf
     for src in range(vertices):
-        while hit := _short_cycle(adj, src, best):
+        while hit := short_cycle(src, best):
             best = hit[0]
     return best
 
@@ -189,13 +203,14 @@ def gen_template(n: int, g: int, seed) -> TemplateGraph:
         edge_set.update(zip((rows + start).tolist(), cols.tolist()))
     adj = _adjacency_lists(2 * n, [(i, n + j) for i, j in sorted(edge_set)])
     # A source is clean when the edges v-u with d(v) + d(u) + 1 < g (d the
-    # distance from the source) form a forest; _short_cycle finds nothing
+    # distance from the source) form a forest; short_cycle finds nothing
     # exactly then.  Deleting edges only raises distances and removes edges,
     # so that subgraph only shrinks and a clean source stays clean.  The scan
     # can therefore resume at the current source instead of vertex 0, and
     # deletes the same edges in the same order as a restart would.
+    short_cycle = _cycle_finder(adj)
     for src in range(2 * n):
-        while hit := _short_cycle(adj, src, g):
+        while hit := short_cycle(src, g):
             _, v, u = hit
             adj[v].remove(u)
             adj[u].remove(v)
@@ -228,9 +243,16 @@ def signed_metric(
 
     Vertex layout: plus copies 0..n-1, minus copies n..2n-1, right side
     2n..3n-1.  Distances between different components hit the truncation T.
+
+    The breadth-first search stops at ``limit = T/s`` hops (rounded), and
+    pairs beyond it come back as inf, which truncates to T exactly as the
+    full hop count would.  A hop count h is an integer, so h > fl(T/s)
+    means h > T/s in real arithmetic (rounding is monotone and fixes h),
+    hence s*h > T and the rounded product fl(s*h) >= T; the search keeps
+    every pair with h <= fl(T/s).
     """
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
+    from scipy.sparse.csgraph import dijkstra
 
     n = template.n
     if set(signs.signs.keys()) != set(template.edges):
@@ -242,8 +264,8 @@ def signed_metric(
     v = 3 * n
     rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
     graph = csr_matrix((np.ones(len(pairs)), (rows, cols)), shape=(v, v))
-    # inf between components; min(s * inf, T) = T keeps the truncation exact
-    dist = shortest_path(graph, unweighted=True, directed=False)
+    # inf past the hop limit and between components; min(s * inf, T) = T
+    dist = dijkstra(graph, directed=False, unweighted=True, limit=params.T / params.s)
     d = np.minimum(params.s * dist, params.T)
     np.fill_diagonal(d, 0.0)
     return build_metric(d)

@@ -276,6 +276,13 @@ def bourgain_embed(m: FiniteMetric, seed) -> PointCloud:
     j = 1..ceil(log2 n), ceil(24 log2 n) subsets per scale, normalized by the
     square root of the number of coordinates so the map is 1-Lipschitz.  The
     measured distortion is O(log n) with overwhelming probability.
+
+    Each scale's subsets come from one ``rng.random((per_scale, n))`` draw,
+    the same stream as one ``rng.random(n)`` per subset.  The coordinate
+    d(., S) is the minimum over the rows of S, ``dist[S].min(axis=0)``: a
+    contiguous row gather, equal entry for entry to the column minimum
+    because :func:`build_metric` enforces exact symmetry and a minimum has
+    no rounding.  An empty subset gives the zero coordinate.
     """
     n = m.n
     if n < 2:
@@ -283,17 +290,12 @@ def bourgain_embed(m: FiniteMetric, seed) -> PointCloud:
     rng = np.random.default_rng(seed)
     scales = int(math.ceil(math.log2(n)))
     per_scale = max(1, int(math.ceil(24 * math.log2(n))))
-    cols = []
-    for j in range(1, scales + 1):
-        density = 2.0 ** (-j)
-        for _ in range(per_scale):
-            mask = rng.random(n) < density
-            if mask.any():
-                cols.append(m.dist[:, mask].min(axis=1))
-            else:
-                cols.append(np.zeros(n))
-    coords = np.stack(cols, axis=1) / math.sqrt(len(cols))
-    return PointCloud(coords, "l2")
+    masks = np.concatenate([rng.random((per_scale, n)) < 2.0 ** (-j) for j in range(1, scales + 1)])
+    rows = np.zeros(masks.shape)
+    for row, mask in zip(rows, masks):
+        if mask.any():
+            m.dist[mask].min(axis=0, out=row)
+    return PointCloud(rows.T / math.sqrt(len(rows)), "l2")
 
 
 def snowflake(m: FiniteMetric, theta: float) -> FiniteMetric:
@@ -357,6 +359,15 @@ def doubling_dim_lower_bound(m: FiniteMetric, alpha: float) -> float:
     a configuration that forces N <= (4 alpha + 1)^k.  Inverting gives
     k >= log N / log(4 alpha + 1); the best bound over all centers and radii
     is returned (greedy maximal packings are valid witnesses).
+
+    Per radius r, the greedy packings of all n balls B(x, 2r) run together,
+    one numpy round per pick: every ball that still has an eligible point
+    takes the first one, in index order, and drops the points closer than r
+    to it; a ball with none left leaves the round set.  Each ball holds its
+    centre, so all n start, and a ball still in the set after k rounds has
+    taken k points: the number of rounds is the largest packing, and
+    ``log(rounds) / denom`` is the same float as the largest per-centre
+    ``log(taken) / denom``.
     """
     if m.n < 2:
         raise DegenerateSource("need at least two points")
@@ -369,15 +380,14 @@ def doubling_dim_lower_bound(m: FiniteMetric, alpha: float) -> float:
     best = 0.0
     for r in radii:
         far = d >= r
-        # greedy packing of each center's ball in index order: take the first
-        # eligible point, then drop every point closer than r to it
-        for free in d <= 2 * r:
-            taken = 0
-            while free.any():
-                free &= far[free.argmax()]
-                taken += 1
-            if taken > 1:
-                best = max(best, math.log(taken) / denom)
+        free = d <= 2 * r  # free[x]: the points centre x may still take
+        taken = 0
+        while len(free):
+            free &= far[free.argmax(axis=1)]
+            taken += 1
+            free = free[free.any(axis=1)]
+        if taken > 1:
+            best = max(best, math.log(taken) / denom)
     return best
 
 

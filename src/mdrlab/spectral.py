@@ -78,17 +78,22 @@ class WeightedGraph:
             w[i, j] = w[j, i] = wt
         return w
 
-    def _csgraph(self):
-        """Unit-weight CSR adjacency for hop counts and components."""
-        from scipy.sparse import csr_matrix
-
-        ij = np.array([e[:2] for e in self.edges], dtype=int).reshape(-1, 2)
-        return csr_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(self.n, self.n))
-
     def is_connected(self) -> bool:
-        from scipy.sparse.csgraph import connected_components
+        """One component: union-find over the edge list (no vertices: False)."""
+        root = list(range(self.n))
 
-        return connected_components(self._csgraph(), directed=False)[0] == 1
+        def find(v):
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            return v
+
+        parts = self.n
+        for i, j, _ in self.edges:
+            a, b = find(i), find(j)
+            if a != b:
+                root[a] = b
+                parts -= 1
+        return parts == 1
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]})
@@ -99,14 +104,22 @@ class WeightedGraph:
         return WeightedGraph.build(int(obj["n"]), obj["edges"])
 
     def shortest_path_metric(self) -> FiniteMetric:
-        """Hop-count metric (edge weights ignored); graph must be connected."""
+        """Hop-count metric (edge weights ignored); graph must be connected.
+
+        One traversal: a pair in different components comes back at
+        distance inf, which raises :class:`Disconnected`.
+        """
+        from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import shortest_path
 
         from .metric import build_metric
 
-        if not self.is_connected():
+        ij = np.array([e[:2] for e in self.edges], dtype=int).reshape(-1, 2)
+        adj = csr_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(self.n, self.n))
+        d = shortest_path(adj, unweighted=True, directed=False)
+        if self.n == 0 or np.isinf(d).any():
             raise Disconnected("graph is not connected")
-        return build_metric(shortest_path(self._csgraph(), unweighted=True, directed=False))
+        return build_metric(d)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import cycle4
+from helpers import cycle4, graph_cycle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.spatial", "scipy.sparse.csgraph")
@@ -55,6 +55,27 @@ def test_closed_form_command_loads_no_heavy_scipy():
         "assert main(['sigma-max', '--n', '7', '--k', '2', '--alpha', '2']) == 0"
     )
     assert sorted(loaded.intersection(HEAVY)) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["regular-graph", "--n", "128", "--r", "4", "--seed", "1"],
+        ["cheeger", "--chain", "{graph}"],
+        ["gamma", "--chain", "{graph}"],
+        ["rayleigh", "--chain", "{graph}", "--metric", "{c4}", "--assignment", "[0, 1, 2, 3]"],
+    ],
+    ids=["regular-graph", "cheeger", "gamma", "rayleigh"],
+)
+def test_graph_commands_load_no_scipy(argv, tmp_path):
+    # connectivity is a union-find over the edge list and the spectra are
+    # numpy eigh, so these commands never import scipy.sparse.csgraph
+    graph, c4 = tmp_path / "graph.json", tmp_path / "c4.json"
+    graph.write_text(graph_cycle(4).to_json())
+    c4.write_text(cycle4().to_json())
+    argv = [a.format(graph=graph, c4=c4) for a in argv]
+    loaded = modules_after(f"from mdrlab.cli import main\nassert main({argv!r}) == 0")
+    assert sorted(m for m in loaded if m == "scipy" or m.startswith("scipy.")) == []
 
 
 @pytest.mark.parametrize(

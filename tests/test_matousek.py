@@ -271,3 +271,20 @@ class TestHarness:
         a = matousek.experiment_harness(12, 4, 1.0, 4.0, 3, 5)
         b = matousek.experiment_harness(12, 4, 1.0, 4.0, 3, 5)
         assert a == b
+
+    def test_packing_bound_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper installed on mdrlab.metric after import (the benchmark's
+        # tracer, say) must see every call the harness makes
+        from mdrlab import metric
+
+        calls = []
+        inner = metric.doubling_dim_lower_bound
+
+        def counted(m, alpha):
+            calls.append((m.n, alpha, inner(m, alpha)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(metric, "doubling_dim_lower_bound", counted)
+        rows = matousek.experiment_harness(12, 4, 1.0, 4.0, 3, 5, alpha=1.5)
+        assert [c[:2] for c in calls] == [(36, 1.5)] * 3
+        assert [r["doubling_lb"] for r in rows] == [c[2] for c in calls]

@@ -319,6 +319,28 @@ class TestBourgain:
         b = metric.bourgain_embed(m, 42).coords
         assert np.array_equal(a, b)
 
+    def test_equals_per_subset_reference(self):
+        def reference(m, seed):
+            # one rng.random(n) draw and one column gather per subset
+            rng = np.random.default_rng(seed)
+            n = m.n
+            scales = int(math.ceil(math.log2(n)))
+            per_scale = max(1, int(math.ceil(24 * math.log2(n))))
+            cols = []
+            for j in range(1, scales + 1):
+                for _ in range(per_scale):
+                    mask = rng.random(n) < 2.0 ** (-j)
+                    cols.append(m.dist[:, mask].min(axis=1) if mask.any() else np.zeros(n))
+            return np.stack(cols, axis=1) / math.sqrt(len(cols)), cols
+
+        hop = spectral.random_regular_graph(96, 3, 4).shortest_path_metric()
+        for m, seed in ((hop, 5), (metric.random_metric(40, 6), 7), (metric.random_metric(2, 8, "box"), 9)):
+            want, cols = reference(m, seed)
+            got = metric.bourgain_embed(m, seed).coords
+            assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+            if m is hop:
+                assert any(not c.any() for c in cols)  # empty subsets at the finest scale
+
 
 class TestSnowflake:
     def test_identity_at_one(self):
@@ -500,6 +522,15 @@ class TestDoublingDimLowerBound:
             for _ in range(4):
                 m = metric.random_metric(int(rng.integers(2, 12)), rng.integers(2**32), style=style)
                 assert metric.doubling_dim_lower_bound(m, 1.5) == reference(m, 1.5)
+        # truncated hop metrics on 48-96 points: few distinct distances, many
+        # ties, and balls whose packings end in different rounds
+        for n, g, s, T in ((16, 4, 1.0, 2.0), (24, 4, 0.5, 2.0), (32, 4, 1.0, 4.0), (32, 6, 0.75, 3.0)):
+            template = matousek.gen_template(n, g, rng.integers(2**32))
+            signs = matousek.random_signs(template, rng.integers(2**32))
+            m = matousek.signed_metric(template, signs, matousek.SignedMetricParams(s, T))
+            assert m.n == 3 * n and len(np.unique(m.dist)) <= 1 + T / s
+            for alpha in (1.0, 2.5):
+                assert metric.doubling_dim_lower_bound(m, alpha) == reference(m, alpha)
 
 
 class TestVolumetric:

@@ -585,6 +585,30 @@ class TestRandomRegular:
         with pytest.raises(Disconnected):
             WeightedGraph.build(4, [(0, 1), (2, 3)]).shortest_path_metric()
 
+    def test_shortest_path_metric_empty_and_single_vertex(self):
+        with pytest.raises(Disconnected):
+            WeightedGraph.build(0, []).shortest_path_metric()
+        assert WeightedGraph.build(1, []).shortest_path_metric().dist.tolist() == [[0.0]]
+
+    def test_is_connected_matches_components(self):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        assert not WeightedGraph.build(0, []).is_connected()
+        assert WeightedGraph.build(1, []).is_connected()
+        rng = np.random.default_rng(23)
+        seen = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 30))
+            pairs = {tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(int(rng.integers(0, 2 * n)))}
+            g = WeightedGraph.build(n, [(int(i), int(j), float(rng.uniform(0.5, 2))) for i, j in pairs])
+            ij = np.array(sorted(pairs), dtype=int).reshape(-1, 2)
+            adj = csr_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(n, n))
+            want = connected_components(adj, directed=False)[0] == 1
+            assert g.is_connected() == want
+            seen.add(want)
+        assert seen == {True, False}
+
     def test_parity_validation(self):
         with pytest.raises(ValueError):
             random_regular_graph(7, 3, 0)
