@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexMismatch
-from .metric import FiniteMetric, build_metric
+from .metric import FiniteMetric, _exact_metric, build_metric
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class SignedMetricParams:
     T: float
 
     def __post_init__(self):
-        if self.s <= 0 or self.T <= 0:
+        if not (self.s > 0 and self.T > 0):  # also rejects nan
             raise ValueError("s and T must be positive")
         if self.T < self.s:
             raise ValueError("need T >= s")
@@ -159,19 +159,31 @@ def _cycle_finder(adj: list):
     return short_cycle
 
 
-def girth(vertices: int, pairs) -> float:
-    """Shortest cycle length of a simple undirected graph; inf for forests.
+def _girth(short_cycle, vertices: int, least: int):
+    """Shortest cycle length of the graph behind ``short_cycle``; inf for forests.
 
     A depth-capped BFS from every vertex, each bounded by the shortest cycle
-    found so far (see :func:`_cycle_finder`).  The result is an ``int`` or
-    ``math.inf``.
+    found so far (see :func:`_cycle_finder`).  The caller promises that no
+    cycle is shorter than ``least``, so the search stops at the first cycle
+    of that length.  The result is an ``int`` or ``math.inf``.
     """
-    short_cycle = _cycle_finder(_adjacency_lists(vertices, pairs))
     best = math.inf
     for src in range(vertices):
         while hit := short_cycle(src, best):
             best = hit[0]
+            if best <= least:
+                return best
     return best
+
+
+def girth(vertices: int, pairs) -> float:
+    """Shortest cycle length of a simple undirected graph; inf for forests.
+
+    A depth-capped BFS from every vertex, each bounded by the shortest cycle
+    found so far (see :func:`_cycle_finder`); a triangle ends the search.
+    The result is an ``int`` or ``math.inf``.
+    """
+    return _girth(_cycle_finder(_adjacency_lists(vertices, pairs)), vertices, 3)
 
 
 def _bipartite_girth(n: int, edges) -> float:
@@ -215,7 +227,8 @@ def gen_template(n: int, g: int, seed) -> TemplateGraph:
             adj[v].remove(u)
             adj[u].remove(v)
             edge_set.discard((v, u - n) if v < n else (u, v - n))
-    return TemplateGraph.build(n, edge_set)
+    # no cycle shorter than g is left, so a g-cycle ends the girth search
+    return TemplateGraph(n, tuple(sorted(edge_set)), _girth(short_cycle, 2 * n, g))
 
 
 def random_signs(template: TemplateGraph, seed) -> SignAssignment:
@@ -250,6 +263,11 @@ def signed_metric(
     means h > T/s in real arithmetic (rounding is monotone and fixes h),
     hence s*h > T and the rounded product fl(s*h) >= T; the search keeps
     every pair with h <= fl(T/s).
+
+    For a finite T the result is a metric by construction and skips the
+    triangle scan of :func:`~mdrlab.metric.build_metric`; the floating-point
+    argument is in :func:`mdrlab.metric._exact_metric`.  An infinite T
+    leaves unreachable pairs at inf, so that matrix is still validated.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
@@ -257,18 +275,18 @@ def signed_metric(
     n = template.n
     if set(signs.signs.keys()) != set(template.edges):
         raise IndexMismatch("sign assignment must cover exactly the template edges")
-    pairs = []
-    for (i, j) in template.edges:
-        left = plus_vertex(i) if signs.of((i, j)) > 0 else minus_vertex(i, n)
-        pairs.append((left, right_vertex(j, n)))
+    # edge (i, j) joins the plus (sign +1) or minus (sign -1) copy of i to j
+    left, right = np.array(template.edges, dtype=int).reshape(-1, 2).T
+    sign = np.array([signs.signs[e] for e in template.edges], dtype=int)
+    rows = np.where(sign > 0, plus_vertex(left), minus_vertex(left, n))
+    cols = right_vertex(right, n)
     v = 3 * n
-    rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
-    graph = csr_matrix((np.ones(len(pairs)), (rows, cols)), shape=(v, v))
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(v, v))
     # inf past the hop limit and between components; min(s * inf, T) = T
     dist = dijkstra(graph, directed=False, unweighted=True, limit=params.T / params.s)
     d = np.minimum(params.s * dist, params.T)
     np.fill_diagonal(d, 0.0)
-    return build_metric(d)
+    return _exact_metric(d) if math.isfinite(params.T) else build_metric(d)
 
 
 def min_fork_distance(metric: FiniteMetric, n: int) -> float:

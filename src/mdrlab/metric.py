@@ -51,6 +51,12 @@ class FiniteMetric:
     ``max_k d[i,k] - (d[j,i] + min_{k != j} d[j,k])`` exceeds the tolerance;
     the bound holds in floating point, not only in real arithmetic, so every
     instance passes the scan of all n^3 triples.
+
+    Two producers are metrics by construction and skip the scan through
+    :func:`_exact_metric`: ``WeightedGraph.shortest_path_metric`` (exact
+    integer hop counts) and ``matousek.signed_metric`` (``min(s*hops, T)``).
+    The docstring of :func:`_exact_metric` shows that both would pass
+    :func:`build_metric` unchanged, and that both are exactly symmetric.
     """
 
     dist: np.ndarray
@@ -184,6 +190,36 @@ def build_metric(dist: np.ndarray) -> FiniteMetric:
     return FiniteMetric(_frozen(d))
 
 
+def _exact_metric(d: np.ndarray) -> FiniteMetric:
+    """Wrap a hop metric built by the library; it would pass :func:`build_metric`.
+
+    Two producers call this, and both pass the whole scan by construction:
+
+    - Hop counts h from a breadth-first search of an undirected graph
+      (``WeightedGraph.shortest_path_metric``).  The entries are exact
+      integers below 2^53: symmetric, zero on the diagonal, >= 1 off it (an
+      unreachable pair is inf, and the caller raises on it), and
+      h_ik <= h_ij + h_jk.  Sums of such integers are exact, so every
+      computed slack is <= 0.
+    - Truncated multiples ``min(fl(s*h), T)`` with 0 < s <= T < inf and the
+      same hop counts (``matousek.signed_metric``).  A product fl(s*h) is
+      exact when it is subnormal (it is a multiple of 2^-1074 below 2^-1022)
+      and otherwise within a relative error u = 2^-53; a sum has no
+      underflow error; and an overflowing s*h gives min(inf, T) = T.  Since
+      min(x, T) is subadditive and rounding is monotone, the real slack
+      d_ik - fl(d_ij + d_jk) is at most about 3u times that sum and, when
+      positive, below 3u * max d; rounding it keeps it under 4u * max d,
+      far below ``TRIANGLE_RTOL * max d``.  Where that tolerance underflows
+      to 0, every value involved is subnormal and every operation exact, so
+      the slack is <= 0.  Off-diagonal entries are >= fl(s) = s > 0.
+
+    Equal hop counts give equal entries, so the matrix is exactly symmetric,
+    which :func:`bourgain_embed`'s row minima rely on.  User-supplied
+    matrices always go through :func:`build_metric`.
+    """
+    return FiniteMetric(_frozen(d))
+
+
 def _check_triangles(d: np.ndarray, near: np.ndarray, tol: float) -> None:
     """Raise at the first pivot j with some d[i,k] - (d[i,j] + d[j,k]) > tol.
 
@@ -281,8 +317,10 @@ def bourgain_embed(m: FiniteMetric, seed) -> PointCloud:
     the same stream as one ``rng.random(n)`` per subset.  The coordinate
     d(., S) is the minimum over the rows of S, ``dist[S].min(axis=0)``: a
     contiguous row gather, equal entry for entry to the column minimum
-    because :func:`build_metric` enforces exact symmetry and a minimum has
-    no rounding.  An empty subset gives the zero coordinate.
+    because the matrix is exactly symmetric and a minimum has no rounding.
+    Every instance is exactly symmetric: :func:`build_metric` enforces it,
+    and the two hop metrics that skip it are symmetric by construction (see
+    :func:`_exact_metric`).  An empty subset gives the zero coordinate.
     """
     n = m.n
     if n < 2:

@@ -38,7 +38,7 @@ from .errors import (
     NoGap,
     TooLarge,
 )
-from .metric import FiniteMetric, PointCloud
+from .metric import FiniteMetric, PointCloud, _exact_metric
 
 ROW_SUM_TOL = 1e-12
 DETAILED_BALANCE_TOL = 1e-12
@@ -107,19 +107,20 @@ class WeightedGraph:
         """Hop-count metric (edge weights ignored); graph must be connected.
 
         One traversal: a pair in different components comes back at
-        distance inf, which raises :class:`Disconnected`.
+        distance inf, which raises :class:`Disconnected`.  The exact integer
+        hop counts are a metric by construction, so the triangle scan of
+        :func:`~mdrlab.metric.build_metric` is skipped (see
+        :func:`mdrlab.metric._exact_metric`).
         """
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import shortest_path
-
-        from .metric import build_metric
 
         ij = np.array([e[:2] for e in self.edges], dtype=int).reshape(-1, 2)
         adj = csr_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(self.n, self.n))
         d = shortest_path(adj, unweighted=True, directed=False)
         if self.n == 0 or np.isinf(d).any():
             raise Disconnected("graph is not connected")
-        return build_metric(d)
+        return _exact_metric(d)
 
 
 @dataclass(frozen=True)

@@ -286,6 +286,13 @@ def verify_spectral(seed: int = 0, instances: int = 60) -> dict:
     chain = spectral.chain_from_graph(g)
     _prop(results, "regular_graph_spectral_gap", spectral.lambda2(chain) < 0.95)
 
+    try:  # shortest_path_metric itself skips the scan
+        metric.build_metric(g.shortest_path_metric().dist)
+        ok = True
+    except Exception:
+        ok = False
+    _prop(results, "hop_metric_axioms", ok)
+
     return _finish("spectral", results)
 
 
@@ -320,6 +327,7 @@ def verify_matousek(seed: int = 0, instances: int = 50) -> dict:
         params = matousek.SignedMetricParams(s, s * t_mult)
         try:
             sm = matousek.signed_metric(template, signs, params)
+            metric.build_metric(sm.dist)  # signed_metric itself skips the scan
         except Exception:
             ok_metric = False
             continue

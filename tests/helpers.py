@@ -38,3 +38,13 @@ def graph_complete(n: int):
     from mdrlab.spectral import WeightedGraph
 
     return WeightedGraph.build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def assert_scan_passes(m: FiniteMetric) -> None:
+    """``m`` passes the full validation of ``build_metric`` and comes back
+    bit for bit; its matrix is read-only and exactly symmetric."""
+    assert not m.dist.flags.writeable
+    assert np.array_equal(m.dist, m.dist.T)
+    with np.errstate(over="ignore"):  # sums near the float maximum overflow to inf
+        again = build_metric(m.dist)
+    assert again.dist.tobytes() == m.dist.tobytes()

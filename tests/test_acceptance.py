@@ -202,7 +202,8 @@ def test_08_matousek_construction():
         template = matousek.gen_template(n, g, rng.integers(2**32))
         assert template.girth >= g
         signs = matousek.random_signs(template, rng.integers(2**32))
-        sm = matousek.signed_metric(template, signs, params)  # validates the axioms
+        sm = matousek.signed_metric(template, signs, params)
+        metric.build_metric(sm.dist)  # validates the axioms; signed_metric skips the scan
         assert matousek.min_fork_distance(sm, n) >= min(s * g, cap) - 1e-12
     dt = time.perf_counter() - t0
     assert dt < 60.0, f"runtime {dt:.1f}s exceeds 1 min"

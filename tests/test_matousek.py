@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
+from helpers import assert_scan_passes
 from mdrlab import matousek, moduli
 from mdrlab.errors import IndexMismatch, InverseOutOfRange
 from mdrlab.matousek import (
@@ -130,6 +133,33 @@ class TestGenTemplate:
         again = TemplateGraph.from_json(t.to_json())
         assert again.edges == t.edges and again.girth == t.girth
 
+    def test_girth_equals_recomputed(self):
+        # gen_template stops its girth search at the first g-cycle; the girth
+        # must equal the public girth and, up to 400 edges (the reference is
+        # quadratic in the edge count), an edge-removal reference
+        girths = set()
+        for n in (2, 8, 32, 64, 128):
+            for g in (4, 6, 8):
+                for seed in range(3):
+                    t = gen_template(n, g, seed)
+                    pairs = [(i, n + j) for i, j in t.edges]
+                    assert repr(t.girth) == repr(girth(2 * n, pairs))
+                    if len(pairs) <= 400:
+                        assert t.girth == _girth_by_edge_removal(2 * n, pairs)
+                    assert TemplateGraph.from_json(t.to_json()) == t
+                    girths.add(t.girth)
+        assert math.inf in girths and {4, 6, 8} <= girths
+
+
+def _girth_by_edge_removal(vertices: int, pairs) -> float:
+    """Shortest cycle: min over edges u-v of 1 + hops(u, v) without that edge."""
+    best = math.inf
+    for k, (u, v) in enumerate(pairs):
+        rest = np.array(pairs[:k] + pairs[k + 1:], dtype=int).reshape(-1, 2)
+        graph = csr_matrix((np.ones(len(rest)), (rest[:, 0], rest[:, 1])), shape=(vertices, vertices))
+        best = min(best, 1 + shortest_path(graph, directed=False, unweighted=True, indices=u)[v])
+    return best
+
 
 class TestSignedMetric:
     def test_metric_axioms_many(self):
@@ -184,6 +214,34 @@ class TestSignedMetric:
                     assert d >= t.girth
         assert found_finite > 0
 
+    # awkward (s, T): T = s, T not a multiple of s, tiny, subnormal, huge,
+    # and s*h overflowing to inf (truncated to T)
+    AWKWARD = [
+        (0.1, 0.7), (1 / 3, 2.0), (0.5, 0.5), (0.3, 1.0), (0.7, 2.3), (2.0, 2.0), (2.0, 7.0),
+        (1e-300, 1e-300), (1e-300, 3.3e-300), (5e-324, 5e-324), (5e-324, 2e-323),
+        (3e-310, 1e-308), (1e300, 3.7e300), (1e308, 1.7e308), (1e308, 1.7976931348623157e308),
+    ]
+
+    def test_passes_build_metric(self):
+        # signed_metric skips build_metric's scan because it would pass it
+        rng = np.random.default_rng(29)
+        count = 0
+        for s, cap in self.AWKWARD:
+            for _ in range(14):
+                n = int(rng.integers(4, 24))
+                t = gen_template(n, int(rng.choice([4, 6, 8])), rng.integers(2**32))
+                sm = signed_metric(t, random_signs(t, rng.integers(2**32)), SignedMetricParams(s, cap))
+                assert_scan_passes(sm)
+                assert sm.dist.max() == cap
+                count += 1
+        assert count >= 200
+
+    def test_infinite_cap_is_validated(self):
+        # unreachable pairs stay at inf, so that matrix still meets build_metric
+        t = gen_template(8, 4, 7)
+        with pytest.raises(ValueError, match="non-finite"):
+            signed_metric(t, random_signs(t, 1), SignedMetricParams(1.0, math.inf))
+
     def test_sign_cover_mismatch(self):
         t = gen_template(8, 4, 7)
         bad = SignAssignment({e: 1 for e in list(t.edges)[:-1]})
@@ -195,6 +253,9 @@ class TestSignedMetric:
             SignedMetricParams(2.0, 1.0)  # T < s
         with pytest.raises(ValueError):
             SignedMetricParams(-1.0, 1.0)
+        for bad in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)):
+            with pytest.raises(ValueError):
+                SignedMetricParams(*bad)
 
 
 class TestBetaModulus:

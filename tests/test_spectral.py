@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import graph_complete, graph_cycle, path_metric
+from helpers import assert_scan_passes, graph_complete, graph_cycle, path_metric
 from mdrlab import metric, spectral
 from mdrlab.errors import (
     CapExceeded,
@@ -580,6 +580,21 @@ class TestRandomRegular:
     def test_shortest_path_metric_golden(self, seed, digest):
         d = random_regular_graph(256, 4, seed).shortest_path_metric().dist
         assert hashlib.sha256(d.tobytes()).hexdigest() == digest
+
+    def test_shortest_path_metric_passes_build_metric(self):
+        # the hop metric skips build_metric's scan because it would pass it
+        sizes = ((4, 3), (16, 3), (64, 4), (96, 5))
+        graphs = [random_regular_graph(n, r, seed) for n, r in sizes for seed in range(3)]
+        graphs += [WeightedGraph.build(n, [(i, i + 1) for i in range(n - 1)]) for n in (1, 2, 3, 40)]
+        graphs += [graph_cycle(n) for n in (3, 4, 7, 50)]
+        rng = np.random.default_rng(17)
+        for _ in range(8):  # random trees plus chords, irregular and weighted
+            n = int(rng.integers(2, 40))
+            edges = {(int(rng.integers(i)), i) for i in range(1, n)}
+            edges |= {tuple(sorted(map(int, rng.choice(n, 2, replace=False)))) for _ in range(n // 3)}
+            graphs.append(WeightedGraph.build(n, [(i, j, float(rng.uniform(0.5, 2))) for i, j in edges]))
+        for g in graphs:
+            assert_scan_passes(g.shortest_path_metric())
 
     def test_shortest_path_metric_disconnected(self):
         with pytest.raises(Disconnected):
