@@ -198,13 +198,13 @@ def psi_failure(n: int, k: int, alpha: float, sigma: float) -> float:
 def _squared_normal_chunks(rng: np.random.Generator, samples: int, width: int):
     """Yield ``samples`` rows of squared standard normals, ``width`` per row.
 
-    One buffer of at most 2**20 normals (8 MiB) is refilled and squared in
+    One buffer of at most 2**16 normals (512 KiB) is refilled and squared in
     place for each chunk.  ``Generator.standard_normal`` fills sequentially,
     so the rows are those of one (samples, width) draw; each row is summed
     within the row, so ``np.sqrt(chunk.sum(axis=1))`` is bit for bit
     ``np.linalg.norm`` of the unsquared rows, whatever the chunk size.
     """
-    buf = np.empty((max(1, min(samples, 2**20 // width)), width))
+    buf = np.empty((max(1, min(samples, 2**16 // width)), width))
     for start in range(0, samples, len(buf)):
         chunk = rng.standard_normal(out=buf[: samples - start])
         chunk *= chunk

@@ -220,6 +220,7 @@ def _exact_metric(d: np.ndarray) -> FiniteMetric:
     return FiniteMetric(_frozen(d))
 
 
+@np.errstate(over="ignore")
 def _check_triangles(d: np.ndarray, near: np.ndarray, tol: float) -> None:
     """Raise at the first pivot j with some d[i,k] - (d[i,j] + d[j,k]) > tol.
 
@@ -227,6 +228,10 @@ def _check_triangles(d: np.ndarray, near: np.ndarray, tol: float) -> None:
     scanned at pivot j only if top[i] - (d[j,i] + near[j]) > tol, with
     ``top[i]`` the largest entry of row i; :func:`build_metric` says why
     the skipped rows cannot fail.
+
+    Sums may overflow without a warning.  The entries are finite, so a sum
+    that overflows to inf exceeds every entry: its slack, an entry minus
+    inf, is -inf and can only pass, as the exact slack would.
     """
     n = d.shape[0]
     buf = np.empty_like(d)

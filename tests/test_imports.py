@@ -49,6 +49,16 @@ def test_tail_commands_load_no_heavy_scipy(argv):
     assert sorted(loaded.intersection(HEAVY)) == []
 
 
+def test_verify_jl_loads_no_heavy_scipy():
+    # its quadrature oracles are numpy double-exponential rules, so the
+    # suite needs scipy.special and nothing that scipy.integrate pulls in
+    loaded = modules_after(
+        "from mdrlab.cli import main\n"
+        "assert main(['verify', 'jl', '--seed', '1']) == 0"
+    )
+    assert sorted(loaded.intersection(HEAVY)) == []
+
+
 def test_closed_form_command_loads_no_heavy_scipy():
     loaded = modules_after(
         "from mdrlab.cli import main\n"

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 from scipy.spatial.distance import pdist
 
 from mdrlab import jl, metric, verify
@@ -305,6 +305,58 @@ class TestTailsMatchScipyStats:
                 assert jl._gaussian_failure_chi2(k, alpha) == want, (k, alpha)
 
 
+class TestQuadratureMatchesScipyQuad:
+    """The double-exponential oracles of verify equal adaptive quadrature of
+    the same integrands, run with tolerances a hundred times tighter."""
+
+    @staticmethod
+    def psi_quad(n, k, alpha, sigma):
+        lo, hi = max(1.0, sigma / alpha), max(1.0, sigma)
+        e = (n - k - 3) / 2
+        log_c = verify._psi_log_constant(n, k)
+
+        def integrand(s):
+            if s <= 1.0:
+                return 0.0
+            return math.exp(log_c + e * math.log((s - 1.0) * (s + 1.0)) - (n - 2) * math.log(s))
+
+        peak = math.sqrt((n - 2) / (k + 1))
+        value, _ = integrate.quad(
+            integrand, lo, hi, points=[peak] if lo < peak < hi else None,
+            epsabs=1e-14, epsrel=1e-13, limit=1000,
+        )
+        return value
+
+    @staticmethod
+    def gaussian_quad(k, alpha):
+        log_pref = math.log(2.0) + (k / 2) * math.log(k) - math.lgamma(k / 2)
+
+        def integrand(b):
+            lem = jl._log_expm1(2.0 * b)
+            return math.exp(log_pref + (k / 2) * (math.log(b) - lem) - k * b * math.exp(-lem))
+
+        value, _ = integrate.quad(
+            integrand, math.log(alpha), math.inf, epsabs=1e-15, epsrel=1e-13, limit=1000
+        )
+        return value
+
+    @pytest.mark.parametrize("n", [7, 9, 10, 12, 16, 20, 40, 200, 1000])
+    def test_psi(self, n):
+        # sigma = alpha puts the lower end at the singular point s = 1, where
+        # half-integer exponents make the density non-smooth
+        for k in sorted({1, (n - 4) // 2 or 1, n - 4}):
+            for alpha in (1.05, 2.0, 10.0):
+                for sigma in (jl.sigma_max(n, k, alpha), alpha, 1.0001, 3 * alpha):
+                    got = verify._psi_quadrature(n, k, alpha, sigma)
+                    assert abs(got - self.psi_quad(n, k, alpha, sigma)) <= 1e-12, (n, k, alpha, sigma)
+
+    def test_gaussian_tail(self):
+        for k in (1, 2, 3, 10, 40, 329):
+            for alpha in (1.2, 1.3, 2.0, 10.0, 100.0):
+                want = self.gaussian_quad(k, alpha)
+                assert abs(verify._gaussian_failure_quadrature(k, alpha) - want) <= 1e-12, (k, alpha)
+
+
 class TestTransform:
     def two_points(self):
         return metric.PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]), "l2")
@@ -445,6 +497,12 @@ class TestBoundedMemory:
         peak = _peak_bytes(jl.psi_monte_carlo, n, k, alpha, jl.sigma_max(n, k, alpha), 200_000, 4)
         assert peak <= 16e6
 
+    def test_psi_monte_carlo_draws_in_small_chunks(self):
+        # a 2**16-normal chunk is 512 KiB; a 2**20-normal one took 10.9 MB here
+        n, k, alpha = 20, 5, 2.0
+        peak = _peak_bytes(jl.psi_monte_carlo, n, k, alpha, jl.sigma_max(n, k, alpha), 200_000, 4)
+        assert peak <= 2e6
+
 
 class TestMonteCarloChunks:
     """Chunked draws give the estimate of one whole draw, bit for bit."""
@@ -464,6 +522,27 @@ class TestMonteCarloChunks:
         k, alpha, seed = 700, 1.1, 6
         rows = 2**20 // k
         samples = 2 * rows + 17
+        s = jl.gaussian_sigma(k, alpha)
+        r = s * np.linalg.norm(np.random.default_rng(seed).standard_normal((samples, k)), axis=1)
+        hits = int(((r >= 1.0) & (r <= alpha)).sum())
+        assert 0 < hits < samples
+        assert jl.gaussian_success_monte_carlo(k, alpha, samples, seed).value == hits / samples
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_psi_sphere_sampler_at_the_chunk_boundary(self, extra):
+        n, k, alpha, seed = 30, 6, 1.5, 7
+        samples = 4 * (2**16 // (n - 1)) + extra
+        sigma = jl.sigma_max(n, k, alpha)
+        w = np.random.default_rng(seed).standard_normal((samples, n - 1))
+        r = np.linalg.norm(w[:, :k], axis=1) / np.linalg.norm(w, axis=1)
+        hits = int(((sigma * r >= 1.0) & (sigma * r <= alpha)).sum())
+        assert 0 < hits < samples
+        assert jl.psi_monte_carlo(n, k, alpha, sigma, samples, seed).value == hits / samples
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_gaussian_at_the_chunk_boundary(self, extra):
+        k, alpha, seed = 13, 1.5, 8
+        samples = 4 * (2**16 // k) + extra
         s = jl.gaussian_sigma(k, alpha)
         r = s * np.linalg.norm(np.random.default_rng(seed).standard_normal((samples, k)), axis=1)
         hits = int(((r >= 1.0) & (r <= alpha)).sum())

@@ -202,6 +202,25 @@ class TestTriangleScan:
         assert self.check(d)
         assert _scan_verdict(d).triple == (1, 2, 4)
 
+    @pytest.mark.filterwarnings("error")
+    def test_sums_past_the_float_maximum_are_silent(self):
+        # a sum that overflows to inf only lowers its slack: a valid metric
+        # near the float maximum passes without a warning, and a violating
+        # one reports the triple and slack of the full scan
+        t = matousek.gen_template(16, 4, 0)
+        params = matousek.SignedMetricParams(1e308, 1.7e308)
+        sm = matousek.signed_metric(t, matousek.random_signs(t, 1), params)
+        assert metric.build_metric(sm.dist).dist.tobytes() == sm.dist.tobytes()
+        d = np.full((4, 4), 1.7e308)
+        np.fill_diagonal(d, 0.0)
+        d[0, 1] = d[1, 0] = 5e307
+        d[1, 2] = d[2, 1] = 6e307
+        with np.errstate(over="ignore"):
+            want = _scan_oracle(d)
+        got = _scan_verdict(d)
+        assert got.triple == want.triple == (0, 1, 2)
+        assert got.slack == want.slack == 1.7e308 - 1.1e308
+
 
 class TestDistortion:
     def test_identity_map(self):
