@@ -34,8 +34,11 @@ DEFAULT_SEED = 123456789
 
 
 def _fmt(x) -> str:
+    """One CSV cell: floats to 12 significant digits, lists and dicts as JSON."""
     if isinstance(x, float):
         return f"{x:.12g}"
+    if isinstance(x, (list, dict)):
+        return json.dumps(_round_floats(x))
     return str(x)
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -224,19 +225,23 @@ def psi_monte_carlo(
     """
     _check_psi_domain(n, k, alpha)
     rng = np.random.default_rng(seed)
+    hits = 0
     if sampler == "sphere":
-        hits = 0
         for w2 in _squared_normal_chunks(rng, samples, n - 1):
             r = np.sqrt(w2[:, :k].sum(axis=1)) / np.sqrt(w2.sum(axis=1))
             hits += int(((sigma * r >= 1.0) & (sigma * r <= alpha)).sum())
     elif sampler == "haar":
-        hits = 0
         for _ in range(samples):
             o = sample_haar_orthogonal(n - 1, rng, 1)
             r = sigma * np.linalg.norm(o[:k, 0])
             hits += bool(1.0 <= r <= alpha)
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
+    return _frequency(hits, samples)
+
+
+def _frequency(hits: int, samples: int) -> ProbabilityEstimate:
+    """hits/samples with its binomial standard error, floored at 1/samples."""
     p = hits / samples
     se = math.sqrt(max(p * (1 - p), 1.0 / samples) / samples)
     return ProbabilityEstimate(p, se, f"monte_carlo({samples})")
@@ -275,16 +280,17 @@ def jl_min_dim_projection(n: int, alpha: float) -> int:
     """Smallest k whose rotation-projection certificate beats the union bound.
 
     k is certified when psi_failure at sigma_max(n, k, alpha) is below the
-    per-pair budget 2/(n(n-1)); sigma_max needs k <= k_max = n - 4.  The
-    search probes k = 1, 2, 4, ... below k_max until one is certified, and
-    otherwise k_max itself.  lo = hi // 2 then lies at or below an
-    uncertified probe (lo = 0 for hi = 1), and bisection of (lo, hi] leaves
-    the least certified k.  If k_max is not certified, the trivial k = n - 1
-    is returned under a NoFeasibleK warning.
+    per-pair budget 2/(n(n-1)); sigma_max needs k <= n - 4.  Bisection of
+    [1, n - 4] returns a certified k whose k - 1 is uncertified, or k = 1.
+    If it runs past n - 4, which was then probed and uncertified, the
+    trivial k = n - 1 is returned under a NoFeasibleK warning.
 
-    The search is exact when the certified k form an interval [k*, n - 4]
-    (or none are certified).  A scan of all k found exactly that on every n
-    from 5 to 4100 with 13 alpha from 1.001 to 1e6.
+    The result is the least certified k* when the certified k below n - 4
+    form one interval from k* (or there are none); a scan of every k found
+    that on every n from 5 to 4100 with 13 alpha from 1.001 to 1e6.  Tiny
+    alpha can certify only a narrow window below n - 4 (at alpha = 1.0005
+    and n = 1,197,318 it is [1,193,763, 1,197,313]), which bisection finds
+    only when one of its probes lands inside it.
     """
     if n < 5:
         raise ParameterDomain("need n >= 5")
@@ -295,23 +301,11 @@ def jl_min_dim_projection(n: int, alpha: float) -> int:
     def feasible(k: int) -> bool:
         return psi_failure(n, k, alpha, sigma_max(n, k, alpha)) < budget
 
-    k_max = n - 4
-    hi = 1
-    while hi < k_max and not feasible(hi):
-        hi *= 2
-    if hi >= k_max:
-        if not feasible(k_max):
-            warnings.warn(f"no k <= {k_max} is certified; returning the trivial n - 1", NoFeasibleK)
-            return n - 1
-        hi = k_max
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    k = bisect_left(range(n - 3), True, lo=1, key=feasible)
+    if k > n - 4:
+        warnings.warn(f"no k <= {n - 4} is certified; returning the trivial n - 1", NoFeasibleK)
+        return n - 1
+    return k
 
 
 # Largest alpha whose powers in the Gaussian formulas stay in double range:
@@ -319,6 +313,7 @@ def jl_min_dim_projection(n: int, alpha: float) -> int:
 # closed-form tail estimate behind jl_min_dim_gaussian.
 GAUSSIAN_ALPHA_MAX = 1e154
 TAIL_ESTIMATE_ALPHA_MAX = 1e76
+GAUSSIAN_K_CAP = 10**6  # the largest k that jl_min_dim_gaussian searches
 
 
 def _check_gaussian_alpha(alpha: float, limit: float):
@@ -370,12 +365,10 @@ def gaussian_success_monte_carlo(k: int, alpha: float, samples: int, seed) -> Pr
     for g2 in _squared_normal_chunks(rng, samples, k):
         r = s * np.sqrt(g2.sum(axis=1))
         hits += int(((r >= 1.0) & (r <= alpha)).sum())
-    p = hits / samples
-    se = math.sqrt(max(p * (1 - p), 1.0 / samples) / samples)
-    return ProbabilityEstimate(p, se, f"monte_carlo({samples})")
+    return _frequency(hits, samples)
 
 
-def jl_min_dim_gaussian(n: int, alpha: float, k_cap: int = 10**6) -> int:
+def jl_min_dim_gaussian(n: int, alpha: float) -> int:
     """Smallest k certified by the closed-form Gaussian tail estimate.
 
     The condition, entirely in log space so n up to 1e12 is routine, is
@@ -387,6 +380,9 @@ def jl_min_dim_gaussian(n: int, alpha: float, k_cap: int = 10**6) -> int:
     evaluated at a = alpha.  D must be positive for the estimate to apply;
     callers hitting the error should fall back to gaussian_failure with the
     union bound.
+
+    The log of the left side is strictly increasing in k, so bisection of
+    [1, GAUSSIAN_K_CAP] finds the least k in about 20 evaluations.
     """
     if n < 2:
         raise ParameterDomain("need n >= 2")
@@ -402,11 +398,14 @@ def jl_min_dim_gaussian(n: int, alpha: float, k_cap: int = 10**6) -> int:
     log_rhs = math.log(2.0) + 2 * math.log(n) + 2 * math.log(a**2 - 1) + math.log(la) - math.log(denom)
     log_ratio = math.log((a**2 - 1) / la) + 2 * la / (a**2 - 1)
     gammaln = _special().gammaln
-    for k in range(1, k_cap + 1):
-        log_lhs = gammaln(k / 2) - (k / 2 - 1) * math.log(k) + (k / 2) * log_ratio
-        if log_lhs >= log_rhs:
-            return k
-    raise ParameterDomain(f"no feasible k below the cap {k_cap}")
+
+    def feasible(k: int) -> bool:
+        return gammaln(k / 2) - (k / 2 - 1) * math.log(k) + (k / 2) * log_ratio >= log_rhs
+
+    k = bisect_left(range(GAUSSIAN_K_CAP + 1), True, lo=1, key=feasible)
+    if k > GAUSSIAN_K_CAP:
+        raise ParameterDomain(f"no feasible k below the cap {GAUSSIAN_K_CAP}")
+    return k
 
 
 def make_plan(n: int, alpha: float, mode: str, k: int | None = None) -> JlPlan:
@@ -492,22 +491,16 @@ def jl_transform(
             m = rng.standard_normal((plan.k, plan.ambient))
         y = plan.sigma * (x @ m[:, : x.shape[1]].T)
         ratios = pdist(y) / src
-        if ratios.min() >= 1.0 and ratios.max() <= alpha:
-            return JlResult(
-                cloud=PointCloud(y, "l2"),
-                plan=plan,
-                attempts=attempt,
-                success=True,
-                measured_distortion=float(ratios.max() / ratios.min()),
-            )
+        success = bool(ratios.min() >= 1.0 and ratios.max() <= alpha)
         measured = float(ratios.max() / ratios.min())
-        if measured < best_alpha:
-            best_alpha = measured
-            best_y = y
+        if success or measured < best_alpha:
+            best_y, best_alpha = y, measured
+        if success:
+            break
     return JlResult(
         cloud=PointCloud(best_y, "l2"),
         plan=plan,
-        attempts=max_retries,
-        success=False,
+        attempts=attempt,
+        success=success,
         measured_distortion=best_alpha,
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexMismatch
-from .metric import FiniteMetric, _exact_metric, build_metric
+from .metric import FiniteMetric, _exact_metric, _hop_distances, build_metric
 
 
 @dataclass(frozen=True)
@@ -257,21 +257,11 @@ def signed_metric(
     Vertex layout: plus copies 0..n-1, minus copies n..2n-1, right side
     2n..3n-1.  Distances between different components hit the truncation T.
 
-    The breadth-first search stops at ``limit = T/s`` hops (rounded), and
-    pairs beyond it come back as inf, which truncates to T exactly as the
-    full hop count would.  A hop count h is an integer, so h > fl(T/s)
-    means h > T/s in real arithmetic (rounding is monotone and fixes h),
-    hence s*h > T and the rounded product fl(s*h) >= T; the search keeps
-    every pair with h <= fl(T/s).
-
     For a finite T the result is a metric by construction and skips the
-    triangle scan of :func:`~mdrlab.metric.build_metric`; the floating-point
-    argument is in :func:`mdrlab.metric._exact_metric`.  An infinite T
-    leaves unreachable pairs at inf, so that matrix is still validated.
+    triangle scan of :func:`~mdrlab.metric.build_metric`; the hop limit and
+    the floating-point argument are in :func:`mdrlab.metric._hop_distances`.
+    An infinite T leaves unreachable pairs at inf, so that matrix is validated.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
     n = template.n
     if set(signs.signs.keys()) != set(template.edges):
         raise IndexMismatch("sign assignment must cover exactly the template edges")
@@ -280,12 +270,7 @@ def signed_metric(
     sign = np.array([signs.signs[e] for e in template.edges], dtype=int)
     rows = np.where(sign > 0, plus_vertex(left), minus_vertex(left, n))
     cols = right_vertex(right, n)
-    v = 3 * n
-    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(v, v))
-    # inf past the hop limit and between components; min(s * inf, T) = T
-    dist = dijkstra(graph, directed=False, unweighted=True, limit=params.T / params.s)
-    d = np.minimum(params.s * dist, params.T)
-    np.fill_diagonal(d, 0.0)
+    d = _hop_distances(3 * n, rows, cols, params.s, params.T)
     return _exact_metric(d) if math.isfinite(params.T) else build_metric(d)
 
 

@@ -55,8 +55,8 @@ class FiniteMetric:
     Two producers are metrics by construction and skip the scan through
     :func:`_exact_metric`: ``WeightedGraph.shortest_path_metric`` (exact
     integer hop counts) and ``matousek.signed_metric`` (``min(s*hops, T)``).
-    The docstring of :func:`_exact_metric` shows that both would pass
-    :func:`build_metric` unchanged, and that both are exactly symmetric.
+    The docstring of :func:`_hop_distances`, which computes both, shows that
+    both would pass :func:`build_metric` unchanged and are exactly symmetric.
     """
 
     dist: np.ndarray
@@ -190,33 +190,53 @@ def build_metric(dist: np.ndarray) -> FiniteMetric:
     return FiniteMetric(_frozen(d))
 
 
-def _exact_metric(d: np.ndarray) -> FiniteMetric:
-    """Wrap a hop metric built by the library; it would pass :func:`build_metric`.
+def _hop_distances(vertices: int, rows, cols, s: float = 1.0, T: float = math.inf) -> np.ndarray:
+    """``min(s * hops, T)`` on the undirected graph with edges (rows[i], cols[i]).
 
-    Two producers call this, and both pass the whole scan by construction:
+    One csgraph breadth-first search from every vertex stops at ``T/s``
+    hops; pairs past it or in other components come back as inf, and
+    ``min(s * inf, T) = T``.  Scaling and truncation are in place, so the
+    call holds one n x n array.  The limit loses nothing: a hop count h is
+    an integer, so h > fl(T/s) means h > T/s (rounding is monotone and fixes
+    h), hence s*h > T and fl(s*h) >= T.
 
-    - Hop counts h from a breadth-first search of an undirected graph
-      (``WeightedGraph.shortest_path_metric``).  The entries are exact
-      integers below 2^53: symmetric, zero on the diagonal, >= 1 off it (an
-      unreachable pair is inf, and the caller raises on it), and
-      h_ik <= h_ij + h_jk.  Sums of such integers are exact, so every
-      computed slack is <= 0.
-    - Truncated multiples ``min(fl(s*h), T)`` with 0 < s <= T < inf and the
-      same hop counts (``matousek.signed_metric``).  A product fl(s*h) is
-      exact when it is subnormal (it is a multiple of 2^-1074 below 2^-1022)
-      and otherwise within a relative error u = 2^-53; a sum has no
-      underflow error; and an overflowing s*h gives min(inf, T) = T.  Since
-      min(x, T) is subadditive and rounding is monotone, the real slack
+    Two results are metrics by construction, which :func:`_exact_metric`
+    wraps without the triangle scan of :func:`build_metric`; both would
+    pass it unchanged:
+
+    - Hop counts h (s = 1, T = inf; ``WeightedGraph.shortest_path_metric``).
+      The entries are exact integers below 2^53: symmetric, zero on the
+      diagonal, >= 1 off it (an unreachable pair is inf, and the caller
+      raises on it), and h_ik <= h_ij + h_jk.  Sums of such integers are
+      exact, so every computed slack is <= 0.
+    - Truncated multiples ``min(fl(s*h), T)`` with 0 < s <= T < inf
+      (``matousek.signed_metric``).  A product fl(s*h) is exact when it is
+      subnormal (it is a multiple of 2^-1074 below 2^-1022) and otherwise
+      within a relative error u = 2^-53; a sum has no underflow error; and
+      an overflowing s*h gives min(inf, T) = T.  Since min(x, T) is
+      subadditive and rounding is monotone, the real slack
       d_ik - fl(d_ij + d_jk) is at most about 3u times that sum and, when
-      positive, below 3u * max d; rounding it keeps it under 4u * max d,
-      far below ``TRIANGLE_RTOL * max d``.  Where that tolerance underflows
-      to 0, every value involved is subnormal and every operation exact, so
-      the slack is <= 0.  Off-diagonal entries are >= fl(s) = s > 0.
+      positive, below 3u * max d; rounding it keeps it under 4u * max d, far
+      below ``TRIANGLE_RTOL * max d``.  Where that tolerance underflows to 0,
+      every value involved is subnormal and every operation exact, so the
+      slack is <= 0.  Off-diagonal entries are >= fl(s) = s > 0.
 
-    Equal hop counts give equal entries, so the matrix is exactly symmetric,
-    which :func:`bourgain_embed`'s row minima rely on.  User-supplied
-    matrices always go through :func:`build_metric`.
+    Equal hop counts give equal entries, so both are exactly symmetric,
+    which :func:`bourgain_embed`'s row minima rely on.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(vertices, vertices))
+    d = dijkstra(graph, directed=False, unweighted=True, limit=T / s)
+    d *= s
+    np.minimum(d, T, out=d)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def _exact_metric(d: np.ndarray) -> FiniteMetric:
+    """Wrap, unscanned, a :func:`_hop_distances` matrix that is a metric by construction."""
     return FiniteMetric(_frozen(d))
 
 
@@ -325,7 +345,7 @@ def bourgain_embed(m: FiniteMetric, seed) -> PointCloud:
     because the matrix is exactly symmetric and a minimum has no rounding.
     Every instance is exactly symmetric: :func:`build_metric` enforces it,
     and the two hop metrics that skip it are symmetric by construction (see
-    :func:`_exact_metric`).  An empty subset gives the zero coordinate.
+    :func:`_hop_distances`).  An empty subset gives the zero coordinate.
     """
     n = m.n
     if n < 2:

@@ -38,7 +38,7 @@ from .errors import (
     NoGap,
     TooLarge,
 )
-from .metric import FiniteMetric, PointCloud, _exact_metric
+from .metric import FiniteMetric, PointCloud, _exact_metric, _hop_distances
 
 ROW_SUM_TOL = 1e-12
 DETAILED_BALANCE_TOL = 1e-12
@@ -110,14 +110,10 @@ class WeightedGraph:
         distance inf, which raises :class:`Disconnected`.  The exact integer
         hop counts are a metric by construction, so the triangle scan of
         :func:`~mdrlab.metric.build_metric` is skipped (see
-        :func:`mdrlab.metric._exact_metric`).
+        :func:`mdrlab.metric._hop_distances`).
         """
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import shortest_path
-
         ij = np.array([e[:2] for e in self.edges], dtype=int).reshape(-1, 2)
-        adj = csr_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(self.n, self.n))
-        d = shortest_path(adj, unweighted=True, directed=False)
+        d = _hop_distances(self.n, ij[:, 0], ij[:, 1])
         if self.n == 0 or np.isinf(d).any():
             raise Disconnected("graph is not connected")
         return _exact_metric(d)

@@ -687,6 +687,16 @@ class TestSweepDispatch:
         _, direct, _ = _invoke(["beta", "--family", "snowflake", "--alpha", "2"], capsys)
         assert float(_csv_rows(out)[0]["beta"]) == pytest.approx(json.loads(direct)["beta"])
 
+    def test_list_cell_is_json_to_12_digits(self, tmp_path, capsys):
+        paths = _write_inputs(tmp_path)
+        spec = {"command": "c2-sdp", "grid": {"metric": [paths["c4"]]}}
+        code, out, _ = _sweep(tmp_path, capsys, spec)
+        (row,) = _csv_rows(out)
+        assert code == 0 and row["error"] == ""
+        entries = [x for q_row in json.loads(row["Q"]) for x in q_row]
+        assert entries and all(isinstance(x, float) for x in entries)
+        assert all(x == float(f"{x:.12g}") for x in entries)
+
     def test_sweep_of_sweep_rejected(self, tmp_path, capsys):
         code, out, err = _sweep(tmp_path, capsys, {"command": "sweep", "grid": {"n": [1]}})
         assert code == 2 and out == ""

@@ -1,6 +1,8 @@
 import math
 import re
 import tracemalloc
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +158,61 @@ class TestSigmaMax:
             jl.sigma_max(5, 2, 2.0)  # k = n - 3
 
 
+def _doubling_search(n, alpha):
+    """The former jl_min_dim_projection: doubling probes, then bisection."""
+    budget = jl.union_threshold(n)
+
+    def feasible(k):
+        return jl.psi_failure(n, k, alpha, jl.sigma_max(n, k, alpha)) < budget
+
+    k_max = n - 4
+    hi = 1
+    while hi < k_max and not feasible(hi):
+        hi *= 2
+    if hi >= k_max:
+        if not feasible(k_max):
+            return n - 1
+        hi = k_max
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _gaussian_linear_scan(ns, alpha, k_cap=10**6):
+    """The former jl_min_dim_gaussian's linear scan of k, for ascending ns at once.
+
+    The right side grows with n, so one scan resolves every n in order.
+    None stands for the domain error past the cap.
+    """
+    a = float(alpha)
+    la = math.log(a)
+    denom = 2 * a**4 * la + 2 * a**2 - a**4 - 4 * a**2 * la**2 - 2 * la - 1
+    assert denom > 0
+    rhs = [
+        math.log(2.0) + 2 * math.log(n) + 2 * math.log(a**2 - 1) + math.log(la) - math.log(denom)
+        for n in ns
+    ]
+    log_ratio = math.log((a**2 - 1) / la) + 2 * la / (a**2 - 1)
+    gammaln = jl._special().gammaln
+    found = []
+    for k in range(1, k_cap + 1):
+        log_lhs = gammaln(k / 2) - (k / 2 - 1) * math.log(k) + (k / 2) * log_ratio
+        while len(found) < len(ns) and log_lhs >= rhs[len(found)]:
+            found.append(k)
+        if len(found) == len(ns):
+            break
+    return found + [None] * (len(ns) - len(found))
+
+
+def _certified(n, k, alpha):
+    return jl.psi_failure(n, k, alpha, jl.sigma_max(n, k, alpha)) < jl.union_threshold(n)
+
+
 class TestMinDims:
     def test_projection_at_most_gaussian_small_grid(self):
         for n in (100, 1000):
@@ -221,6 +278,55 @@ class TestMinDims:
         for f, first, alpha in past:
             with pytest.raises(ParameterDomain, match=re.escape(f"alpha={alpha!r} is out of range")):
                 f(first, alpha)
+
+    def test_gaussian_search_matches_a_linear_scan(self):
+        ns = (2, 10, 10**3, 10**6, 10**9, 10**12)
+        alphas = (1.001, 1.005, 1.02, 1.1, 1.5, 2.0, 10.0, 450.0, 1e3, 1e6, 1e12, 1e25, 1e50, 1e76)
+        for alpha in alphas:
+            for n, k in zip(ns, _gaussian_linear_scan(ns, alpha)):
+                if k is None:
+                    with pytest.raises(ParameterDomain, match="no feasible k below the cap 1000000"):
+                        jl.jl_min_dim_gaussian(n, alpha)
+                else:
+                    assert jl.jl_min_dim_gaussian(n, alpha) == k, (n, alpha)
+
+    def test_gaussian_cap_costs_a_logarithm(self, monkeypatch):
+        gammaln = jl._special().gammaln
+        calls = []
+
+        def counting_gammaln(x):
+            calls.append(x)
+            return gammaln(x)
+
+        monkeypatch.setattr(jl, "_special", lambda: types.SimpleNamespace(gammaln=counting_gammaln))
+        with pytest.raises(ParameterDomain, match="no feasible k below the cap"):
+            jl.jl_min_dim_gaussian(10**6, 1.01)
+        assert 0 < len(calls) <= 25
+
+    def test_certified_window_below_n_minus_4(self):
+        # at alpha = 1.0005 the certified k are [1193763, 1197313]; n - 4 is not
+        # certified, and the former doubling search returned n - 1 with a warning
+        n, alpha = 1197318, 1.0005
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NoFeasibleK)
+            assert jl.jl_min_dim_projection(n, alpha) == 1193763
+        assert not _certified(n, n - 4, alpha)
+
+    @pytest.mark.filterwarnings("ignore::mdrlab.errors.NoFeasibleK")
+    def test_projection_search_matches_the_doubling_search(self):
+        # agrees on every pair, except where the doubling search gave up at
+        # n - 1 although a certified window lies below n - 4
+        ns = sorted({*range(5, 21), *(int(x) for x in np.geomspace(21, 1e12, 24)), 1197318, 15796051})
+        alphas = [float(a) for a in np.geomspace(1.0005, 1e6, 48)]
+        improved = 0
+        for n in ns:
+            for alpha in alphas:
+                old, new = _doubling_search(n, alpha), jl.jl_min_dim_projection(n, alpha)
+                if old != new:
+                    assert old == n - 1, (n, alpha)
+                    assert _certified(n, new, alpha) and not _certified(n, new - 1, alpha), (n, alpha)
+                    improved += 1
+        assert len(ns) * len(alphas) >= 2000 and improved > 0
 
 
 class TestGaussianProb:
