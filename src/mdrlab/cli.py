@@ -369,11 +369,15 @@ def cmd_markov_convexity(args):
     return dataclasses.asdict(est)
 
 
+def _girth(g: float):
+    """A template's girth for output: a forest's inf as the string "inf", which JSON can hold."""
+    return g if math.isfinite(g) else "inf"
+
+
 def cmd_matousek_gen(args):
     t = matousek.gen_template(args.n, args.g, args.seed)
     payload = json.loads(t.to_json())
-    payload.update(girth=t.girth if math.isfinite(t.girth) else "inf",
-                   edges_count=t.edge_count, density_ratio=t.density_ratio)
+    payload.update(girth=_girth(t.girth), edges_count=t.edge_count, density_ratio=t.density_ratio)
     return payload
 
 
@@ -388,9 +392,10 @@ def cmd_signed_metric(args):
 
 
 def cmd_matousek_harness(args):
-    return matousek.experiment_harness(
+    rows = matousek.experiment_harness(
         args.n, args.g, args.s, args.T, args.trials, args.seed, alpha=args.alpha
     )
+    return [{**row, "girth": _girth(row["girth"])} for row in rows]
 
 
 def cmd_beta(args):

@@ -289,6 +289,7 @@ def experiment_harness(
     count and girth, the worst plus/minus distance, and the packing and
     simplex dimension lower bounds of the sampled metric at ``alpha``.
     """
+    # not hoisted: bench/run.py's Traced wraps metric.doubling_dim_lower_bound at call time
     from .metric import doubling_dim_lower_bound, volumetric_lower_bound
 
     if g > T / s:

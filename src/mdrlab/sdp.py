@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateInvalid, NotPSD, ParameterDomain, TooLarge
+from .errors import CapExceeded, CertificateInvalid, NotPSD, ParameterDomain, TooLarge
 from .metric import FiniteMetric, PointCloud
 
 MAX_POINTS = 128
@@ -229,22 +229,27 @@ class C2Bracket:
     status: str
 
 
+def _solve(m: FiniteMetric, done, budget: int) -> C2Bracket:
+    """One ADMM run of at most ``budget`` iterations, until ``done(lo, hi)`` holds at a check."""
+    if m.n > MAX_POINTS:
+        raise TooLarge(f"instances capped at {MAX_POINTS} points")
+    if m.n < 3:
+        # one or two points embed isometrically on a line
+        return C2Bracket(1.0, 1.0, GramCandidate(_gram_of(_squared_distances(m))), None, 0, "converged")
+    b = _Bracket(m)
+    status = "converged" if b.run(budget, lambda: done(b.lo, b.hi)) else "undecided"
+    return C2Bracket(b.lo, b.hi, b.witness, b.certificate, b.iterations, status)
+
+
 def c2_bracket(m: FiniteMetric, tol: float = 1e-4, max_iter: int = MAX_ITER) -> C2Bracket:
     """Euclidean distortion as a checked bracket of target width ``tol``.
 
     One ADMM run of at most ``max_iter`` iterations; see the module docstring
     for its steps, the rho rule and the two checks that move lo and hi.
     """
-    if m.n > MAX_POINTS:
-        raise TooLarge(f"instances capped at {MAX_POINTS} points")
     if tol < 1e-6:
         raise ValueError("tol below 1e-6 is not supported")
-    if m.n < 3:
-        # one or two points embed isometrically on a line
-        return C2Bracket(1.0, 1.0, GramCandidate(_gram_of(_squared_distances(m))), None, 0, "converged")
-    b = _Bracket(m)
-    status = "converged" if b.run(max_iter, lambda: b.hi - b.lo <= tol) else "undecided"
-    return C2Bracket(b.lo, b.hi, b.witness, b.certificate, b.iterations, status)
+    return _solve(m, lambda lo, hi: hi - lo <= tol, max_iter)
 
 
 def c2_sdp(m: FiniteMetric, tol: float = 1e-4, max_iter: int = MAX_ITER):
@@ -275,21 +280,25 @@ def find_violating_certificate(m: FiniteMetric, alpha: float, seed=0):
     """A gap certificate of the ADMM run that refutes level alpha, or None.
 
     Runs the iteration of ``c2_bracket`` until lo > alpha or hi <= alpha
-    and returns the first gap certificate that ``check_certificate`` finds
-    violated at alpha.  Returns None when a witness shows that alpha is
-    feasible, so that no violating certificate exists, or when the run
-    spends its MAX_ITER iterations first.  The search is deterministic:
+    and returns the run's gap certificate if ``check_certificate`` finds it
+    violated at alpha.  None means that a witness shows alpha is feasible,
+    so that no violating certificate exists.  A run that spends its
+    MAX_ITER iterations first without refuting alpha raises
+    :class:`CapExceeded`, and more than MAX_POINTS points raise
+    :class:`TooLarge`, as in ``c2_bracket``.  The search is deterministic:
     ``seed`` is accepted for compatibility and does not affect the result.
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    if m.n < 3:
-        return None  # one or two points embed isometrically
-    b = _Bracket(m)
-    b.run(MAX_ITER, lambda: b.lo > alpha or b.hi <= alpha)
-    if b.certificate is None or check_certificate(m, b.certificate, alpha)[0]:
-        return None
-    return b.certificate
+    b = _solve(m, lambda lo, hi: lo > alpha or hi <= alpha, MAX_ITER)
+    if b.certificate is not None and not check_certificate(m, b.certificate, alpha)[0]:
+        return b.certificate
+    if b.status == "undecided":
+        raise CapExceeded(
+            f"alpha={alpha!r} undecided after {b.iterations} iterations: "
+            f"c2 in [{b.lo:.12g}, {b.hi:.12g}]"
+        )
+    return None
 
 
 def extract_points(q: GramCandidate) -> PointCloud:

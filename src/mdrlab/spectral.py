@@ -57,10 +57,12 @@ class WeightedGraph:
         norm = []
         seen = set()
         for e in edges:
-            if len(e) == 2:
-                i, j, w = int(e[0]), int(e[1]), 1.0
-            else:
-                i, j, w = int(e[0]), int(e[1]), float(e[2])
+            if len(e) not in (2, 3):
+                raise ValueError(f"edge {list(e)} must be [i, j] or [i, j, w]")
+            i, j = int(e[0]), int(e[1])
+            if i != e[0] or j != e[1]:
+                raise ValueError(f"edge {list(e)} has a non-integer endpoint")
+            w = float(e[2]) if len(e) == 3 else 1.0
             if w <= 0:
                 raise NegativeWeight(f"edge ({i},{j}) has weight {w}")
             if i == j or not (0 <= i < n and 0 <= j < n):
@@ -129,7 +131,7 @@ class ReversibleChain:
     def __post_init__(self):
         a = np.array(self.A, dtype=float)
         p = np.array(self.pi, dtype=float)
-        n = a.shape[0]
+        n = a.shape[0] if a.ndim else 0
         if a.shape != (n, n) or p.shape != (n,):
             raise ValueError("shape mismatch between A and pi")
         if n < 2:
@@ -531,7 +533,7 @@ class MarkovChainSpec:
         p = np.asarray(self.transition, dtype=float)
         mu = np.asarray(self.initial, dtype=float)
         pm = np.asarray(self.point_map, dtype=int)
-        s = p.shape[0]
+        s = p.shape[0] if p.ndim else 0
         if p.shape != (s, s) or p.min() < 0 or np.abs(p.sum(axis=1) - 1).max() > 1e-12:
             raise ValueError("transition must be row-stochastic")
         if mu.shape != (s,) or mu.min() < 0 or abs(mu.sum() - 1) > 1e-12:

@@ -236,6 +236,11 @@ class TestVerifyCommand:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
 
+    @pytest.mark.parametrize("suite", verify.SUITES)
+    def test_every_suite_green_in_process(self, suite):
+        summary = verify.run_suite(suite, seed=0)
+        assert summary["ok"] is True, [p for p in summary["properties"] if not p["passed"]]
+
     @staticmethod
     def printed_prefactor(n, k):
         # the commonly printed, unnormalized constant in place of C(n,k)
@@ -854,6 +859,43 @@ class TestMainExits:
         code, out, err = _invoke(["markov-convexity", "--spec", str(f)], capsys)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "TypeError"
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["cheeger", "--chain", "{f}"], {"n": 3, "edges": [[0]]}),
+            (["cheeger", "--chain", "{f}"], {"n": 3, "edges": [[0.5, 1], [1, 2]]}),
+            (["cheeger", "--chain", "{f}"], {"n": 3, "edges": [[0, 1, 1, 7], [1, 2]]}),
+            (["gamma", "--chain", "{f}"], {"A": 5, "pi": [1]}),
+            (["markov-convexity", "--spec", "{f}"],
+             {"transition": 5, "initial": [1], "horizon": 2, "dist": [[0]], "point_map": [0]}),
+        ],
+        ids=["short-edge", "fractional-endpoint", "long-edge", "scalar-chain", "scalar-transition"],
+    )
+    def test_malformed_input_is_a_json_error(self, argv, text, tmp_path, capsys):
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(text))
+        code, out, err = _invoke([a.format(f=f) for a in argv], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_forest_template_harness_prints_inf_girth(self, fmt, capsys):
+        # at this seed two of the three sampled templates are forests
+        argv = ["matousek-harness", "--n", "2", "--g", "4", "--s", "1", "--T", "4",
+                "--trials", "3", "--seed", "1", "--format", fmt]
+        code, out, err = _invoke(argv, capsys)
+        assert code == 0 and err == ""
+        rows = json.loads(out) if fmt == "json" else _csv_rows(out)
+        assert [str(r["girth"]) for r in rows] == ["inf", "inf", "4"]
+
+    def test_undecided_certificate_search_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "c4.json"
+        f.write_text(cycle4().to_json())
+        argv = ["certificate", "--metric", str(f), "--alpha", "1.41421356237309", "--search"]
+        code, out, err = _invoke(argv, capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "CapExceeded"
 
     def test_null_edge_weight_is_a_json_error(self, tmp_path, capsys):
         g = tmp_path / "g.json"

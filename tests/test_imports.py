@@ -34,6 +34,19 @@ def test_import_loads_no_heavy_scipy(code):
     assert sorted(m for m in loaded if m == "scipy" or m.startswith("scipy.")) == []
 
 
+def test_package_exposes_its_submodules_only():
+    # public names live in their submodules; bench/run.py reaches them
+    # through these attributes of a fresh ``import mdrlab``
+    loaded = modules_after(
+        "import mdrlab\n"
+        "assert mdrlab.__version__\n"
+        "for name in ('errors', 'jl', 'matousek', 'metric', 'moduli', 'sdp', 'spectral'):\n"
+        "    assert getattr(mdrlab, name).__name__ == 'mdrlab.' + name\n"
+        "assert not hasattr(mdrlab, 'psi') and not hasattr(mdrlab, 'c2_bracket')"
+    )
+    assert "mdrlab.cli" not in loaded
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import cycle4, equilateral, star13
 from mdrlab import metric, sdp
-from mdrlab.errors import CertificateInvalid, NotPSD, ParameterDomain, TooLarge
+from mdrlab.errors import CapExceeded, CertificateInvalid, NotPSD, ParameterDomain, TooLarge
 
 
 class TestC2Sdp:
@@ -51,6 +51,8 @@ class TestC2Sdp:
     def test_size_cap(self):
         with pytest.raises(TooLarge):
             sdp.c2_sdp(equilateral(129))
+        with pytest.raises(TooLarge):
+            sdp.find_violating_certificate(equilateral(129), 1.3)
 
     def test_tol_floor(self):
         with pytest.raises(ValueError):
@@ -221,6 +223,15 @@ class TestC2Bracket:
 
     def test_no_certificate_at_a_feasible_level(self):
         assert sdp.find_violating_certificate(cycle4(), 1.5, seed=0) is None
+
+    def test_undecided_search_is_not_a_verdict(self):
+        # c2(C4) = sqrt(2) > alpha, but the run's bracket never leaves alpha:
+        # it spends its budget without refuting alpha and says so
+        with pytest.raises(CapExceeded, match="undecided after 5000 iterations"):
+            sdp.find_violating_certificate(cycle4(), 1.41421356237309)
+        # the final check still refutes levels a little above lo
+        cert = sdp.find_violating_certificate(cycle4(), 1.414213561)
+        assert cert is not None and not sdp.check_certificate(cycle4(), cert, 1.414213561)[0]
 
     def test_overflowing_squares_are_a_domain_error(self):
         m = metric.build_metric(metric.random_metric(12, 5).dist * 1e160)

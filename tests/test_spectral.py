@@ -12,6 +12,7 @@ from mdrlab.errors import (
     DegenerateConfiguration,
     Disconnected,
     GenerationFailure,
+    NegativeWeight,
     NoGap,
     TooLarge,
 )
@@ -81,6 +82,29 @@ class TestChainConstruction:
             chain_from_graph(WeightedGraph.build(1, []))
         with pytest.raises(Disconnected):
             chain_from_graph(WeightedGraph.build(0, []))
+
+    @pytest.mark.parametrize(
+        "edges, exc",
+        [
+            ([(0, 1, -1.0)], NegativeWeight),
+            ([(0, 1, 0.0)], NegativeWeight),
+            ([(1, 1)], ValueError),  # self-loop
+            ([(0, 3)], ValueError),  # endpoint out of range
+            ([(0, 1), (1, 0)], ValueError),  # duplicate
+            ([(0,)], ValueError),  # too few entries
+            ([(0, 1, 1.0, 7.0), (1, 2)], ValueError),  # too many entries
+            ([(0.5, 1), (1, 2)], ValueError),  # non-integer endpoint
+        ],
+    )
+    def test_bad_edges(self, edges, exc):
+        with pytest.raises(exc):
+            WeightedGraph.build(3, edges)
+
+    def test_non_array_inputs(self):
+        with pytest.raises(ValueError):
+            ReversibleChain(5, [1.0])
+        with pytest.raises(ValueError):
+            MarkovChainSpec(5, [1.0], 2, path_metric([0.0, 1.0]), [0])
 
     def test_non_finite(self):
         nan_a = np.array([[np.nan, 0.5], [0.5, np.nan]])
