@@ -104,14 +104,15 @@ def sample_haar_orthogonal(m: int, seed, cols: int | None = None) -> np.ndarray:
     """Leading ``cols`` columns (all m by default) of a Haar-distributed
     orthogonal matrix, via QR with the R-sign correction.
 
-    The m x m standard normal draw is made in row blocks of at most 2**20
-    normals; ``Generator.standard_normal`` fills row-major, so the blocks are
-    the rows of one (m, m) draw and the generator ends in the same state.
-    Only the first ``cols`` columns of each block are kept, and the m x cols
-    matrix is QR-factored.  Householder QR is column-sequential and the thin
-    QR with a positive R diagonal is unique, so these columns are those of
-    the full matrix up to rounding, with the same law; with ``cols = m`` the
-    factored matrix is the whole draw.
+    The m x m standard normal draw is made in row blocks of at most 2**16
+    normals (512 KiB); ``Generator.standard_normal`` fills row-major, so the
+    blocks are the rows of one (m, m) draw, the same stream whatever the
+    block size, and the generator ends in the same state.  Only the first
+    ``cols`` columns of each block are kept, and the m x cols matrix is
+    QR-factored.  Householder QR is column-sequential and the thin QR with a
+    positive R diagonal is unique, so these columns are those of the full
+    matrix up to rounding, with the same law; with ``cols = m`` the factored
+    matrix is the whole draw.
     """
     if m < 1:
         raise ParameterDomain("dimension must be >= 1")
@@ -120,7 +121,7 @@ def sample_haar_orthogonal(m: int, seed, cols: int | None = None) -> np.ndarray:
         raise ParameterDomain(f"need 1 <= cols <= {m}, got {cols}")
     rng = np.random.default_rng(seed)
     a = np.empty((m, cols))
-    buf = np.empty((max(1, min(m, 2**20 // m)), m))
+    buf = np.empty((max(1, min(m, 2**16 // m)), m))
     for start in range(0, m, len(buf)):
         block = rng.standard_normal(out=buf[: m - start])
         a[start : start + len(block)] = block[:, :cols]
@@ -444,6 +445,54 @@ def make_plan(n: int, alpha: float, mode: str, k: int | None = None) -> JlPlan:
     )
 
 
+# Pair distances per block array of the pair walk (2 MB of doubles): a row
+# block of an n-point cloud is _PAIR_BLOCK // n rows tall.
+_PAIR_BLOCK = 2**18
+
+
+def _pair_blocks(x: np.ndarray, y: np.ndarray):
+    """Yield (source, image) distances of all pairs i < j of the rows of x
+    and y, each pair once, in row blocks [i, j) of ``_PAIR_BLOCK // n`` rows:
+    ``pdist`` of the block's rows, then ``cdist`` from them to the later rows.
+
+    ``pdist`` and ``cdist`` compute each pair distance bit for bit alike, so
+    the blocks hold the entries of ``pdist(x)`` and ``pdist(y)`` in another
+    order and shape, one block pair at a time.
+    """
+    from scipy.spatial.distance import cdist, pdist
+
+    n = len(x)
+    rows = max(1, _PAIR_BLOCK // n)
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        if j - i > 1:
+            yield pdist(x[i:j]), pdist(y[i:j])
+        if j < n:
+            yield cdist(x[i:j], x[j:]), cdist(y[i:j], y[j:])
+
+
+def _ratio_range(x: np.ndarray, y: np.ndarray):
+    """Least and greatest ||y_i - y_j|| / ||x_i - x_j|| over all pairs i < j.
+
+    Minimum and maximum are exact, so the blocked walk returns the extremes
+    of the whole ratio array, NaN included.  The source distances are
+    checked on the way: an infinite one raises ``ParameterDomain`` and,
+    failing that, a zero one ``ZeroDistancePair``.
+    """
+    lo, hi = np.float64(np.inf), np.float64(-np.inf)
+    coincident = False
+    for src, img in _pair_blocks(x, y):
+        if np.isinf(src).any():
+            raise ParameterDomain("point distances overflow to infinity; rescale the cloud")
+        coincident = coincident or src.min() <= 0.0
+        if not coincident:
+            img /= src
+            lo, hi = np.minimum(lo, img.min()), np.maximum(hi, img.max())
+    if coincident:
+        raise ZeroDistancePair("coincident points cannot satisfy the lower distortion bound")
+    return lo, hi
+
+
 def jl_transform(
     cloud: PointCloud,
     alpha: float,
@@ -458,27 +507,28 @@ def jl_transform(
     Gaussian matrix, checks 1 <= ||y_i - y_j|| / ||x_i - x_j|| <= alpha for
     all pairs, and redraws on failure.  When retries run out the best
     attempt (smallest max/min ratio) is returned with ``success=False``.
+
+    The pairs are walked in row blocks (:func:`_ratio_range`), recomputing
+    the source distances in each attempt, so no n(n-1)/2 array is held.
+    The walk also validates the cloud, so the first attempt rejects it
+    after :func:`make_plan` has checked the plan parameters.
     """
     if cloud.norm != "l2":
         raise ParameterDomain("transform requires an l2 point cloud")
     if max_retries < 1:
         raise ParameterDomain(f"need max_retries >= 1, got {max_retries}")
-    from scipy.spatial.distance import pdist
-
     n = cloud.n
     if n < 2:
         raise ParameterDomain("need at least two points")
-    src = pdist(cloud.coords)
-    if np.isinf(src).any():
-        raise ParameterDomain("point distances overflow to infinity; rescale the cloud")
-    if src.min() <= 0.0:
-        raise ZeroDistancePair("coincident points cannot satisfy the lower distortion bound")
     plan = make_plan(n, alpha, mode, k)
-    x = cloud.coords - cloud.coords[0]
-    if x.shape[1] > n - 1:
-        # the R factor of the differences from point 0 carries exactly their geometry
-        r = np.linalg.qr(x[1:].T, mode="r")
-        x = np.vstack([np.zeros((1, r.shape[0])), r.T])
+    # an overflow in x or y needs no warning: it is an infinite pair distance,
+    # which the first walk rejects in the source and reports in the image
+    with np.errstate(over="ignore"):
+        x = cloud.coords - cloud.coords[0]
+        if x.shape[1] > n - 1:
+            # the R factor of the differences from point 0 carries exactly their geometry
+            r = np.linalg.qr(x[1:].T, mode="r")
+            x = np.vstack([np.zeros((1, r.shape[0])), r.T])
     rng = np.random.default_rng(seed)
     best_y = None
     best_alpha = np.inf
@@ -489,10 +539,11 @@ def jl_transform(
             m = sample_haar_orthogonal(plan.ambient, rng, x.shape[1])[: plan.k]
         else:
             m = rng.standard_normal((plan.k, plan.ambient))
-        y = plan.sigma * (x @ m[:, : x.shape[1]].T)
-        ratios = pdist(y) / src
-        success = bool(ratios.min() >= 1.0 and ratios.max() <= alpha)
-        measured = float(ratios.max() / ratios.min())
+        with np.errstate(over="ignore"):
+            y = plan.sigma * (x @ m[:, : x.shape[1]].T)
+        lo, hi = _ratio_range(cloud.coords, y)
+        success = bool(lo >= 1.0 and hi <= alpha)
+        measured = float(hi / lo)
         if success or measured < best_alpha:
             best_y, best_alpha = y, measured
         if success:

@@ -346,6 +346,8 @@ def bourgain_embed(m: FiniteMetric, seed) -> PointCloud:
     Every instance is exactly symmetric: :func:`build_metric` enforces it,
     and the two hop metrics that skip it are symmetric by construction (see
     :func:`_hop_distances`).  An empty subset gives the zero coordinate.
+    The coordinates are filled column by column into the one C-ordered
+    array the cloud keeps, and scaled in place.
     """
     n = m.n
     if n < 2:
@@ -354,11 +356,12 @@ def bourgain_embed(m: FiniteMetric, seed) -> PointCloud:
     scales = int(math.ceil(math.log2(n)))
     per_scale = max(1, int(math.ceil(24 * math.log2(n))))
     masks = np.concatenate([rng.random((per_scale, n)) < 2.0 ** (-j) for j in range(1, scales + 1)])
-    rows = np.zeros(masks.shape)
-    for row, mask in zip(rows, masks):
+    coords = np.zeros((n, len(masks)))
+    for c, mask in enumerate(masks):
         if mask.any():
-            m.dist[mask].min(axis=0, out=row)
-    return PointCloud(rows.T / math.sqrt(len(rows)), "l2")
+            coords[:, c] = m.dist[mask].min(axis=0)
+    coords /= math.sqrt(len(masks))
+    return PointCloud(coords, "l2")
 
 
 def snowflake(m: FiniteMetric, theta: float) -> FiniteMetric:

@@ -274,14 +274,26 @@ def rayleigh_general(x: Configuration, transition: np.ndarray, pi: np.ndarray, p
 
     Products of two reversible chains are stationary for pi but in general
     not reversible, so the quotient algebra (products, mixtures) needs this
-    entry point.
+    entry point.  The checks are those of :class:`ReversibleChain` without
+    reversibility or stationarity, and rows may sum to 1 within 1e-9, since
+    matrix powers and products of chains accumulate rounding.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     a = np.asarray(transition, dtype=float)
+    w = np.asarray(pi, dtype=float)
+    n = x.n
+    if a.shape != (n, n) or w.shape != (n,):
+        raise ValueError(f"transition must be {n} x {n} and pi of length {n}, the configuration size")
+    if not (np.isfinite(a).all() and np.isfinite(w).all()):
+        raise ValueError("transition and pi must be finite")
+    if a.min() < 0:
+        raise ValueError("transition entries must be nonnegative")
     if np.abs(a.sum(axis=1) - 1).max() > 1e-9:
         raise ValueError("transition must be row-stochastic")
-    return _rayleigh_from_matrix(x.distances() ** p, a, np.asarray(pi, dtype=float))
+    if w.min() <= 0 or abs(w.sum() - 1) > 1e-12:
+        raise ValueError("pi must be a strictly positive probability vector")
+    return _rayleigh_from_matrix(x.distances() ** p, a, w)
 
 
 def gamma_hilbert(chain: ReversibleChain) -> float:

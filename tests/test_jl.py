@@ -654,3 +654,127 @@ class TestMonteCarloChunks:
         hits = int(((r >= 1.0) & (r <= alpha)).sum())
         assert 0 < hits < samples
         assert jl.gaussian_success_monte_carlo(k, alpha, samples, seed).value == hits / samples
+
+
+def _haar_whole_buffer(m, seed, cols):
+    """sample_haar_orthogonal as it drew with row blocks of up to 2**20 normals."""
+    rng = np.random.default_rng(seed)
+    a = np.empty((m, cols))
+    buf = np.empty((max(1, min(m, 2**20 // m)), m))
+    for start in range(0, m, len(buf)):
+        block = rng.standard_normal(out=buf[: m - start])
+        a[start : start + len(block)] = block[:, :cols]
+    q, r = np.linalg.qr(a)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs, rng.standard_normal()
+
+
+def _whole_array_transform(cloud, alpha, mode, seed, max_retries, k):
+    """jl_transform as it verified with whole pdist arrays of the source and the image."""
+    src = pdist(cloud.coords)
+    assert np.isfinite(src).all() and src.min() > 0.0
+    n = cloud.n
+    plan = jl.make_plan(n, alpha, mode, k)
+    x = cloud.coords - cloud.coords[0]
+    if x.shape[1] > n - 1:
+        r = np.linalg.qr(x[1:].T, mode="r")
+        x = np.vstack([np.zeros((1, r.shape[0])), r.T])
+    rng = np.random.default_rng(seed)
+    best_y, best_alpha = None, np.inf
+    for attempt in range(1, max_retries + 1):
+        if mode == "haar_projection":
+            m = jl.sample_haar_orthogonal(plan.ambient, rng, x.shape[1])[: plan.k]
+        else:
+            m = rng.standard_normal((plan.k, plan.ambient))
+        y = plan.sigma * (x @ m[:, : x.shape[1]].T)
+        ratios = pdist(y) / src
+        success = bool(ratios.min() >= 1.0 and ratios.max() <= alpha)
+        measured = float(ratios.max() / ratios.min())
+        if success or measured < best_alpha:
+            best_y, best_alpha = y, measured
+        if success:
+            break
+    return attempt, success, best_alpha, best_y
+
+
+# the n at which a pair-walk block holds exactly n rows
+BLOCK_SIDE = math.isqrt(jl._PAIR_BLOCK)
+
+
+def _cloud(n, d, seed):
+    return metric.PointCloud(np.random.default_rng(seed).standard_normal((n, d)), "l2")
+
+
+class TestBlockedVerification:
+    """The row-block pair walk decides and measures as the whole pair arrays did."""
+
+    @staticmethod
+    def assert_matches_reference(cloud, alpha, mode, seed, max_retries, k):
+        res = jl.jl_transform(cloud, alpha, mode, seed=seed, max_retries=max_retries, k=k)
+        attempts, success, measured, y = _whole_array_transform(cloud, alpha, mode, seed, max_retries, k)
+        assert (res.attempts, res.success) == (attempts, success)
+        assert res.measured_distortion == measured
+        assert res.cloud.coords.tobytes() == y.tobytes()
+        return res
+
+    def test_block_side(self):
+        assert jl._PAIR_BLOCK // BLOCK_SIDE == BLOCK_SIDE
+
+    @pytest.mark.parametrize("mode", jl.MODES)
+    @pytest.mark.parametrize(
+        "n, d",
+        [(2, 3), (3, 2), (BLOCK_SIDE - 1, 8), (BLOCK_SIDE, 8), (BLOCK_SIDE + 1, 8), (1000, 100), (30, 80)],
+    )
+    def test_matches_whole_array_reference(self, n, d, mode):
+        k = 1 if n < 5 else None
+        self.assert_matches_reference(_cloud(n, d, n), 2.0, mode, n + d, 5, k)
+
+    @pytest.mark.parametrize("mode", jl.MODES)
+    def test_best_of_failed_attempts_matches_reference(self, mode):
+        res = self.assert_matches_reference(_cloud(BLOCK_SIDE + 1, 8, 3), 2.0, mode, 4, 3, 2)
+        assert not res.success and res.attempts == 3
+
+    @pytest.mark.parametrize("pair", [(0, -1), (-2, -1)], ids=["first-block", "last-block"])
+    def test_coincident_pair_past_the_first_block(self, pair):
+        coords = np.random.default_rng(9).standard_normal((BLOCK_SIDE + 88, 4))
+        coords[pair[1]] = coords[pair[0]]
+        with pytest.raises(ZeroDistancePair):
+            jl.jl_transform(metric.PointCloud(coords, "l2"), 2.0, "haar_projection", seed=0, k=20)
+
+    @staticmethod
+    def overflowing_last_pair(n):
+        # only the pair (n - 2, n - 1) is 2e308 apart; every other pair stays finite
+        coords = np.random.default_rng(10).standard_normal((n, 4))
+        coords[-2:] = 0.0
+        coords[-2, 0], coords[-1, 0] = -1e308, 1e308
+        return coords
+
+    @pytest.mark.parametrize("mode", jl.MODES)
+    def test_overflow_in_the_last_block(self, mode):
+        coords = self.overflowing_last_pair(BLOCK_SIDE + 88)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterDomain, match="overflow"):
+                jl.jl_transform(metric.PointCloud(coords, "l2"), 2.0, mode, seed=0, k=20)
+
+    def test_overflow_outranks_an_earlier_coincident_pair(self):
+        coords = self.overflowing_last_pair(BLOCK_SIDE + 88)
+        coords[1] = coords[0]
+        with pytest.raises(ParameterDomain, match="overflow"):
+            jl.jl_transform(metric.PointCloud(coords, "l2"), 2.0, "haar_projection", seed=0, k=20)
+
+    @pytest.mark.parametrize("m, cols", [(1500, 20), (300, 300)])
+    def test_haar_draw_equals_the_whole_buffer_draw(self, m, cols):
+        # 2**16 normals hold 43 rows of 1500 and 218 rows of 300
+        rng = np.random.default_rng(11)
+        want, after = _haar_whole_buffer(m, 11, cols)
+        assert jl.sample_haar_orthogonal(m, rng, cols).tobytes() == want.tobytes()
+        assert rng.standard_normal() == after
+
+    @pytest.mark.parametrize("mode", jl.MODES)
+    def test_one_transform_holds_no_pair_array(self, mode):
+        # the three n(n-1)/2 arrays at 2000 points peaked at 37 MB
+        jl.jl_transform(_cloud(8, 3, 0), 2.0, mode, seed=0, k=2)  # imports outside the trace
+        peak = _peak_bytes(jl.jl_transform, _cloud(2000, 100, 12), 2.0, mode, seed=0, max_retries=1)
+        assert peak <= 16e6

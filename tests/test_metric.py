@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +360,39 @@ class TestBourgain:
             assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
             if m is hop:
                 assert any(not c.any() for c in cols)  # empty subsets at the finest scale
+
+    def test_equals_transposed_row_expression(self):
+        def rows_then_transpose(m, seed):
+            # one row per subset, transposed and scaled into a second array
+            rng = np.random.default_rng(seed)
+            n = m.n
+            scales = int(math.ceil(math.log2(n)))
+            per_scale = max(1, int(math.ceil(24 * math.log2(n))))
+            masks = np.concatenate([rng.random((per_scale, n)) < 2.0 ** (-j) for j in range(1, scales + 1)])
+            rows = np.zeros(masks.shape)
+            for row, mask in zip(rows, masks):
+                if mask.any():
+                    m.dist[mask].min(axis=0, out=row)
+            return rows.T / math.sqrt(len(rows))
+
+        hop = spectral.random_regular_graph(128, 4, 2).shortest_path_metric()
+        for m, seed in ((hop, 3), (metric.random_metric(50, 4), 5), (metric.random_metric(33, 6, "box"), 7)):
+            want = rows_then_transpose(m, seed)
+            got = metric.bourgain_embed(m, seed).coords
+            assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_holds_one_copy_of_the_coordinates(self):
+        # rows, their scaled transpose and its C-ordered copy were 3.25 copies here
+        m = spectral.random_regular_graph(512, 4, 1).shortest_path_metric()
+        metric.bourgain_embed(m, 0)
+        tracemalloc.start()
+        try:
+            cloud = metric.bourgain_embed(m, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cloud.coords.flags.c_contiguous
+        assert peak <= 1.5 * cloud.coords.nbytes
 
 
 class TestSnowflake:

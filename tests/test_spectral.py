@@ -244,6 +244,64 @@ def _partner(chain, rng):
     return out
 
 
+class TestRayleighGeneralDomain:
+    """rayleigh_general takes only a stochastic matrix and a probability vector."""
+
+    x = Configuration(path_metric([0.0, 1.0, 2.0]))
+    uniform = np.full(3, 1.0 / 3.0)
+
+    def test_stochastic_matrix_accepted(self):
+        a = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
+        # pi-weighted edge energy 1/2 over the pi x pi variance 4/3
+        assert rayleigh_general(self.x, a, self.uniform) == pytest.approx(0.375)
+
+    def test_negative_entry_rejected(self):
+        # rows sum to 1, and the quotient would read -0.125
+        a = np.array([[1.5, -0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            rayleigh_general(self.x, a, self.uniform)
+
+    @pytest.mark.parametrize("where", ["transition", "pi"])
+    def test_non_finite_entry_rejected(self, where):
+        a, pi = np.eye(3), self.uniform.copy()
+        (a if where == "transition" else pi)[1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            rayleigh_general(self.x, a, pi)
+
+    @pytest.mark.parametrize(
+        "a, pi",
+        [
+            (np.ones((3, 2)) / 2, np.full(3, 1.0 / 3.0)),
+            (np.eye(2), np.full(2, 0.5)),
+            (np.eye(4), np.full(4, 0.25)),
+            (np.eye(3), np.full(4, 0.25)),
+            (np.eye(3), np.full((3, 1), 1.0 / 3.0)),
+        ],
+        ids=["non-square", "smaller", "larger", "pi-length", "pi-shape"],
+    )
+    def test_size_mismatch_rejected(self, a, pi):
+        with pytest.raises(ValueError, match="configuration size"):
+            rayleigh_general(self.x, a, pi)
+
+    def test_row_sum_off_by_more_than_tolerance_rejected(self):
+        a = np.eye(3)
+        a[0, 0] += 1e-8
+        with pytest.raises(ValueError, match="row-stochastic"):
+            rayleigh_general(self.x, a, self.uniform)
+
+    def test_row_sum_within_tolerance_accepted(self):
+        a = np.eye(3)
+        a[0, 0] += 1e-10
+        assert rayleigh_general(self.x, a, self.uniform) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "pi", [[-0.5, 1.0, 0.5], [0.0, 0.5, 0.5], [0.5, 0.5, 0.5]], ids=["negative", "zero", "sum"]
+    )
+    def test_pi_not_a_positive_probability_vector_rejected(self, pi):
+        with pytest.raises(ValueError, match="probability vector"):
+            rayleigh_general(self.x, np.eye(3), np.array(pi))
+
+
 class TestGamma:
     def test_hilbert_k4(self):
         assert gamma_hilbert(chain_from_graph(graph_complete(4))) == pytest.approx(0.75)
