@@ -152,7 +152,7 @@ def _check_psi_domain(n: int, k: int, alpha: float):
         raise ParameterDomain("need integer n >= 4")
     if not 1 <= k <= n - 3:
         raise ParameterDomain(f"need 1 <= k <= n - 3, got k={k}, n={n}")
-    if alpha <= 1:
+    if not alpha > 1:
         raise ParameterDomain("alpha must exceed 1")
 
 
@@ -170,7 +170,7 @@ def psi(n: int, k: int, alpha: float, sigma: float) -> ProbabilityEstimate:
     radial law.
     """
     _check_psi_domain(n, k, alpha)
-    if sigma < 0:
+    if not sigma >= 0:
         raise ParameterDomain("sigma must be nonnegative")
     return ProbabilityEstimate(1.0 - psi_failure(n, k, alpha, sigma), 0.0, "beta")
 
@@ -295,7 +295,7 @@ def jl_min_dim_projection(n: int, alpha: float) -> int:
     """
     if n < 5:
         raise ParameterDomain("need n >= 5")
-    if alpha <= 1:
+    if not alpha > 1:
         raise ParameterDomain("alpha must exceed 1")
     budget = union_threshold(n)
 
@@ -318,9 +318,9 @@ GAUSSIAN_K_CAP = 10**6  # the largest k that jl_min_dim_gaussian searches
 
 
 def _check_gaussian_alpha(alpha: float, limit: float):
-    if alpha <= 1:
+    if not alpha > 1:
         raise ParameterDomain("alpha must exceed 1")
-    if alpha > limit:
+    if not alpha <= limit:
         raise ParameterDomain(
             f"alpha={float(alpha)!r} is out of range: need 1 < alpha <= {limit:g}, "
             "beyond which the Gaussian formula overflows double precision"
@@ -335,13 +335,6 @@ def gaussian_sigma(k: int, alpha: float) -> float:
     return math.sqrt((alpha**2 - 1.0) / (2.0 * k * math.log(alpha)))
 
 
-def _gaussian_failure_chi2(k: int, alpha: float) -> float:
-    la = math.log(alpha)
-    lo = 2.0 * k * la / (alpha**2 - 1.0)
-    sp = _special()
-    return float(sp.chdtr(k, lo) + sp.chdtrc(k, alpha**2 * lo))
-
-
 def gaussian_failure(k: int, alpha: float) -> float:
     """Failure probability of the rescaled Gaussian as two chi-square tails:
     the squared image length is (alpha^2 - 1)/(2k log alpha) times a
@@ -349,7 +342,10 @@ def gaussian_failure(k: int, alpha: float) -> float:
     if k < 1:
         raise ParameterDomain("k must be >= 1")
     _check_gaussian_alpha(alpha, GAUSSIAN_ALPHA_MAX)
-    return _gaussian_failure_chi2(k, alpha)
+    la = math.log(alpha)
+    lo = 2.0 * k * la / (alpha**2 - 1.0)
+    sp = _special()
+    return float(sp.chdtr(k, lo) + sp.chdtrc(k, alpha**2 * lo))
 
 
 def gaussian_success_prob(k: int, alpha: float) -> ProbabilityEstimate:

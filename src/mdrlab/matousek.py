@@ -45,8 +45,7 @@ class TemplateGraph:
         for i, j in es:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i},{j}) outside side size {n}")
-        g = _bipartite_girth(n, es)
-        return TemplateGraph(n, tuple(es), g)
+        return TemplateGraph(n, tuple(es), girth(2 * n, [(i, n + j) for i, j in es]))
 
     @property
     def edge_count(self) -> int:
@@ -184,11 +183,6 @@ def girth(vertices: int, pairs) -> float:
     The result is an ``int`` or ``math.inf``.
     """
     return _girth(_cycle_finder(_adjacency_lists(vertices, pairs)), vertices, 3)
-
-
-def _bipartite_girth(n: int, edges) -> float:
-    pairs = [(i, n + j) for i, j in edges]
-    return girth(2 * n, pairs)
 
 
 def gen_template(n: int, g: int, seed) -> TemplateGraph:

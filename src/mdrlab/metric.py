@@ -437,7 +437,7 @@ def doubling_dim_lower_bound(m: FiniteMetric, alpha: float) -> float:
     """
     if m.n < 2:
         raise DegenerateSource("need at least two points")
-    if alpha < 1:
+    if not alpha >= 1:
         raise ValueError("alpha must be >= 1")
     d = m.dist
     pos = d[d > 0]
@@ -462,7 +462,7 @@ def volumetric_lower_bound(n: int, alpha: float) -> float:
     points in a k-dimensional normed space needs k >= log(n)/log(alpha + 1)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if alpha < 1:
+    if not alpha >= 1:
         raise ValueError("alpha must be >= 1")
     return math.log(n) / math.log(alpha + 1.0)
 

@@ -67,6 +67,8 @@ class GramCandidate:
         q = np.asarray(self.Q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("Q must be square")
+        if not np.isfinite(q).all():
+            raise ValueError("Q must be finite")
         if np.abs(q - q.T).max() > 1e-9 * max(1.0, np.abs(q).max()):
             raise ValueError("Q must be symmetric")
         scale = max(np.trace(q) / max(q.shape[0], 1), 1e-30)
@@ -89,6 +91,8 @@ class NegativeTypeCertificate:
         a = np.asarray(self.A, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise CertificateInvalid("A must be square")
+        if not np.isfinite(a).all():
+            raise CertificateInvalid("A must be finite")
         scale = max(1.0, np.abs(a).max())
         if np.abs(a - a.T).max() > 1e-9 * scale:
             raise CertificateInvalid("A must be symmetric")
@@ -247,7 +251,7 @@ def c2_bracket(m: FiniteMetric, tol: float = 1e-4, max_iter: int = MAX_ITER) -> 
     One ADMM run of at most ``max_iter`` iterations; see the module docstring
     for its steps, the rho rule and the two checks that move lo and hi.
     """
-    if tol < 1e-6:
+    if not tol >= 1e-6:
         raise ValueError("tol below 1e-6 is not supported")
     return _solve(m, lambda lo, hi: hi - lo <= tol, max_iter)
 
@@ -268,7 +272,7 @@ def check_certificate(m: FiniteMetric, cert: NegativeTypeCertificate, alpha: flo
     """
     if cert.n != m.n:
         raise CertificateInvalid(f"certificate size {cert.n} != metric size {m.n}")
-    if alpha < 1:
+    if not 1 <= alpha < math.inf:
         raise ValueError("alpha must be >= 1")
     d2 = _squared_distances(m)
     lhs = float((cert.A * d2).sum())
@@ -288,7 +292,7 @@ def find_violating_certificate(m: FiniteMetric, alpha: float, seed=0):
     :class:`TooLarge`, as in ``c2_bracket``.  The search is deterministic:
     ``seed`` is accepted for compatibility and does not affect the result.
     """
-    if alpha < 1:
+    if not 1 <= alpha < math.inf:
         raise ValueError("alpha must be >= 1")
     b = _solve(m, lambda lo, hi: lo > alpha or hi <= alpha, MAX_ITER)
     if b.certificate is not None and not check_certificate(m, b.certificate, alpha)[0]:

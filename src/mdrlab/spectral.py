@@ -121,6 +121,25 @@ class WeightedGraph:
         return _exact_metric(d)
 
 
+def _stochastic(a, w, row_tol: float):
+    """Float copies of a row-stochastic matrix and a distribution on its states.
+
+    Rows must sum to 1 within ``row_tol``, the distribution within 1e-12.
+    ``x >= 0`` is false for NaN, and an infinite entry fails its sum test.
+    """
+    a, w = np.array(a, dtype=float), np.array(w, dtype=float)
+    n = a.shape[0] if a.ndim else 0
+    if a.shape != (n, n):
+        raise ValueError("the transition matrix must be square")
+    if not (a >= 0).all():
+        raise ValueError("transition entries must be finite and nonnegative")
+    if not (np.abs(a.sum(axis=1) - 1) <= row_tol).all():
+        raise ValueError(f"transition must be row-stochastic within {row_tol:g}")
+    if w.shape != (n,) or not ((w >= 0).all() and abs(w.sum() - 1) <= 1e-12):
+        raise ValueError(f"the distribution must be a finite, nonnegative probability vector on the {n} states")
+    return a, w
+
+
 @dataclass(frozen=True)
 class ReversibleChain:
     """Row-stochastic A with stationary measure pi and detailed balance (read-only copies)."""
@@ -129,20 +148,10 @@ class ReversibleChain:
     pi: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.A, dtype=float)
-        p = np.array(self.pi, dtype=float)
-        n = a.shape[0] if a.ndim else 0
-        if a.shape != (n, n) or p.shape != (n,):
-            raise ValueError("shape mismatch between A and pi")
-        if n < 2:
+        if np.ndim(self.A) == 0 or len(self.A) < 2:
             raise ValueError("a chain needs at least 2 states")
-        if not (np.isfinite(a).all() and np.isfinite(p).all()):
-            raise ValueError("A and pi must be finite")
-        if a.min() < 0:
-            raise ValueError("transition entries must be nonnegative")
-        if np.abs(a.sum(axis=1) - 1).max() > ROW_SUM_TOL:
-            raise ValueError("rows must sum to 1 within 1e-12")
-        if p.min() <= 0 or abs(p.sum() - 1) > 1e-12:
+        a, p = _stochastic(self.A, self.pi, ROW_SUM_TOL)
+        if not (p > 0).all():
             raise ValueError("pi must be a strictly positive probability vector")
         flows = p[:, None] * a
         if np.abs(flows - flows.T).max() > DETAILED_BALANCE_TOL:
@@ -173,35 +182,33 @@ class ReversibleChain:
         return ReversibleChain(np.asarray(obj["A"], float), np.asarray(obj["pi"], float))
 
 
+def _walk(flows: np.ndarray):
+    """A = F / rowsum(F) and pi = rowsum(F) / sum(F), exactly reversible for symmetric flows F."""
+    row = flows.sum(axis=1)
+    with np.errstate(invalid="ignore"):  # 0/0 on a single vertex, which ReversibleChain rejects
+        return flows / row[:, None], row / row.sum()
+
+
 def chain_from_graph(g: WeightedGraph) -> ReversibleChain:
     """Weighted random walk: A_ij = w_ij / deg(i), pi_i = deg(i) / (2 total weight)."""
     if not g.is_connected():
         raise Disconnected("graph is not connected")
-    w = g.adjacency()
-    deg = w.sum(axis=1)
-    with np.errstate(invalid="ignore"):  # 0/0 on a single vertex, which ReversibleChain rejects
-        a = w / deg[:, None]
-        pi = deg / deg.sum()
-    return ReversibleChain(a, pi)
+    return ReversibleChain(*_walk(g.adjacency()))
 
 
 def random_reversible_chain(n: int, seed, lazy: float = 0.0) -> ReversibleChain:
     """Random reversible chain from a random symmetric flow matrix.
 
-    With symmetric flows F the walk A = F / rowsum(F) is reversible with
-    respect to pi = rowsum(F) / sum(F) exactly (detailed balance reduces to
-    the symmetry of F).  A random diagonal scaling varies pi; ``lazy``
-    blends in the identity, which preserves reversibility.
+    The walk of symmetric flows (see :func:`_walk`) is reversible.  A random
+    diagonal scaling varies pi; ``lazy`` blends in the identity, which
+    preserves reversibility.
     """
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.2, 1.0, (n, n))
     w = (w + w.T) / 2
     scale = rng.uniform(0.5, 2.0, n)
     flows = scale[:, None] * w * scale[None, :]
-    flows = (flows + flows.T) / 2
-    row = flows.sum(axis=1)
-    a = flows / row[:, None]
-    pi = row / row.sum()
+    a, pi = _walk((flows + flows.T) / 2)
     if lazy > 0:
         a = lazy * np.eye(n) + (1 - lazy) * a
     return ReversibleChain(a, pi)
@@ -262,11 +269,7 @@ def _rayleigh_from_matrix(dp: np.ndarray, a: np.ndarray, pi: np.ndarray) -> floa
 
 def rayleigh(x: Configuration, chain: ReversibleChain, p: float = 2.0) -> float:
     """Nonlinear Rayleigh quotient of the configuration against the chain."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if x.n != chain.n:
-        raise ValueError("configuration size must match the chain")
-    return _rayleigh_from_matrix(x.distances() ** p, chain.A, chain.pi)
+    return rayleigh_general(x, chain.A, chain.pi, p)
 
 
 def rayleigh_general(x: Configuration, transition: np.ndarray, pi: np.ndarray, p: float = 2.0) -> float:
@@ -280,18 +283,11 @@ def rayleigh_general(x: Configuration, transition: np.ndarray, pi: np.ndarray, p
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    a = np.asarray(transition, dtype=float)
-    w = np.asarray(pi, dtype=float)
     n = x.n
-    if a.shape != (n, n) or w.shape != (n,):
+    if np.shape(transition) != (n, n) or np.shape(pi) != (n,):
         raise ValueError(f"transition must be {n} x {n} and pi of length {n}, the configuration size")
-    if not (np.isfinite(a).all() and np.isfinite(w).all()):
-        raise ValueError("transition and pi must be finite")
-    if a.min() < 0:
-        raise ValueError("transition entries must be nonnegative")
-    if np.abs(a.sum(axis=1) - 1).max() > 1e-9:
-        raise ValueError("transition must be row-stochastic")
-    if w.min() <= 0 or abs(w.sum() - 1) > 1e-12:
+    a, w = _stochastic(transition, pi, 1e-9)
+    if not (w > 0).all():
         raise ValueError("pi must be a strictly positive probability vector")
     return _rayleigh_from_matrix(x.distances() ** p, a, w)
 
@@ -542,18 +538,15 @@ class MarkovChainSpec:
     q: float = 2.0
 
     def __post_init__(self):
-        p = np.asarray(self.transition, dtype=float)
-        mu = np.asarray(self.initial, dtype=float)
+        # zeros in initial are allowed: the chain may start in a single state
+        p, mu = _stochastic(self.transition, self.initial, ROW_SUM_TOL)
         pm = np.asarray(self.point_map, dtype=int)
-        s = p.shape[0] if p.ndim else 0
-        if p.shape != (s, s) or p.min() < 0 or np.abs(p.sum(axis=1) - 1).max() > 1e-12:
-            raise ValueError("transition must be row-stochastic")
-        if mu.shape != (s,) or mu.min() < 0 or abs(mu.sum() - 1) > 1e-12:
-            raise ValueError("initial must be a distribution on the states")
         if self.horizon < 2:
             raise ValueError("horizon must be >= 2")
-        if pm.shape != (s,) or pm.min() < 0 or pm.max() >= self.space.n:
+        if pm.shape != (len(p),) or pm.min() < 0 or pm.max() >= self.space.n:
             raise ValueError("point_map must send states into the metric")
+        if not 0 < self.q < math.inf:
+            raise ValueError("q must be positive and finite")
         object.__setattr__(self, "transition", p)
         object.__setattr__(self, "initial", mu)
         object.__setattr__(self, "point_map", pm)

@@ -861,6 +861,43 @@ class TestMainExits:
         assert json.loads(err)["error"] == "TypeError"
 
     @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"q": 0}, "q must be positive and finite"),
+            ({"q": -1.0}, "q must be positive and finite"),
+            ({"q": math.inf}, "q must be positive and finite"),
+            ({"q": math.nan}, "q must be positive and finite"),
+            ({"transition": [[0, 1, 0], [0.5, math.nan, 0.5], [0, 1, 0]]},
+             "transition entries must be finite and nonnegative"),
+            ({"initial": [0, math.nan, 1]},
+             "the distribution must be a finite, nonnegative probability vector on the 3 states"),
+        ],
+        ids=["q-zero", "q-negative", "q-inf", "q-nan", "transition-nan", "initial-nan"],
+    )
+    def test_bad_markov_spec_is_one_json_line(self, change, message, tmp_path):
+        spec = {"transition": [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]], "initial": [0, 1, 0],
+                "horizon": 4, "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "point_map": [0, 1, 2]}
+        f = tmp_path / "mc.json"
+        f.write_text(json.dumps({**spec, **change}))
+        proc = run_cli("markov-convexity", "--spec", str(f))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr) == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_certificate_file_is_one_json_line(self, bad, tmp_path):
+        m = tmp_path / "c4.json"
+        m.write_text(cycle4().to_json())
+        a = np.zeros((4, 4))
+        a[0, 1] = a[1, 0] = bad
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"A": a.tolist()}))
+        proc = run_cli("certificate", "--metric", str(m), "--alpha", "5", "--cert", str(cert))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr) == {"error": "CertificateInvalid", "message": "A must be finite"}
+
+    @pytest.mark.parametrize(
         "argv, text",
         [
             (["cheeger", "--chain", "{f}"], {"n": 3, "edges": [[0]]}),

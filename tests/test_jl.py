@@ -122,6 +122,28 @@ class TestPsi:
             jl.psi(12, 3, 1.0, 1.5)
 
 
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (lambda: jl.jl_min_dim_projection(100, math.nan), ParameterDomain, "alpha must exceed 1"),
+        (lambda: jl.psi(20, 5, math.nan, 2.0), ParameterDomain, "alpha must exceed 1"),
+        (lambda: jl.psi(20, 5, 2.0, math.nan), ParameterDomain, "sigma must be nonnegative"),
+        (lambda: jl.make_plan(100, math.nan, "scaled_gaussian", 5), ParameterDomain, "alpha must exceed 1"),
+        (lambda: jl.jl_min_dim_gaussian(10**9, math.nan), ParameterDomain, "alpha must exceed 1"),
+        (lambda: metric.doubling_dim_lower_bound(metric.random_metric(6, 0), math.nan), ValueError, "alpha must be >= 1"),
+        (lambda: metric.volumetric_lower_bound(10, math.nan), ValueError, "alpha must be >= 1"),
+    ],
+    ids=["jl_min_dim_projection", "psi-alpha", "psi-sigma", "make_plan", "jl_min_dim_gaussian",
+         "doubling_dim_lower_bound", "volumetric_lower_bound"],
+)
+def test_nan_parameter_is_a_domain_error(call, exc, message):
+    # each check compares so that NaN fails it, never slipping past `x < bound`
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(exc, match=message):
+            call()
+
+
 class TestSigmaMax:
     def test_closed_form(self):
         assert jl.sigma_max(7, 2, 2.0) == pytest.approx(math.sqrt(5.0), abs=1e-12)
@@ -408,7 +430,7 @@ class TestTailsMatchScipyStats:
         for alpha in alphas:
             for k in list(range(1, 40)) + [int(k) for k in rng.integers(40, 2000, 40)]:
                 want = self.gaussian_failure_stats(k, alpha)
-                assert jl._gaussian_failure_chi2(k, alpha) == want, (k, alpha)
+                assert jl.gaussian_failure(k, alpha) == want, (k, alpha)
 
 
 class TestQuadratureMatchesScipyQuad:

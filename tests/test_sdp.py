@@ -58,6 +58,11 @@ class TestC2Sdp:
         with pytest.raises(ValueError):
             sdp.c2_sdp(equilateral(4), tol=1e-8)
 
+    def test_nan_tol_rejected(self):
+        # a NaN tol would pass `tol < 1e-6` and spend the whole budget undecided
+        with pytest.raises(ValueError, match="tol below 1e-6"):
+            sdp.c2_bracket(cycle4(), tol=math.nan)
+
     def test_witness_box_constraints(self):
         m = cycle4()
         tol = 1e-4
@@ -149,6 +154,24 @@ class TestCertificates:
         good = sdp.NegativeTypeCertificate(np.zeros((3, 3)))
         with pytest.raises(CertificateInvalid):
             sdp.check_certificate(m, good, 1.5)  # size mismatch
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_matrices_rejected(self, bad):
+        a = np.zeros((4, 4))
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(CertificateInvalid, match="A must be finite"):
+            sdp.NegativeTypeCertificate(a)
+        with pytest.raises(ValueError, match="Q must be finite"):
+            sdp.GramCandidate(np.eye(4) + a)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_level_rejected(self, alpha):
+        # an infinite level would claim c2 > inf; a NaN one would fail every comparison
+        m = cycle4()
+        with pytest.raises(ValueError, match="alpha must be >= 1"):
+            sdp.find_violating_certificate(m, alpha)
+        with pytest.raises(ValueError, match="alpha must be >= 1"):
+            sdp.check_certificate(m, sdp.NegativeTypeCertificate(np.zeros((4, 4))), alpha)
 
 
 def cycle(n: int) -> metric.FiniteMetric:

@@ -763,6 +763,19 @@ class TestMarkovConvexity:
         spec = MarkovChainSpec(p, np.full(40, 1 / 40), 64, path_metric(np.arange(40.0)), np.arange(40))
         assert markov_convexity_ratio(spec) == markov_convexity_ratio(spec, method="dp")
 
+    @pytest.mark.parametrize("where", ["transition", "initial"])
+    def test_nan_entry_rejected(self, where):
+        spec = self._path_spec()
+        p, start = spec.transition.copy(), spec.initial.copy()
+        (p[2] if where == "transition" else start)[1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            MarkovChainSpec(p, start, spec.horizon, spec.space, spec.point_map, 2.0)
+
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.inf, math.nan])
+    def test_q_outside_positive_reals_rejected(self, q):
+        with pytest.raises(ValueError, match="q must be positive and finite"):
+            self._path_spec(q=q)
+
     def test_horizon_cap(self):
         spec = self._path_spec()
         big = MarkovChainSpec(
