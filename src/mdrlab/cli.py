@@ -356,15 +356,9 @@ def cmd_regular_graph(args):
 def cmd_markov_convexity(args):
     with open(args.spec, encoding="utf-8") as fh:
         obj = json.load(fh)
-    m = metric.build_metric(np.asarray(obj["dist"], dtype=float))
-    spec = spectral.MarkovChainSpec(
-        np.asarray(obj["transition"], float),
-        np.asarray(obj["initial"], float),
-        int(obj["horizon"]),
-        m,
-        np.asarray(obj["point_map"], int),
-        float(obj.get("q", 2.0)),
-    )
+    m = metric.build_metric(obj["dist"])
+    q = float(obj.get("q", 2.0))
+    spec = spectral.MarkovChainSpec(obj["transition"], obj["initial"], obj["horizon"], m, obj["point_map"], q)
     est = spectral.markov_convexity_ratio(spec, samples=args.samples, seed=args.seed, method=args.method)
     return dataclasses.asdict(est)
 

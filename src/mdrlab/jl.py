@@ -26,13 +26,16 @@ recomputed by quadrature only in ``verify``, as an independent check.
 
 Note the normalizing constant C(n,k): the radial density of the projected
 point has total mass exactly 1 with it (a Beta integral), and Monte Carlo
-agrees; see the ledger for the discrepancy with a commonly printed
-prefactor.
+agrees.  The commonly printed prefactor 2 pi^(k/2) / Gamma(k/2) is not
+normalized, and ``verify jl`` fails with it: see tests/test_cli.py's
+``TestVerifyCommand::test_tampered_psi_constant_fails_mc_agreement`` and
+``test_tampered_quadrature_constant_fails_quadrature_agreement``.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import warnings
 from bisect import bisect_left
@@ -84,8 +87,6 @@ class JlPlan:
     ambient: int
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(asdict(self))
 
 
@@ -154,12 +155,6 @@ def _check_psi_domain(n: int, k: int, alpha: float):
         raise ParameterDomain(f"need 1 <= k <= n - 3, got k={k}, n={n}")
     if not alpha > 1:
         raise ParameterDomain("alpha must exceed 1")
-
-
-def _check_sigma_domain(n: int, k: int, alpha: float):
-    _check_psi_domain(n, k, alpha)
-    if k > n - 4:
-        raise ParameterDomain(f"sigma_max needs k <= n - 4, got k={k}, n={n}")
 
 
 def psi(n: int, k: int, alpha: float, sigma: float) -> ProbabilityEstimate:
@@ -262,7 +257,9 @@ def sigma_max(n: int, k: int, alpha: float) -> float:
     double range.  The maximizer diverges at k = n - 3, so that boundary is
     outside the domain.
     """
-    _check_sigma_domain(n, k, alpha)
+    _check_psi_domain(n, k, alpha)
+    if k > n - 4:
+        raise ParameterDomain(f"sigma_max needs k <= n - 4, got k={k}, n={n}")
     la = math.log(alpha)
     a = (2 * n - 6) / (n - k - 3) * la
     b = 2 * k / (n - k - 3) * la

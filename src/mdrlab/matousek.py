@@ -22,13 +22,14 @@ in ascending vertex order.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IndexMismatch
-from .metric import FiniteMetric, _exact_metric, _hop_distances, build_metric
+from .metric import FiniteMetric, _exact_metric, _hop_distances, _indices, build_metric
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,11 @@ class TemplateGraph:
 
     @staticmethod
     def build(n: int, edges) -> "TemplateGraph":
-        es = sorted({(int(i), int(j)) for i, j in edges})
-        for i, j in es:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) outside side size {n}")
+        if np.ndim(n):
+            raise ValueError("n must be a nonnegative integer")
+        n = _indices(n, math.inf, ValueError, "n must be a nonnegative integer").item()
+        pairs = _indices(list(edges), n, ValueError, f"template edges must be pairs of integers in [0, {n})")
+        es = sorted({(i, j) for i, j in pairs.tolist()})  # an entry that is not a pair fails to unpack
         return TemplateGraph(n, tuple(es), girth(2 * n, [(i, n + j) for i, j in es]))
 
     @property
@@ -59,8 +61,6 @@ class TemplateGraph:
         return self.edge_count / self.n ** (1.0 + 1.0 / self.girth)
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(
             {
                 "n": self.n,
@@ -71,10 +71,8 @@ class TemplateGraph:
 
     @staticmethod
     def from_json(text: str) -> "TemplateGraph":
-        import json
-
         obj = json.loads(text)
-        return TemplateGraph.build(int(obj["n"]), obj["edges"])
+        return TemplateGraph.build(obj["n"], obj["edges"])
 
 
 @dataclass(frozen=True)
@@ -203,11 +201,11 @@ def gen_template(n: int, g: int, seed) -> TemplateGraph:
         raise ValueError("g must be an even integer >= 4 (bipartite cycles are even)")
     rng = np.random.default_rng(seed)
     p = n ** (-1.0 + 2.0 / g)
-    edge_set = set()
+    edges = []
     for start in range(0, n, 256):  # the same uniform stream, drawn 256 rows at a time
         rows, cols = np.nonzero(rng.random((min(256, n - start), n)) < p)
-        edge_set.update(zip((rows + start).tolist(), cols.tolist()))
-    adj = _adjacency_lists(2 * n, [(i, n + j) for i, j in sorted(edge_set)])
+        edges += zip((rows + start).tolist(), cols.tolist())
+    adj = _adjacency_lists(2 * n, [(i, n + j) for i, j in edges])
     # A source is clean when the edges v-u with d(v) + d(u) + 1 < g (d the
     # distance from the source) form a forest; short_cycle finds nothing
     # exactly then.  Deleting edges only raises distances and removes edges,
@@ -220,9 +218,9 @@ def gen_template(n: int, g: int, seed) -> TemplateGraph:
             _, v, u = hit
             adj[v].remove(u)
             adj[u].remove(v)
-            edge_set.discard((v, u - n) if v < n else (u, v - n))
-    # no cycle shorter than g is left, so a g-cycle ends the girth search
-    return TemplateGraph(n, tuple(sorted(edge_set)), _girth(short_cycle, 2 * n, g))
+    # no cycle shorter than g is left, so a g-cycle ends the girth search; the
+    # left adjacency lists were built from sorted pairs and removals keep their order
+    return TemplateGraph(n, tuple((v, u - n) for v in range(n) for u in adj[v]), _girth(short_cycle, 2 * n, g))
 
 
 def random_signs(template: TemplateGraph, seed) -> SignAssignment:

@@ -40,6 +40,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _indices(values, size, exc, message: str) -> np.ndarray:
+    """``values`` as an int array of exact integers in [0, size); a scalar gives a 0-d array.
+
+    A string, a boolean (also one in a list of numbers, which numpy would
+    promote), None or a ragged list raises TypeError; a non-finite, fractional
+    or out-of-range entry raises ``exc(message)``.  Nothing is truncated, and
+    integral floats such as 1.0 pass.
+    """
+    cells = np.asarray(values, dtype=object).flat
+    if not all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool) for v in cells):
+        raise TypeError(f"{message}; got an entry that is not an int or a float")
+    a = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN, inf and huge floats cast to values that fail idx == a
+        idx = a.astype(int)
+    if not ((idx == a) & (idx >= 0) & (idx < size)).all():
+        raise exc(message)
+    return idx
+
+
 @dataclass(frozen=True)
 class FiniteMetric:
     """An n-point metric space given by its distance matrix.
@@ -301,15 +320,13 @@ def distortion(source: FiniteMetric, target: FiniteMetric, mapping) -> Embedding
     d_target(f i, f j) / d_source(i, j) over pairs, their quotient (the
     distortion), and the average-distance ratio.
     """
-    idx = np.asarray(mapping, dtype=int)
     if source.n < 2:
         raise DegenerateSource("need at least two source points")
+    idx = _indices(mapping, target.n, NonInjectiveMap, f"map entries must be integers in [0, {target.n})")
     if idx.shape != (source.n,):
         raise NonInjectiveMap(f"map must assign all {source.n} source indices")
     if len(np.unique(idx)) != source.n:
         raise NonInjectiveMap("map is not injective")
-    if idx.min() < 0 or idx.max() >= target.n:
-        raise NonInjectiveMap("map leaves the target index range")
     iu = np.triu_indices(source.n, 1)
     ds = source.dist[iu]
     dt = target.dist[idx, :][:, idx][iu]
@@ -476,16 +493,14 @@ def metric_cotype_ratio(m: FiniteMetric, assignment: np.ndarray, q: float, mm: i
     perturbations with the n^(1 - 2/q) prefactor.  The hidden constant of the
     inequality is not materialized, so this is a reporter, not a verdict.
     """
-    if q <= 0:
+    if not q > 0:
         raise ValueError("q must be positive")
     side = 2 * mm
     if side ** n > 4096:
         raise ConfigTooLarge(f"(2m)^n = {side ** n} exceeds the enumeration cap")
-    a = np.asarray(assignment, dtype=int)
+    a = _indices(assignment, m.n, IndexMismatch, f"assignment entries must be integers in [0, {m.n})")
     if a.shape != (side,) * n:
         raise IndexMismatch(f"assignment shape {a.shape} != {(side,) * n}")
-    if a.min() < 0 or a.max() >= m.n:
-        raise IndexMismatch("assignment indexes outside the metric")
     d2 = m.dist ** 2
     lhs = 0.0
     for i in range(n):

@@ -28,7 +28,7 @@ class PowerModulus:
     theta: float = 1.0
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("tau must be positive")
         if not 0 < self.theta <= 1:
             raise ValueError("theta must lie in (0, 1]")
@@ -115,6 +115,6 @@ def beta_modulus(pair: ModulusPair, grid=None) -> float:
 def coarse_dim_exponent(n_points: int, pair: ModulusPair, grid=None) -> float:
     """beta(omega, Omega) * log(n); the certified exponent up to a universal
     constant that the embedding obstruction leaves implicit."""
-    if n_points < 2:
+    if not n_points >= 2:
         raise ValueError("n_points must be >= 2")
     return beta_modulus(pair, grid) * math.log(n_points)

@@ -38,7 +38,7 @@ from .errors import (
     NoGap,
     TooLarge,
 )
-from .metric import FiniteMetric, PointCloud, _exact_metric, _hop_distances
+from .metric import FiniteMetric, PointCloud, _exact_metric, _hop_distances, _indices
 
 ROW_SUM_TOL = 1e-12
 DETAILED_BALANCE_TOL = 1e-12
@@ -54,25 +54,25 @@ class WeightedGraph:
 
     @staticmethod
     def build(n: int, edges) -> "WeightedGraph":
-        norm = []
-        seen = set()
+        if np.ndim(n):
+            raise ValueError("n must be a nonnegative integer")
+        n, edges = _indices(n, math.inf, ValueError, "n must be a nonnegative integer").item(), list(edges)
         for e in edges:
             if len(e) not in (2, 3):
                 raise ValueError(f"edge {list(e)} must be [i, j] or [i, j, w]")
-            i, j = int(e[0]), int(e[1])
-            if i != e[0] or j != e[1]:
-                raise ValueError(f"edge {list(e)} has a non-integer endpoint")
+        ends = _indices([e[:2] for e in edges], n, ValueError, f"edge endpoints must be integers in [0, {n})")
+        norm = {}
+        for (i, j), e in zip(ends.tolist(), edges):
             w = float(e[2]) if len(e) == 3 else 1.0
-            if w <= 0:
-                raise NegativeWeight(f"edge ({i},{j}) has weight {w}")
-            if i == j or not (0 <= i < n and 0 <= j < n):
+            if not 0 < w < math.inf:
+                raise NegativeWeight(f"edge ({i},{j}) has weight {w}; weights must be positive and finite")
+            if i == j:
                 raise ValueError(f"bad edge ({i},{j}) for n={n}")
             key = (min(i, j), max(i, j))
-            if key in seen:
+            if key in norm:
                 raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            norm.append((key[0], key[1], w))
-        return WeightedGraph(n, tuple(sorted(norm)))
+            norm[key] = w
+        return WeightedGraph(n, tuple(sorted(key + (w,) for key, w in norm.items())))
 
     def adjacency(self) -> np.ndarray:
         w = np.zeros((self.n, self.n))
@@ -103,7 +103,7 @@ class WeightedGraph:
     @staticmethod
     def from_json(text: str) -> "WeightedGraph":
         obj = json.loads(text)
-        return WeightedGraph.build(int(obj["n"]), obj["edges"])
+        return WeightedGraph.build(obj["n"], obj["edges"])
 
     def shortest_path_metric(self) -> FiniteMetric:
         """Hop-count metric (edge weights ignored); graph must be connected.
@@ -225,13 +225,10 @@ class Configuration:
         if not isinstance(self.space, (FiniteMetric, PointCloud)):
             raise TypeError("space must be a FiniteMetric or PointCloud")
         count = self.space.n
-        idx = (
-            np.arange(count)
-            if self.assignment is None
-            else np.asarray(self.assignment, dtype=int)
-        )
-        if idx.ndim != 1 or len(idx) == 0 or idx.min() < 0 or idx.max() >= count:
-            raise ValueError("assignment indexes outside the space")
+        message = f"assignment must be a nonempty list of point indices, integers in [0, {count})"
+        idx = np.arange(count) if self.assignment is None else _indices(self.assignment, count, ValueError, message)
+        if idx.ndim != 1 or len(idx) == 0:
+            raise ValueError(message)
         object.__setattr__(self, "assignment", idx)
 
     @property
@@ -281,7 +278,7 @@ def rayleigh_general(x: Configuration, transition: np.ndarray, pi: np.ndarray, p
     reversibility or stationarity, and rows may sum to 1 within 1e-9, since
     matrix powers and products of chains accumulate rounding.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     n = x.n
     if np.shape(transition) != (n, n) or np.shape(pi) != (n,):
@@ -302,6 +299,8 @@ def gamma_hilbert(chain: ReversibleChain) -> float:
 
 def gamma_bruteforce(chain: ReversibleChain, m: FiniteMetric, p: float = 2.0) -> float:
     """sup over all non-constant assignments of 1/R, by full enumeration."""
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
     if m.n**chain.n > 10**6:
         raise TooLarge("enumeration capped at 1e6 configurations")
     dp = m.dist**p
@@ -388,7 +387,7 @@ def t_parameter(x: Configuration, chain: ReversibleChain, d: float, t_cap: int =
     pi-centred, sqrt(pi)-weighted H-configuration; a bisection on [1, t_cap]
     makes O(log t_cap) O(n) evaluations, so ``t_cap`` bounds the answer, not the work.
     """
-    if d < 1:
+    if not d >= 1:
         raise ValueError("d must be >= 1")
     if not isinstance(x.space, PointCloud):
         raise TypeError("t_parameter requires a point-cloud configuration")
@@ -540,16 +539,19 @@ class MarkovChainSpec:
     def __post_init__(self):
         # zeros in initial are allowed: the chain may start in a single state
         p, mu = _stochastic(self.transition, self.initial, ROW_SUM_TOL)
-        pm = np.asarray(self.point_map, dtype=int)
-        if self.horizon < 2:
-            raise ValueError("horizon must be >= 2")
-        if pm.shape != (len(p),) or pm.min() < 0 or pm.max() >= self.space.n:
-            raise ValueError("point_map must send states into the metric")
+        horizon = _indices(self.horizon, math.inf, ValueError, "horizon must be an integer >= 2")
+        if horizon.ndim or horizon < 2:
+            raise ValueError("horizon must be an integer >= 2")
+        message = f"point_map must send the {len(p)} states to integers in [0, {self.space.n})"
+        pm = _indices(self.point_map, self.space.n, ValueError, message)
+        if pm.shape != (len(p),):
+            raise ValueError(message)
         if not 0 < self.q < math.inf:
             raise ValueError("q must be positive and finite")
         object.__setattr__(self, "transition", p)
         object.__setattr__(self, "initial", mu)
         object.__setattr__(self, "point_map", pm)
+        object.__setattr__(self, "horizon", horizon.item())
 
     @property
     def states(self) -> int:
@@ -564,13 +566,6 @@ class MarkovConvexityEstimate:
     lhs_q_se: float
     rhs_q_se: float
     method: str
-
-
-def _fork_scales(horizon: int):
-    k = 1
-    while 2**k <= horizon:
-        yield k, 2**k
-        k += 1
 
 
 def markov_convexity_ratio(
@@ -602,7 +597,8 @@ def markov_convexity_ratio(
         for _ in range(t_max):
             marginals.append(marginals[-1] @ p)
         lhs_q = 0.0
-        for k, span in _fork_scales(t_max):
+        for k in range(1, t_max.bit_length()):  # the scales 2**k <= T
+            span = 2**k
             pj = np.linalg.matrix_power(p, span)
             cross = pj @ dq @ pj.T
             for t in range(span, t_max + 1):
@@ -632,8 +628,8 @@ def markov_convexity_ratio(
         rhs_per = np.zeros(samples)
         for t in range(1, t_max + 1):
             rhs_per += dq[traj[t - 1], traj[t]]
-        for k, span in _fork_scales(t_max):
-            weight = 2.0 ** (-q * k)
+        for k in range(1, t_max.bit_length()):
+            span, weight = 2**k, 2.0 ** (-q * k)
             for branch in range(0, t_max - span + 1):
                 fork = traj[branch].copy()
                 for _ in range(span):

@@ -942,3 +942,28 @@ class TestMainExits:
         code, out, err = _invoke(["gamma", "--chain", str(g), "--metric", str(m)], capsys)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "TypeError"
+
+    @pytest.mark.parametrize(
+        "argv, spec",
+        [
+            (["rayleigh", "--chain", "{g}", "--metric", "{m}", "--assignment", "[0.9, 1.5, 2.2, 3.1]"], {}),
+            (["distortion", "--source", "{m}", "--target", "{m}", "--map", "[0.2, 1.9, 2.5, 3]"], {}),
+            (["markov-convexity", "--spec", "{s}"], {"horizon": 4.9}),
+            (["markov-convexity", "--spec", "{s}"], {"point_map": [0.7, 1.2]}),
+            (["markov-convexity", "--spec", "{s}"], {"horizon": "4"}),
+        ],
+        ids=["rayleigh-assignment", "distortion-map", "markov-horizon", "markov-point-map",
+             "markov-string-horizon"],
+    )
+    def test_non_integer_index_is_refused(self, argv, spec, tmp_path, capsys):
+        # truncated to [0, 1, 2, 3], horizon 4 or point map [0, 1], these used to print a result
+        files = {"g": tmp_path / "g.json", "m": tmp_path / "m.json", "s": tmp_path / "s.json"}
+        files["g"].write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}))
+        files["m"].write_text(cycle4().to_json())
+        base = {"transition": [[0, 1], [1, 0]], "initial": [1, 0], "horizon": 4,
+                "dist": [[0, 1], [1, 0]], "point_map": [0, 1]}
+        files["s"].write_text(json.dumps({**base, **spec}))
+        code, out, err = _invoke([a.format(**files) for a in argv], capsys)
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] in ("ValueError", "NonInjectiveMap", "TypeError")

@@ -11,6 +11,7 @@ from mdrlab import matousek, metric, spectral
 from mdrlab.errors import (
     ConfigTooLarge,
     DegenerateSource,
+    IndexMismatch,
     NonInjectiveMap,
     NonzeroDiagonal,
     SymmetryViolation,
@@ -648,3 +649,75 @@ class TestMetricCotype:
             metric.metric_cotype_ratio(m, np.zeros((2, 2), dtype=int), 2.0, 1, 1)  # wrong shape
         with pytest.raises(IndexMismatch):
             metric.metric_cotype_ratio(m, np.full((2, 2), 5, dtype=int), 2.0, 1, 2)  # bad index
+
+
+def _c4():
+    return metric.build_metric(np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]], dtype=float))
+
+
+_WALK4 = np.array([[0, 1, 0, 0], [0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5], [0, 0, 1, 0]])
+
+# Each caller of the integer gate with one entry v, where v = 3 is valid: the
+# class it raises for a number that is no index in range, and an integer out of range.
+GATE_CALLERS = {
+    "distortion": (lambda v: metric.distortion(_c4(), _c4(), [0, 1, 2, v]), NonInjectiveMap, 4),
+    "metric_cotype_ratio": (
+        lambda v: metric.metric_cotype_ratio(_c4(), [[0, 1], [2, v]], 2.0, 1, 2), IndexMismatch, 4
+    ),
+    "Configuration": (lambda v: spectral.Configuration(_c4(), [0, 1, 2, v]), ValueError, 4),
+    "MarkovChainSpec.point_map": (
+        lambda v: spectral.MarkovChainSpec(_WALK4, np.full(4, 0.25), 4, _c4(), [0, 1, 2, v]), ValueError, 4
+    ),
+    "MarkovChainSpec.horizon": (
+        lambda v: spectral.MarkovChainSpec(_WALK4, np.full(4, 0.25), v, _c4(), [0, 1, 2, 3]), ValueError, 1
+    ),
+    "WeightedGraph.build": (lambda v: spectral.WeightedGraph.build(4, [(0, 1), (1, 2), (2, v)]), ValueError, 4),
+    "WeightedGraph.from_json": (
+        lambda v: spectral.WeightedGraph.from_json(json.dumps({"n": v, "edges": []})), ValueError, -1
+    ),
+    "TemplateGraph.build": (lambda v: matousek.TemplateGraph.build(4, [(0, 1), (2, v)]), ValueError, 4),
+    "TemplateGraph.from_json": (
+        lambda v: matousek.TemplateGraph.from_json(json.dumps({"n": v, "edges": []})), ValueError, -1
+    ),
+}
+
+
+class TestIndexGate:
+    @pytest.mark.parametrize("caller", GATE_CALLERS)
+    def test_integral_entries_pass(self, caller):
+        call, _, _ = GATE_CALLERS[caller]
+        call(3)
+        call(3.0)
+
+    @pytest.mark.parametrize("kind", ["fraction", "string", "bool", "nan", "out-of-range"])
+    @pytest.mark.parametrize("caller", GATE_CALLERS)
+    def test_refused_not_truncated(self, caller, kind):
+        call, exc, outside = GATE_CALLERS[caller]
+        value, expected = {
+            "fraction": (3.5, exc),
+            "string": ("3", TypeError),
+            "bool": (True, TypeError),
+            "nan": (math.nan, exc),
+            "out-of-range": (outside, exc),
+        }[kind]
+        with pytest.raises(expected) as info:
+            call(value)
+        assert type(info.value) is expected
+
+    def test_counts_are_python_ints(self):
+        spec = GATE_CALLERS["MarkovChainSpec.horizon"][0](8.0)
+        assert type(spec.horizon) is int and spec.horizon == 8
+        assert spectral.markov_convexity_ratio(spec) == spectral.markov_convexity_ratio(
+            GATE_CALLERS["MarkovChainSpec.horizon"][0](8)
+        )
+        g = spectral.WeightedGraph.from_json('{"n": 3.0, "edges": [[0, 1.0], [1, 2]]}')
+        assert g.to_json() == '{"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}'
+
+    @pytest.mark.parametrize(
+        "values",
+        [[[0, 1], [2]], None, {"a": 1}, [0, None], [0, [1]]],
+        ids=["ragged", "none", "dict", "none-entry", "nested-entry"],
+    )
+    def test_non_numeric_is_a_type_error(self, values):
+        with pytest.raises(TypeError):
+            metric._indices(values, 4, ValueError, "bad")

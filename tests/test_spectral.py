@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_scan_passes, graph_complete, graph_cycle, path_metric
-from mdrlab import metric, spectral
+from mdrlab import metric, moduli, spectral
 from mdrlab.errors import (
     CapExceeded,
     DegenerateConfiguration,
@@ -99,6 +99,11 @@ class TestChainConstruction:
     def test_bad_edges(self, edges, exc):
         with pytest.raises(exc):
             WeightedGraph.build(3, edges)
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf])
+    def test_non_finite_weight_names_the_edge(self, w):
+        with pytest.raises(NegativeWeight, match=r"edge \(0,1\) has weight"):
+            WeightedGraph.build(3, [(0, 1, w), (1, 2)])
 
     def test_non_array_inputs(self):
         with pytest.raises(ValueError):
@@ -342,6 +347,36 @@ class TestGamma:
         chain = random_reversible_chain(8, 0)
         with pytest.raises(TooLarge):
             gamma_bruteforce(chain, metric.random_metric(8, 1), 2.0)
+
+    @pytest.mark.parametrize("p", [0.5, 0.0, -1.0])
+    def test_bruteforce_exponent_below_one_rejected(self, p):
+        chain = chain_from_graph(graph_cycle(4))
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            gamma_bruteforce(chain, path_metric([0.0, 1.0, 2.0, 3.0]), p)
+
+
+def _k2():
+    return chain_from_graph(WeightedGraph.build(2, [(0, 1)]))
+
+
+# each level check, called with NaN where the level belongs
+NAN_LEVELS = {
+    "rayleigh": lambda v: rayleigh(Configuration(two_point_metric()), _k2(), v),
+    "t_parameter": lambda v: t_parameter(Configuration(metric.PointCloud([[0.0], [1.0]])), _k2(), v),
+    "power_expander_check": lambda v: power_expander_check(
+        Configuration(metric.PointCloud([[0.0], [1.0]])), _k2(), v
+    ),
+    "gamma_bruteforce": lambda v: gamma_bruteforce(_k2(), two_point_metric(), v),
+    "metric_cotype_ratio": lambda v: metric.metric_cotype_ratio(two_point_metric(), [[0, 1], [1, 0]], v, 1, 2),
+    "PowerModulus": lambda v: moduli.PowerModulus(v, 1.0),
+    "coarse_dim_exponent": lambda v: moduli.coarse_dim_exponent(v, moduli.ModulusPair.bi_lipschitz(2.0)),
+}
+
+
+@pytest.mark.parametrize("entry", NAN_LEVELS)
+def test_nan_level_is_a_domain_error(entry):
+    with pytest.raises(ValueError):
+        NAN_LEVELS[entry](math.nan)
 
 
 class TestHilbertIdentity:
