@@ -482,7 +482,11 @@ def cmd_sweep(args):
     keys = sorted(grid.keys())
     if bad := [k for k in keys if not isinstance(grid[k], list) or not grid[k]]:
         raise ValueError(f"grid axis {bad[0]!r} must be a non-empty list")
-    head = [spec["command"], "--seed", str(int(spec.get("seed", args.seed)))]
+    seed = spec.get("seed", args.seed)
+    message = "a sweep seed must be a non-negative integer"
+    if np.ndim(seed):
+        raise ValueError(message)
+    head = [spec["command"], "--seed", str(metric._indices(seed, math.inf, ValueError, message).item())]
     parser = build_parser(_CellParser)
     rows = []
     for combo in itertools.product(*(grid[k] for k in keys)):

@@ -66,10 +66,10 @@ class FiniteMetric:
     Instances are produced by :func:`build_metric`, which enforces symmetry,
     a zero diagonal, positive off-diagonal entries, and the triangle
     inequality up to ``TRIANGLE_RTOL`` times the largest entry.  That check
-    scans at each pivot j only the rows i whose bound
+    scans at each pivot j only the pairs (i, k) of rows whose bound
     ``max_k d[i,k] - (d[j,i] + min_{k != j} d[j,k])`` exceeds the tolerance;
-    the bound holds in floating point, not only in real arithmetic, so every
-    instance passes the scan of all n^3 triples.
+    the bound and the symmetry it uses hold in floating point, not only in
+    real arithmetic, so every instance passes the scan of all n^3 triples.
 
     Two producers are metrics by construction and skip the scan through
     :func:`_exact_metric`: ``WeightedGraph.shortest_path_metric`` (exact
@@ -178,15 +178,21 @@ def build_metric(dist: np.ndarray) -> FiniteMetric:
     TRIANGLE_RTOL * d.max()`` raises :class:`TriangleViolation` with the
     largest slack of that pivot and its row-major first (i, j, k).
 
-    Rows that cannot fail are not scanned.  With ``top[i] = max_k d[i,k]``
-    and ``near[j] = min_{k != j} d[j,k]``, row i is skipped at pivot j when
-    ``top[i] - (d[j,i] + near[j]) <= tol``.  This is exact in floating
-    point: rounded addition and subtraction are monotone in each operand,
-    so ``d[i,k] <= top[i]`` and ``d[j,k] >= near[j]`` make the computed
-    slack at every k != j at most the computed bound, and the slack at
-    k = j is exactly 0.  Every skipped slack is therefore <= tol, below any
-    violating maximum, and the verdict, the triple and the slack are those
-    of the scan of every row.
+    Pairs that cannot fail are not scanned.  With ``top[i] = max_k d[i,k]``
+    and ``near[j] = min_{k != j} d[j,k]``, row i is live at pivot j when
+    ``top[i] - (d[j,i] + near[j]) > tol``.  A dead row cannot fail, and
+    this is exact in floating point: rounded addition and subtraction are
+    monotone in each operand, so ``d[i,k] <= top[i]`` and ``d[j,k] >=
+    near[j]`` make the computed slack at every k != j at most the computed
+    bound, and the slack at k = j is exactly 0.  Nor can a dead column: the
+    matrix is exactly symmetric by then and rounded addition commutes, so
+    the computed slack of (i, j, k) is that of (k, j, i) bit for bit, and a
+    violation needs both i and k live.  The pivot's own row has slack
+    exactly 0 (``d[j,k] - (0 + d[j,k])``), and i = k gives ``-2 d[j,i]``,
+    so a pivot with fewer than two other live rows is skipped.  Every
+    skipped slack is therefore <= tol, below any violating maximum, and
+    the verdict, the triple and the slack are those of the scan of all n^3
+    triples, whose row-major order the live block keeps.
     """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -263,31 +269,28 @@ def _exact_metric(d: np.ndarray) -> FiniteMetric:
 def _check_triangles(d: np.ndarray, near: np.ndarray, tol: float) -> None:
     """Raise at the first pivot j with some d[i,k] - (d[i,j] + d[j,k]) > tol.
 
-    ``near[j]`` is the smallest off-diagonal entry of row j.  Row i is
-    scanned at pivot j only if top[i] - (d[j,i] + near[j]) > tol, with
-    ``top[i]`` the largest entry of row i; :func:`build_metric` says why
-    the skipped rows cannot fail.
+    ``d`` must be exactly symmetric and ``near[j]`` is the smallest
+    off-diagonal entry of row j.  At pivot j only the live x live block is
+    scanned: rows, and by symmetry columns, other than j with
+    top[i] - (d[j,i] + near[j]) > tol, ``top[i]`` the largest entry of row
+    i; :func:`build_metric` says why the skipped pairs cannot fail.
 
     Sums may overflow without a warning.  The entries are finite, so a sum
     that overflows to inf exceeds every entry: its slack, an entry minus
     inf, is -inf and can only pass, as the exact slack would.
     """
-    n = d.shape[0]
-    buf = np.empty_like(d)
-    np.add(d, near[:, None], out=buf)
-    live = np.subtract(d.max(axis=1), buf, out=buf) > tol  # live[j, i]: row i at pivot j
-    for j in np.flatnonzero(live.any(axis=1)):
-        c = d[j]
+    live = np.add(d, near[:, None])
+    live = np.subtract(d.max(axis=1), live, out=live) > tol  # live[j, i]: row i at pivot j
+    np.fill_diagonal(live, False)
+    for j in np.flatnonzero(np.count_nonzero(live, axis=1) > 1):
         rows = np.flatnonzero(live[j])
-        # past half the rows, scanning the whole slab beats gathering them
-        slab, cr = (d, c) if 2 * len(rows) > n else (d[rows], c[rows])
-        slack = buf[: len(cr)]
-        np.add(cr[:, None], c, out=slack)
-        np.subtract(slab, slack, out=slack)
+        c = d[j, rows]
+        slack = np.add(c[:, None], c)
+        np.subtract(d.take(rows, axis=0).take(rows, axis=1), slack, out=slack)
         a = np.argmax(slack)
         if slack.flat[a] > tol:
-            i, k = divmod(a, n)
-            raise TriangleViolation((rows[i] if slab is not d else i, int(j), k), slack.flat[a])
+            i, k = divmod(a, len(rows))
+            raise TriangleViolation((rows[i], j, rows[k]), slack.flat[a])
 
 
 def random_metric(n: int, seed, style: str = "shortest_path") -> FiniteMetric:

@@ -22,14 +22,14 @@ from .errors import InverseOutOfRange
 
 @dataclass(frozen=True)
 class PowerModulus:
-    """s -> tau * s^theta with tau > 0 and theta in (0, 1]."""
+    """s -> tau * s^theta with tau in (0, inf) and theta in (0, 1]."""
 
     tau: float = 1.0
     theta: float = 1.0
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         if not 0 < self.theta <= 1:
             raise ValueError("theta must lie in (0, 1]")
 
@@ -115,6 +115,6 @@ def beta_modulus(pair: ModulusPair, grid=None) -> float:
 def coarse_dim_exponent(n_points: int, pair: ModulusPair, grid=None) -> float:
     """beta(omega, Omega) * log(n); the certified exponent up to a universal
     constant that the embedding obstruction leaves implicit."""
-    if not n_points >= 2:
-        raise ValueError("n_points must be >= 2")
+    if not 2 <= n_points < math.inf:
+        raise ValueError("n_points must be finite and >= 2")
     return beta_modulus(pair, grid) * math.log(n_points)

@@ -436,20 +436,68 @@ def dim_lower_exponent(f: PointCloud, chain: ReversibleChain):
 
     Any normed space admitting such an f has dimension at least
     K^exponent for a universal K > 1 that is never materialized.
+
+    An l2 cloud x needs no distance matrix.  The pair average is the
+    Hilbert-space identity
+
+        sum_ij pi_i pi_j |x_i - x_j|^2
+            = 2 (S sum_i pi_i |x_i - z|^2 - |sum_i pi_i (x_i - z)|^2)
+
+    with S = sum_i pi_i and z = (pi x)/S; the second term vanishes in exact
+    arithmetic and corrects the rounding of z.  The edge average sums
+    pi_i A_ij |x_i - x_j|^2 over the support pairs of A only, squaring
+    coordinate differences directly.  Both walk blocks of at most
+    ``_BLOCK`` doubles, so the arithmetic is O((n + nnz(A)) dim) with
+    O(_BLOCK) extra memory; finding the support reads the n^2 entries of
+    the dense A.  Other norms take the squared ``pairwise()`` matrix.
+
+    A cloud whose edge average is exactly 0 gives (0.0, 0.0) when all its
+    points are equal, decided exactly, and otherwise raises DegenerateCloud.
     """
     if f.n != chain.n:
         raise DegenerateCloud("cloud size must match the chain")
-    dmat = f.pairwise() ** 2
-    pi = chain.pi
-    edge_avg = float((pi[:, None] * chain.A * dmat).sum())
-    pair_avg = float((pi[:, None] * pi[None, :] * dmat).sum())
+    x, pi = f.coords, chain.pi
+    if f.norm == "l2":
+        edge_avg, pair_avg = _hilbert_averages(x, chain)
+    else:
+        dmat = f.pairwise() ** 2
+        edge_avg = float((pi[:, None] * chain.A * dmat).sum())
+        pair_avg = float((pi[:, None] * pi[None, :] * dmat).sum())
     if edge_avg == 0.0:
-        if pair_avg == 0.0:
+        if (x.min(axis=0) == x.max(axis=0)).all():
             return 0.0, 0.0
         raise DegenerateCloud("edge average vanishes on a non-constant cloud")
     alpha_hat = math.sqrt(edge_avg)
     gap = 1.0 - lambda2(chain)
     return alpha_hat, gap / alpha_hat * math.sqrt(pair_avg)
+
+
+_BLOCK = 2**16  # doubles per temporary array of _hilbert_averages
+
+
+def _hilbert_averages(x: np.ndarray, chain: ReversibleChain):
+    """Edge and pair averages of squared l2 distances (see :func:`dim_lower_exponent`)."""
+    n, dim = x.shape
+    pi, a = chain.pi, chain.A
+    step = max(1, _BLOCK // max(dim, 1))  # points per block of coordinates
+    s = float(pi.sum())
+    z = pi @ x / s
+    spread, drift = 0.0, np.zeros(dim)
+    for r in range(0, n, step):
+        y = x[r : r + step] - z
+        drift += pi[r : r + step] @ y
+        spread += float(pi[r : r + step] @ np.einsum("ij,ij->i", y, y))
+    pair_avg = 2.0 * (s * spread - float(drift @ drift))
+    edge_avg = 0.0
+    rows = max(1, _BLOCK // n)  # rows of A per support scan
+    for r in range(0, n, rows):
+        src, dst = np.nonzero(a[r : r + rows])
+        src += r
+        for c in range(0, len(src), step):
+            i, j = src[c : c + step], dst[c : c + step]
+            y = x[i] - x[j]
+            edge_avg += float((pi[i] * a[i, j]) @ np.einsum("ij,ij->i", y, y))
+    return edge_avg, pair_avg
 
 
 def cheeger_sweep(chain: ReversibleChain):

@@ -673,10 +673,23 @@ class TestSweepDispatch:
         assert code == 0
         assert message in bad["error"] and bad["edges"] == ""
         assert good["error"] == "" and good["edges"] != ""
-        spec = {"command": "regular-graph", "grid": {"n": [8]}, "args": {"r": 3}, "seed": -1}
+
+    @pytest.mark.parametrize("seed", [1.5, 1.9, -1, "x", True, None, [1], 2.0**63])
+    def test_bad_spec_seed_exits_2_before_any_cell(self, tmp_path, capsys, seed):
+        # the spec's seed is refused, not truncated to a cell seed or turned into cell errors
+        spec = {"command": "regular-graph", "grid": {"n": [8]}, "args": {"r": 3}, "seed": seed}
+        code, out, err = _sweep(tmp_path, capsys, spec)
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert "a sweep seed must be a non-negative integer" in json.loads(line)["message"]
+
+    def test_integral_float_seed_is_that_integer(self, tmp_path, capsys):
+        spec = {"command": "regular-graph", "grid": {"n": [8]}, "args": {"r": 3}, "seed": 5.0}
         code, out, _ = _sweep(tmp_path, capsys, spec)
+        assert code == 0
         (row,) = _csv_rows(out)
-        assert code == 0 and message in row["error"]
+        _, direct, _ = _invoke(REGULAR_GRAPH_CSV, capsys)
+        assert row["edges"] == _csv_rows(direct)[0]["edges"]
 
     def test_help_key_is_a_cell_error(self, tmp_path, capsys):
         spec = {"command": "jl-dim", "grid": {"help": [True, False]},

@@ -80,6 +80,17 @@ def test_closed_form_command_loads_no_heavy_scipy():
     assert sorted(loaded.intersection(HEAVY)) == []
 
 
+def test_dim_exponent_loads_no_pair_distances():
+    # the exponent of the l2 Bourgain cloud needs no distance matrix, so only
+    # the hop metric's csgraph search loads scipy
+    loaded = modules_after(
+        "from mdrlab.cli import main\n"
+        "assert main(['dim-exponent', '--n', '16', '--r', '3', '--trials', '2']) == 0"
+    )
+    assert "scipy.sparse.csgraph" in loaded
+    assert sorted(loaded.intersection({"scipy.spatial", "scipy.special"})) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

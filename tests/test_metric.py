@@ -194,8 +194,9 @@ class TestTriangleScan:
         assert _scan_verdict(d).triple == (2, 0, 5)
 
     def test_tie_in_full_slab(self):
-        # every row is live at pivot 2, the first that fails, so the whole slab
-        # is scanned; rows 1 and 4 tie for the largest slack
+        # every row is live at pivot 2, the first that fails, so the block
+        # scanned is every row but the pivot's; rows 1 and 4 tie for the
+        # largest slack
         x = np.arange(6.0)
         d = np.abs(x[:, None] - x[None, :])
         d[1, 4] = d[4, 1] = d[2, 5] = d[5, 2] = 3.5
@@ -203,6 +204,30 @@ class TestTriangleScan:
         assert (d.max(axis=1) - (d[2] + near[2]) > metric.TRIANGLE_RTOL * d.max()).all()
         assert self.check(d)
         assert _scan_verdict(d).triple == (1, 2, 4)
+
+    @pytest.mark.parametrize("scale", [1.0, 7e307, 1e-313])
+    def test_random_symmetric_matrices_match_full_scan(self, scale):
+        # at 7e307 sums of two entries overflow to inf; at 1e-313 every entry
+        # is subnormal and the tolerance underflows to 0
+        rng = np.random.default_rng(46)
+        verdicts = []
+        for _ in range(300):
+            n = int(rng.integers(2, 20))
+            if rng.random() < 0.3:  # ties: small integers
+                w = rng.integers(1, 3, (n, n)).astype(float)
+            else:
+                w = rng.uniform(1.0, 2.5, (n, n))
+            d = np.triu(w, 1) * scale
+            d += d.T
+            assert (metric.TRIANGLE_RTOL * d.max() == 0.0) == (scale < 1e-300)
+            with np.errstate(over="ignore"):
+                want = _scan_oracle(d)
+            got = _scan_verdict(d)
+            assert (want is None) == (got is None)
+            if want is not None:
+                assert (got.args, got.triple, got.slack) == (want.args, want.triple, want.slack)
+            verdicts.append(want is not None)
+        assert 0 < sum(verdicts) < len(verdicts)
 
     @pytest.mark.filterwarnings("error")
     def test_sums_past_the_float_maximum_are_silent(self):

@@ -9,6 +9,7 @@ from helpers import assert_scan_passes, graph_complete, graph_cycle, path_metric
 from mdrlab import metric, moduli, spectral
 from mdrlab.errors import (
     CapExceeded,
+    DegenerateCloud,
     DegenerateConfiguration,
     Disconnected,
     GenerationFailure,
@@ -532,6 +533,24 @@ class TestPowerExpander:
             assert sampled <= 8.0 * ceiling**2 + 1e-9
 
 
+def _dense_dim_exponent(f, chain):
+    """dim_lower_exponent from the full squared distance matrix: the reference for every norm."""
+    dmat = f.pairwise() ** 2
+    pi = chain.pi
+    edge_avg = float((pi[:, None] * chain.A * dmat).sum())
+    pair_avg = float((pi[:, None] * pi[None, :] * dmat).sum())
+    alpha_hat = math.sqrt(edge_avg)
+    return alpha_hat, (1.0 - lambda2(chain)) / alpha_hat * math.sqrt(pair_avg)
+
+
+def _exponent_chains(rng):
+    """Random reversible chains (full support), lazy ones (diagonal support too) and graph walks."""
+    n = int(rng.integers(2, 40))
+    yield random_reversible_chain(n, rng.integers(2**32))
+    yield random_reversible_chain(n, rng.integers(2**32), lazy=rng.uniform(0.1, 0.9))
+    yield chain_from_graph(random_regular_graph(2 * n + 2, 3, rng.integers(2**32)))
+
+
 class TestDimLowerExponent:
     def test_constant_cloud(self):
         chain = random_reversible_chain(4, 40)
@@ -564,6 +583,64 @@ class TestDimLowerExponent:
         want = (1 - lambda2(chain)) / math.sqrt(edge) * math.sqrt(pair)
         assert alpha_hat == pytest.approx(math.sqrt(edge), abs=1e-10)
         assert exponent == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_l2_matches_dense_formula(self, block, monkeypatch):
+        # the Hilbert identity and the support sum change only the rounding;
+        # a 5-double block makes every sum walk many blocks
+        if block is not None:
+            monkeypatch.setattr(spectral, "_BLOCK", block)
+        rng = np.random.default_rng(43)
+        for _ in range(15):
+            for chain in _exponent_chains(rng):
+                coords = rng.standard_normal((chain.n, int(rng.integers(1, 9)))) * 10.0 ** rng.uniform(-3, 3)
+                cloud = metric.PointCloud(coords + rng.uniform(-5, 5), "l2")
+                got, want = dim_lower_exponent(cloud, chain), _dense_dim_exponent(cloud, chain)
+                assert got == pytest.approx(want, rel=1e-12)
+
+    def test_bourgain_cloud_matches_dense_formula(self):
+        g = random_regular_graph(256, 4, 1)
+        chain = chain_from_graph(g)
+        cloud = metric.bourgain_embed(g.shortest_path_metric(), 2)
+        assert cloud.dim > 1000
+        assert dim_lower_exponent(cloud, chain) == pytest.approx(_dense_dim_exponent(cloud, chain), rel=1e-12)
+
+    @pytest.mark.parametrize("norm, p", [("l1", None), ("linf", None), ("lp", 3.0)])
+    def test_other_norms_keep_the_distance_matrix_bits(self, norm, p):
+        rng = np.random.default_rng(44)
+        for _ in range(10):
+            for chain in _exponent_chains(rng):
+                cloud = metric.PointCloud(rng.standard_normal((chain.n, int(rng.integers(1, 6)))), norm, p)
+                assert dim_lower_exponent(cloud, chain) == _dense_dim_exponent(cloud, chain)
+
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    def test_constancy_is_decided_exactly(self, norm):
+        # 0.1 has no exact pi-weighted mean, so the rounded pair average of a
+        # constant cloud need not be 0; the verdict must not depend on it
+        chain = random_reversible_chain(7, 45)
+        cloud = metric.PointCloud(np.full((7, 3), 0.1), norm)
+        assert dim_lower_exponent(cloud, chain) == (0.0, 0.0)
+        # a reducible chain: two blocks, each mapped to its own point
+        a = np.zeros((4, 4))
+        a[:2, :2] = a[2:, 2:] = 0.5
+        two_blocks = ReversibleChain(a, np.full(4, 0.25))
+        cloud = metric.PointCloud(np.array([[0.1, 0.0]] * 2 + [[0.1, 1e-300]] * 2), norm)
+        with pytest.raises(DegenerateCloud):
+            dim_lower_exponent(cloud, two_blocks)
+
+    def test_expander_cloud_in_bounded_memory(self):
+        # no n x n or n x dim temporary: the dense formula peaks near 20 MiB here
+        g = random_regular_graph(1024, 4, 0)
+        chain = chain_from_graph(g)
+        cloud = metric.bourgain_embed(g.shortest_path_metric(), 0)
+        lambda2(chain)  # the spectrum is cached before the measurement
+        tracemalloc.start()
+        try:
+            dim_lower_exponent(cloud, chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestCheeger:
