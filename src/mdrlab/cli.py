@@ -484,9 +484,13 @@ def cmd_sweep(args):
         raise ValueError(f"grid axis {bad[0]!r} must be a non-empty list")
     seed = spec.get("seed", args.seed)
     message = "a sweep seed must be a non-negative integer"
-    if np.ndim(seed):
+    if type(seed) is not int:  # an integral float passes as its integer, through the index gate
+        if np.ndim(seed):
+            raise ValueError(message)
+        seed = metric._indices(seed, math.inf, ValueError, message).item()
+    if seed < 0:  # the rule of --seed: a non-negative integer of any size
         raise ValueError(message)
-    head = [spec["command"], "--seed", str(metric._indices(seed, math.inf, ValueError, message).item())]
+    head = [spec["command"], "--seed", str(seed)]
     parser = build_parser(_CellParser)
     rows = []
     for combo in itertools.product(*(grid[k] for k in keys)):

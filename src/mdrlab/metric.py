@@ -45,15 +45,18 @@ def _indices(values, size, exc, message: str) -> np.ndarray:
 
     A string, a boolean (also one in a list of numbers, which numpy would
     promote), None or a ragged list raises TypeError; a non-finite, fractional
-    or out-of-range entry raises ``exc(message)``.  Nothing is truncated, and
-    integral floats such as 1.0 pass.
+    or out-of-range entry raises ``exc(message)``, also an integer too large
+    for int64.  Nothing is truncated, and integral floats such as 1.0 pass.
     """
     cells = np.asarray(values, dtype=object).flat
     if not all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool) for v in cells):
         raise TypeError(f"{message}; got an entry that is not an int or a float")
     a = np.asarray(values)
-    with np.errstate(invalid="ignore"):  # NaN, inf and huge floats cast to values that fail idx == a
-        idx = a.astype(int)
+    try:
+        with np.errstate(invalid="ignore"):  # NaN, inf and huge floats cast to values that fail idx == a
+            idx = a.astype(int)
+    except OverflowError:  # an int of 2**64 or more, which numpy holds as a Python object
+        raise exc(message) from None
     if not ((idx == a) & (idx >= 0) & (idx < size)).all():
         raise exc(message)
     return idx
@@ -74,8 +77,9 @@ class FiniteMetric:
     Two producers are metrics by construction and skip the scan through
     :func:`_exact_metric`: ``WeightedGraph.shortest_path_metric`` (exact
     integer hop counts) and ``matousek.signed_metric`` (``min(s*hops, T)``).
-    The docstring of :func:`_hop_distances`, which computes both, shows that
-    both would pass :func:`build_metric` unchanged and are exactly symmetric.
+    Both come from :func:`_hop_distances`, one numpy breadth-first search
+    from every vertex at once; its docstring shows that both would pass
+    :func:`build_metric` unchanged and are exactly symmetric.
     """
 
     dist: np.ndarray
@@ -218,12 +222,19 @@ def build_metric(dist: np.ndarray) -> FiniteMetric:
 def _hop_distances(vertices: int, rows, cols, s: float = 1.0, T: float = math.inf) -> np.ndarray:
     """``min(s * hops, T)`` on the undirected graph with edges (rows[i], cols[i]).
 
-    One csgraph breadth-first search from every vertex stops at ``T/s``
-    hops; pairs past it or in other components come back as inf, and
-    ``min(s * inf, T) = T``.  Scaling and truncation are in place, so the
-    call holds one n x n array.  The limit loses nothing: a hop count h is
-    an integer, so h > fl(T/s) means h > T/s (rounding is monotone and fixes
-    h), hence s*h > T and fl(s*h) >= T.
+    One breadth-first search runs from every vertex at once.  Row v of a bit
+    table holds the sources whose search has reached v (bit u, little bit
+    order, is source u), packed into 64-bit words.  A level ORs each
+    vertex's neighbours' frontier rows over its CSR segment, masks the bits
+    already reached and adds one hop to every pair still unreached, so a
+    pair reached at level h counts exactly h.  Level L is expanded only when
+    L <= fl(T/s) (and L < n, past which no pair is reached); the search also
+    stops at an empty frontier.  Pairs not reached, past the limit or in
+    other components, are inf, and ``min(s * inf, T) = T``.  The limit loses
+    nothing: a hop count h is an integer, so h > fl(T/s) means h > T/s
+    (rounding is monotone and fixes h), hence s*h > T and fl(s*h) >= T.
+    Scaling and truncation are in place, so the call holds one n x n float
+    array, beside a uint8 count matrix while T/s < 256.
 
     Two results are metrics by construction, which :func:`_exact_metric`
     wraps without the triangle scan of :func:`build_metric`; both would
@@ -249,11 +260,34 @@ def _hop_distances(vertices: int, rows, cols, s: float = 1.0, T: float = math.in
     Equal hop counts give equal entries, so both are exactly symmetric,
     which :func:`bourgain_embed`'s row minima rely on.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
+    n = vertices
+    ends = np.concatenate([rows, cols]).astype(np.intp)
+    nbr = np.concatenate([cols, rows]).astype(np.intp)[np.argsort(ends)]
+    deg = np.bincount(ends, minlength=n)
+    has = np.flatnonzero(deg)  # reduceat would give an isolated vertex its successor's row
+    starts = (np.cumsum(deg) - deg)[has]
+    frontier = np.zeros((n, -(-n // 64)), np.uint64)
+    v = np.arange(n)
+    frontier.view(np.uint8)[v, v >> 3] = np.left_shift(1, v & 7)
+    seen = frontier.copy()
 
-    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(vertices, vertices))
-    d = dijkstra(graph, directed=False, unweighted=True, limit=T / s)
+    def unreached() -> np.ndarray:
+        return np.unpackbits((~seen).view(np.uint8), axis=1, count=n, bitorder="little")
+
+    levels = int(min(n - 1, T / s))
+    hops = np.zeros((n, n), np.min_scalar_type(levels))
+    for _ in range(levels):
+        nxt = np.zeros_like(frontier)
+        nxt[has] = np.bitwise_or.reduceat(frontier[nbr], starts, axis=0)
+        nxt &= ~seen
+        if not nxt.any():
+            break
+        hops += unreached()
+        seen |= nxt
+        frontier = nxt
+    d = hops.astype(float)
+    del hops
+    np.copyto(d, np.inf, where=unreached().view(bool))
     d *= s
     np.minimum(d, T, out=d)
     np.fill_diagonal(d, 0.0)
@@ -460,8 +494,9 @@ def doubling_dim_lower_bound(m: FiniteMetric, alpha: float) -> float:
     if not alpha >= 1:
         raise ValueError("alpha must be >= 1")
     d = m.dist
-    pos = d[d > 0]
-    radii = np.unique(np.concatenate([pos, pos / 2]))
+    u = np.unique(d)  # one n^2 copy; d[d > 0] would add a second
+    radii = np.unique(np.concatenate([u, u / 2]))
+    radii = radii[radii > 0]  # 0 (the diagonal, half of 5e-324) is no radius: its packing never ends
     denom = math.log(4 * alpha + 1)
     best = 0.0
     for r in radii:

@@ -691,6 +691,17 @@ class TestSweepDispatch:
         _, direct, _ = _invoke(REGULAR_GRAPH_CSV, capsys)
         assert row["edges"] == _csv_rows(direct)[0]["edges"]
 
+    @pytest.mark.parametrize("seed", [2**63, 2**64, 10**23])
+    def test_huge_spec_seed_is_taken_as_seed_takes_it(self, tmp_path, capsys, seed):
+        # --seed accepts any non-negative integer, and so does a spec's seed
+        spec = {"command": "regular-graph", "grid": {"n": [8]}, "args": {"r": 3}, "seed": seed}
+        code, out, _ = _sweep(tmp_path, capsys, spec)
+        assert code == 0
+        (row,) = _csv_rows(out)
+        argv = ["regular-graph", "--n", "8", "--r", "3", "--seed", str(seed), "--format", "csv"]
+        _, direct, _ = _invoke(argv, capsys)
+        assert row["error"] == "" and row["edges"] == _csv_rows(direct)[0]["edges"]
+
     def test_help_key_is_a_cell_error(self, tmp_path, capsys):
         spec = {"command": "jl-dim", "grid": {"help": [True, False]},
                 "args": {"n": 1000, "alpha": 2}}

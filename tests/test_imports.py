@@ -14,7 +14,7 @@ import pytest
 from helpers import cycle4, graph_cycle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.spatial", "scipy.sparse.csgraph")
+HEAVY = ("scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.spatial", "scipy.sparse")
 
 
 def modules_after(code: str) -> set:
@@ -80,15 +80,21 @@ def test_closed_form_command_loads_no_heavy_scipy():
     assert sorted(loaded.intersection(HEAVY)) == []
 
 
-def test_dim_exponent_loads_no_pair_distances():
-    # the exponent of the l2 Bourgain cloud needs no distance matrix, so only
-    # the hop metric's csgraph search loads scipy
-    loaded = modules_after(
-        "from mdrlab.cli import main\n"
-        "assert main(['dim-exponent', '--n', '16', '--r', '3', '--trials', '2']) == 0"
-    )
-    assert "scipy.sparse.csgraph" in loaded
-    assert sorted(loaded.intersection({"scipy.spatial", "scipy.special"})) == []
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["signed-metric", "--n", "16", "--g", "4", "--s", "1", "--T", "4"],
+        ["matousek-harness", "--n", "8", "--g", "4", "--s", "1", "--T", "4", "--trials", "3"],
+        ["dim-exponent", "--n", "16", "--r", "3", "--trials", "2"],
+        ["verify", "matousek"],
+    ],
+    ids=["signed-metric", "matousek-harness", "dim-exponent", "verify-matousek"],
+)
+def test_hop_metric_commands_load_no_scipy(argv):
+    # hop metrics come from a numpy breadth-first search, and the exponent of
+    # the l2 Bourgain cloud needs no distance matrix
+    loaded = modules_after(f"from mdrlab.cli import main\nassert main({argv!r}) == 0")
+    assert sorted(m for m in loaded if m == "scipy" or m.startswith("scipy.")) == []
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from helpers import assert_scan_passes
-from mdrlab import matousek, moduli
+from mdrlab import matousek, metric, moduli
 from mdrlab.errors import IndexMismatch, InverseOutOfRange
 from mdrlab.matousek import (
     SignAssignment,
@@ -159,6 +159,55 @@ def _girth_by_edge_removal(vertices: int, pairs) -> float:
         graph = csr_matrix((np.ones(len(rest)), (rest[:, 0], rest[:, 1])), shape=(vertices, vertices))
         best = min(best, 1 + shortest_path(graph, directed=False, unweighted=True, indices=u)[v])
     return best
+
+
+def _dijkstra_hops(vertices: int, rows, cols, s: float, T: float) -> np.ndarray:
+    """The csgraph reference for ``metric._hop_distances``: a limited
+    unweighted search from every vertex, then the kernel's scaling."""
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(vertices, vertices))
+    d = dijkstra(graph, directed=False, unweighted=True, limit=T / s)
+    d *= s
+    np.minimum(d, T, out=d)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+# (s, T): no limit, an integral limit, T/s = 6, a T/s of 3.33..., T = s, and
+# a T/s that overflows to inf
+HOP_SCALES = [(1.0, math.inf), (1.0, 8.0), (0.5, 3.0), (0.3, 1.0), (2.0, 2.0), (5e-324, 1e300)]
+
+
+class TestHopDistances:
+    # 0, 1, 7, 8, 9, 63, 64 and 65 vertices sit on the edges of the bit
+    # packing (bytes and 64-bit words)
+    @pytest.mark.parametrize("vertices", [0, 1, 7, 8, 9, 63, 64, 65, 200])
+    @pytest.mark.parametrize("s, T", HOP_SCALES)
+    def test_matches_dijkstra(self, vertices, s, T):
+        rng = np.random.default_rng(vertices)
+        graphs = [np.zeros((0, 2), int)]  # no edges: every vertex isolated
+        if vertices > 1:
+            path = np.column_stack([np.arange(vertices - 1), np.arange(1, vertices)])
+            graphs += [path, path[: vertices // 2]]  # a path; a half path plus isolated vertices
+            for m in (vertices // 3, vertices, 3 * vertices):  # several components down to one
+                graphs.append(rng.integers(0, vertices, (m, 2)))
+        for edges in graphs:
+            got = metric._hop_distances(vertices, edges[:, 0], edges[:, 1], s, T)
+            want = _dijkstra_hops(vertices, edges[:, 0], edges[:, 1], s, T)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_signed_metrics_match_dijkstra(self):
+        rng = np.random.default_rng(41)
+        for n, g in ((16, 4), (64, 6), (128, 6)):
+            t = gen_template(n, g, rng.integers(2**32))
+            signs = random_signs(t, rng.integers(2**32))
+            left, right = np.array(t.edges, dtype=int).reshape(-1, 2).T
+            sign = np.array([signs.of(e) for e in t.edges])
+            rows = np.where(sign > 0, matousek.plus_vertex(left), matousek.minus_vertex(left, n))
+            cols = matousek.right_vertex(right, n)
+            for s, T in HOP_SCALES[1:]:
+                sm = signed_metric(t, signs, SignedMetricParams(s, T))
+                assert sm.dist.tobytes() == _dijkstra_hops(3 * n, rows, cols, s, T).tobytes()
 
 
 class TestSignedMetric:

@@ -611,6 +611,53 @@ class TestDoublingDimLowerBound:
             for alpha in (1.0, 2.5):
                 assert metric.doubling_dim_lower_bound(m, alpha) == reference(m, alpha)
 
+    def test_radii_from_distinct_entries(self):
+        # the radii are built from the distinct positive entries; the float
+        # equals the one from every positive entry and its half
+        def from_all_entries(m, alpha):
+            d = m.dist
+            pos = d[d > 0]
+            best = 0.0
+            for r in np.unique(np.concatenate([pos, pos / 2])):
+                far, free, taken = d >= r, d <= 2 * r, 0
+                while len(free):
+                    free &= far[free.argmax(axis=1)]
+                    taken += 1
+                    free = free[free.any(axis=1)]
+                if taken > 1:
+                    best = max(best, math.log(taken) / math.log(4 * alpha + 1))
+            return best
+
+        rng = np.random.default_rng(31)
+        metrics = [metric.random_metric(int(rng.integers(2, 40)), rng.integers(2**32), style=style)
+                   for style in ("shortest_path", "box") for _ in range(3)]
+        for n, g, s, T in ((16, 4, 1.0, 4.0), (48, 6, 0.5, 3.0), (64, 6, 0.3, 1.0)):
+            template = matousek.gen_template(n, g, rng.integers(2**32))
+            signs = matousek.random_signs(template, rng.integers(2**32))
+            metrics.append(matousek.signed_metric(template, signs, matousek.SignedMetricParams(s, T)))
+        for m in metrics:
+            for alpha in (1.0, 2.5):
+                assert metric.doubling_dim_lower_bound(m, alpha) == from_all_entries(m, alpha)
+
+    def test_smallest_subnormal_distance(self):
+        # half of 5e-324 rounds to 0, a radius whose packing never ended
+        for tiny in (5e-324, 1e-323):
+            m = metric.build_metric(np.array([[0.0, tiny], [tiny, 0.0]]))
+            assert metric.doubling_dim_lower_bound(m, 1.0) == math.log(2) / math.log(5)
+
+    def test_radii_hold_no_pair_sized_float_arrays(self):
+        # 768 points: sorting every positive entry and its half peaked at ~44
+        # bytes per pair; the distinct entries and the packing need ~12
+        template = matousek.gen_template(256, 6, 0)
+        m = matousek.signed_metric(template, matousek.random_signs(template, 1), matousek.SignedMetricParams(1.0, 8.0))
+        tracemalloc.start()
+        try:
+            metric.doubling_dim_lower_bound(m, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * m.n ** 2
+
 
 class TestVolumetric:
     def test_two_points(self):
@@ -737,6 +784,11 @@ class TestIndexGate:
         )
         g = spectral.WeightedGraph.from_json('{"n": 3.0, "edges": [[0, 1.0], [1, 2]]}')
         assert g.to_json() == '{"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}'
+
+    @pytest.mark.parametrize("values", [2**63, 2**64, 10**23, -(2**63) - 1, [1, 10**23], [[0, 2**64], [1, 2]]])
+    def test_integers_past_int64_raise_the_callers_exception(self, values):
+        with pytest.raises(IndexMismatch, match="^bad$"):
+            metric._indices(values, math.inf, IndexMismatch, "bad")
 
     @pytest.mark.parametrize(
         "values",

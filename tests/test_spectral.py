@@ -794,6 +794,15 @@ class TestRandomRegular:
         with pytest.raises(Disconnected):
             WeightedGraph.build(4, [(0, 1), (2, 3)]).shortest_path_metric()
 
+    @pytest.mark.parametrize(
+        "n, edges",
+        [(3, []), (5, [(0, 1), (1, 2), (2, 3)]), (70, [(i, i + 1) for i in range(68)])],
+        ids=["edgeless", "isolated-vertex", "isolated-past-a-word"],
+    )
+    def test_shortest_path_metric_isolated_vertex(self, n, edges):
+        with pytest.raises(Disconnected):
+            WeightedGraph.build(n, edges).shortest_path_metric()
+
     def test_shortest_path_metric_empty_and_single_vertex(self):
         with pytest.raises(Disconnected):
             WeightedGraph.build(0, []).shortest_path_metric()
