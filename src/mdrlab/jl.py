@@ -105,28 +105,17 @@ def sample_haar_orthogonal(m: int, seed, cols: int | None = None) -> np.ndarray:
     """Leading ``cols`` columns (all m by default) of a Haar-distributed
     orthogonal matrix, via QR with the R-sign correction.
 
-    The m x m standard normal draw is made in row blocks of at most 2**16
-    normals (512 KiB); ``Generator.standard_normal`` fills row-major, so the
-    blocks are the rows of one (m, m) draw, the same stream whatever the
-    block size, and the generator ends in the same state.  Only the first
-    ``cols`` columns of each block are kept, and the m x cols matrix is
-    QR-factored.  Householder QR is column-sequential and the thin QR with a
-    positive R diagonal is unique, so these columns are those of the full
-    matrix up to rounding, with the same law; with ``cols = m`` the factored
-    matrix is the whole draw.
+    One m x cols standard normal draw is QR-factored.  Its columns are
+    independent standard Gaussians, so with a positive R diagonal the thin Q
+    has the law of the first ``cols`` columns of a Haar rotation; the draw
+    costs m * cols normals rather than m^2, and ``cols = m`` is the full one.
     """
     if m < 1:
         raise ParameterDomain("dimension must be >= 1")
     cols = m if cols is None else cols
     if not 1 <= cols <= m:
         raise ParameterDomain(f"need 1 <= cols <= {m}, got {cols}")
-    rng = np.random.default_rng(seed)
-    a = np.empty((m, cols))
-    buf = np.empty((max(1, min(m, 2**16 // m)), m))
-    for start in range(0, m, len(buf)):
-        block = rng.standard_normal(out=buf[: m - start])
-        a[start : start + len(block)] = block[:, :cols]
-    q, r = np.linalg.qr(a)
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, cols)))
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs

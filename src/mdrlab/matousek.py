@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexMismatch
-from .metric import FiniteMetric, _exact_metric, _hop_distances, _indices, build_metric
+from .metric import FiniteMetric, _exact_metric, _hop_distances, _indices
 
 
 @dataclass(frozen=True)
@@ -92,15 +92,16 @@ class SignAssignment:
 
 @dataclass(frozen=True)
 class SignedMetricParams:
-    """Scale s and truncation T of the metric min(s*hops, T); needs T >= s."""
+    """Scale s and truncation T of the metric min(s*hops, T); needs
+    0 < s < inf and T >= s, where T = inf truncates nothing."""
 
     s: float
     T: float
 
     def __post_init__(self):
-        if not (self.s > 0 and self.T > 0):  # also rejects nan
-            raise ValueError("s and T must be positive")
-        if self.T < self.s:
+        if not 0 < self.s < math.inf:  # also rejects nan
+            raise ValueError("s must be positive and finite")
+        if not self.T >= self.s:  # also rejects nan
             raise ValueError("need T >= s")
 
 
@@ -247,12 +248,12 @@ def signed_metric(
     """Truncated shortest-path metric of the coin-flip graph on 3n points.
 
     Vertex layout: plus copies 0..n-1, minus copies n..2n-1, right side
-    2n..3n-1.  Distances between different components hit the truncation T.
+    2n..3n-1.  Distances between different components hit the truncation T;
+    with T = inf they raise :class:`~mdrlab.errors.Disconnected`.
 
-    For a finite T the result is a metric by construction and skips the
-    triangle scan of :func:`~mdrlab.metric.build_metric`; the hop limit and
-    the floating-point argument are in :func:`mdrlab.metric._hop_distances`.
-    An infinite T leaves unreachable pairs at inf, so that matrix is validated.
+    The result is a metric by construction and skips the triangle scan of
+    :func:`~mdrlab.metric.build_metric`; the hop limit and the
+    floating-point argument are in :func:`mdrlab.metric._hop_distances`.
     """
     n = template.n
     if set(signs.signs.keys()) != set(template.edges):
@@ -263,7 +264,7 @@ def signed_metric(
     rows = np.where(sign > 0, plus_vertex(left), minus_vertex(left, n))
     cols = right_vertex(right, n)
     d = _hop_distances(3 * n, rows, cols, params.s, params.T)
-    return _exact_metric(d) if math.isfinite(params.T) else build_metric(d)
+    return _exact_metric(d)
 
 
 def min_fork_distance(metric: FiniteMetric, n: int) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     ConfigTooLarge,
     DegenerateSource,
+    Disconnected,
     IndexMismatch,
     NonInjectiveMap,
     NonzeroDiagonal,
@@ -121,7 +122,7 @@ class PointCloud:
         if self.norm not in NORM_TAGS:
             raise ValueError(f"unknown norm tag {self.norm!r}")
         if self.norm == "lp":
-            if self.p is None or self.p < 1:
+            if self.p is None or not self.p >= 1:  # also rejects nan
                 raise ValueError("lp norm requires exponent p >= 1")
 
     @property
@@ -230,27 +231,29 @@ def _hop_distances(vertices: int, rows, cols, s: float = 1.0, T: float = math.in
     pair reached at level h counts exactly h.  Level L is expanded only when
     L <= fl(T/s) (and L < n, past which no pair is reached); the search also
     stops at an empty frontier.  Pairs not reached, past the limit or in
-    other components, are inf, and ``min(s * inf, T) = T``.  The limit loses
-    nothing: a hop count h is an integer, so h > fl(T/s) means h > T/s
-    (rounding is monotone and fixes h), hence s*h > T and fl(s*h) >= T.
-    Scaling and truncation are in place, so the call holds one n x n float
-    array, beside a uint8 count matrix while T/s < 256.
+    other components, are inf, and ``min(s * inf, T) = T``, which is inf
+    for T = inf.  The limit loses nothing: a hop count h is an integer, so
+    h > fl(T/s) means h > T/s (rounding is monotone and fixes h), hence
+    s*h > T and fl(s*h) >= T.  Scaling and truncation are in place, so the
+    call holds one n x n float array, beside a uint8 count matrix while
+    T/s < 256.
 
     Two results are metrics by construction, which :func:`_exact_metric`
-    wraps without the triangle scan of :func:`build_metric`; both would
-    pass it unchanged:
+    wraps without the triangle scan of :func:`build_metric` once it has
+    refused an unreached (inf) pair; both would pass the scan unchanged:
 
     - Hop counts h (s = 1, T = inf; ``WeightedGraph.shortest_path_metric``).
       The entries are exact integers below 2^53: symmetric, zero on the
-      diagonal, >= 1 off it (an unreachable pair is inf, and the caller
-      raises on it), and h_ik <= h_ij + h_jk.  Sums of such integers are
-      exact, so every computed slack is <= 0.
-    - Truncated multiples ``min(fl(s*h), T)`` with 0 < s <= T < inf
-      (``matousek.signed_metric``).  A product fl(s*h) is exact when it is
-      subnormal (it is a multiple of 2^-1074 below 2^-1022) and otherwise
-      within a relative error u = 2^-53; a sum has no underflow error; and
-      an overflowing s*h gives min(inf, T) = T.  Since min(x, T) is
-      subadditive and rounding is monotone, the real slack
+      diagonal, >= 1 off it, and h_ik <= h_ij + h_jk.  Sums of such
+      integers are exact, so every computed slack is <= 0.
+    - Truncated multiples ``min(fl(s*h), T)`` with 0 < s < inf and
+      s <= T <= inf (``matousek.signed_metric``).  A product fl(s*h) is
+      exact when it is subnormal (it is a multiple of 2^-1074 below
+      2^-1022) and otherwise within a relative error u = 2^-53; a sum has
+      no underflow error; and an overflowing s*h gives min(inf, T) = T for
+      a finite T, while for T = inf it raises ``ValueError`` before any
+      product is taken.  Since min(x, T) is subadditive (for T = inf it is
+      the identity) and rounding is monotone, the real slack
       d_ik - fl(d_ij + d_jk) is at most about 3u times that sum and, when
       positive, below 3u * max d; rounding it keeps it under 4u * max d, far
       below ``TRIANGLE_RTOL * max d``.  Where that tolerance underflows to 0,
@@ -276,7 +279,8 @@ def _hop_distances(vertices: int, rows, cols, s: float = 1.0, T: float = math.in
 
     levels = int(min(n - 1, T / s))
     hops = np.zeros((n, n), np.min_scalar_type(levels))
-    for _ in range(levels):
+    depth = 0  # levels expanded: the largest hop count of a reached pair
+    while depth < levels:
         nxt = np.zeros_like(frontier)
         nxt[has] = np.bitwise_or.reduceat(frontier[nbr], starts, axis=0)
         nxt &= ~seen
@@ -285,6 +289,9 @@ def _hop_distances(vertices: int, rows, cols, s: float = 1.0, T: float = math.in
         hops += unreached()
         seen |= nxt
         frontier = nxt
+        depth += 1
+    if T == math.inf and s * depth == math.inf:
+        raise ValueError(f"s * hops overflows at {depth} hops; an infinite T needs a smaller s")
     d = hops.astype(float)
     del hops
     np.copyto(d, np.inf, where=unreached().view(bool))
@@ -295,7 +302,12 @@ def _hop_distances(vertices: int, rows, cols, s: float = 1.0, T: float = math.in
 
 
 def _exact_metric(d: np.ndarray) -> FiniteMetric:
-    """Wrap, unscanned, a :func:`_hop_distances` matrix that is a metric by construction."""
+    """Wrap, unscanned, a :func:`_hop_distances` matrix that is a metric by construction.
+
+    An empty matrix or an unreached (inf) pair raises :class:`Disconnected`.
+    """
+    if d.size == 0 or np.isinf(d).any():
+        raise Disconnected("graph is not connected")
     return FiniteMetric(_frozen(d))
 
 

@@ -115,10 +115,7 @@ class WeightedGraph:
         :func:`mdrlab.metric._hop_distances`).
         """
         ij = np.array([e[:2] for e in self.edges], dtype=int).reshape(-1, 2)
-        d = _hop_distances(self.n, ij[:, 0], ij[:, 1])
-        if self.n == 0 or np.isinf(d).any():
-            raise Disconnected("graph is not connected")
-        return _exact_metric(d)
+        return _exact_metric(_hop_distances(self.n, ij[:, 0], ij[:, 1]))
 
 
 def _stochastic(a, w, row_tol: float):

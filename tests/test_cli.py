@@ -502,7 +502,7 @@ GOLDEN_SHA256 = {
     "jl-dim": (0, "b8bf644e17f449f047f2b0f637abd697792af345e9a28b27629a0d410faa820e"),
     "jl-dim-domain": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "jl-dim-haar-csv": (0, "f48380a70783922fcb69f2e63c2c49a6ad9e62994c7d0aeac3692d6eef41cd9f"),
-    "jl-project": (0, "3bc2a08a417e024c5bb12b43976722452eed794125605544a1421e344fc7939d"),
+    "jl-project": (0, "de57a0c5653eca4b9aa8ae5d7f51cc04f20dc5133156f1e4e06082c96ab5177f"),
     "markov-convexity": (0, "bf4ff56a44fee32106fcc065ee86ca0ba4b4e05bd9da82c5095eb6130d139624"),
     "matousek-gen": (0, "ad090a62f0f3f4aec86028e574c98e27f8d22ce7cff04a706a5bb54d8d951553"),
     "matousek-harness": (0, "f7ad4a02218a18bc6a5ac58a51d1ff39796982a0eb3ec91290cbd18e12546619"),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from helpers import assert_scan_passes
 from mdrlab import matousek, metric, moduli
-from mdrlab.errors import IndexMismatch, InverseOutOfRange
+from mdrlab.errors import Disconnected, IndexMismatch, InverseOutOfRange
 from mdrlab.matousek import (
     SignAssignment,
     SignedMetricParams,
@@ -286,10 +287,31 @@ class TestSignedMetric:
         assert count >= 200
 
     def test_infinite_cap_is_validated(self):
-        # unreachable pairs stay at inf, so that matrix still meets build_metric
+        # unreachable pairs stay at inf, which the unscanned wrap refuses
         t = gen_template(8, 4, 7)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(Disconnected):
             signed_metric(t, random_signs(t, 1), SignedMetricParams(1.0, math.inf))
+
+    @pytest.mark.parametrize("s", [1.0, 0.7, 5e-324])
+    def test_infinite_cap_on_a_connected_graph(self, s):
+        # this coin-flip graph on 24 vertices is connected, with hop diameter 8
+        t = gen_template(8, 4, 20)
+        signs = random_signs(t, 16)
+        sm = signed_metric(t, signs, SignedMetricParams(s, math.inf))
+        left, right = np.array(t.edges, dtype=int).reshape(-1, 2).T
+        sign = np.array([signs.of(e) for e in t.edges])
+        rows = np.where(sign > 0, matousek.plus_vertex(left), matousek.minus_vertex(left, 8))
+        d = metric._hop_distances(24, rows, matousek.right_vertex(right, 8), s, math.inf)
+        assert sm.dist.tobytes() == metric.build_metric(d).dist.tobytes()
+        assert sm.dist.max() == s * 8
+
+    def test_infinite_cap_overflow_is_not_a_disconnection(self):
+        t = gen_template(8, 4, 20)
+        signs = random_signs(t, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows at 8 hops"):
+                signed_metric(t, signs, SignedMetricParams(1e308, math.inf))
 
     def test_sign_cover_mismatch(self):
         t = gen_template(8, 4, 7)
@@ -305,6 +327,14 @@ class TestSignedMetric:
         for bad in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)):
             with pytest.raises(ValueError):
                 SignedMetricParams(*bad)
+        assert SignedMetricParams(1.0, math.inf).T == math.inf
+
+    def test_infinite_scale_rejected_without_a_warning(self):
+        # s = T = inf reached 0 * inf on the diagonal before failing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="s must be positive and finite"):
+                SignedMetricParams(math.inf, math.inf)
 
 
 class TestBetaModulus:

@@ -333,6 +333,13 @@ class TestPointCloudValidation:
         with pytest.raises(ValueError, match="non-finite"):
             metric.PointCloud.from_json(text)
 
+    @pytest.mark.parametrize("p", [math.nan, 0.5, -math.inf])
+    def test_lp_exponent_below_one_or_nan_rejected(self, p):
+        # a NaN exponent built a cloud whose pairwise() was all NaN
+        text = json.dumps({"n": 2, "dim": 1, "norm": {"lp": p}, "coords": [[0.0], [1.0]]})
+        with pytest.raises(ValueError, match="p >= 1"):
+            metric.PointCloud.from_json(text)
+
 
 class TestBourgain:
     def test_two_points(self):
