@@ -430,12 +430,22 @@ def make_plan(n: int, alpha: float, mode: str, k: int | None = None) -> JlPlan:
 # Pair distances per block array of the pair walk (2 MB of doubles): a row
 # block of an n-point cloud is _PAIR_BLOCK // n rows tall.
 _PAIR_BLOCK = 2**18
+_U = 2.0**-53  # unit roundoff of a double
+# _ratio_range's prefilter bounds a pair's ratio uniformly once both of its
+# Gram squared distances exceed _WIDE times their error bound
+_WIDE = 2.0**20
 
 
-def _pair_blocks(x: np.ndarray, y: np.ndarray):
+def _gamma(m: int) -> float:
+    """gamma_m = m u / (1 - m u), the relative error of m roundings (Higham 3.1)."""
+    return m * _U / (1 - m * _U)
+
+
+def _pair_blocks(x: np.ndarray, y: np.ndarray, start: int = 0, stop: int | None = None):
     """Yield (source, image) distances of all pairs i < j of the rows of x
-    and y, each pair once, in row blocks [i, j) of ``_PAIR_BLOCK // n`` rows:
-    ``pdist`` of the block's rows, then ``cdist`` from them to the later rows.
+    and y with start <= i < stop (default: all rows), each pair once, in row
+    blocks [i, j) of ``_PAIR_BLOCK // n`` rows from ``start``: ``pdist`` of
+    the block's rows, then ``cdist`` from them to the later rows.
 
     ``pdist`` and ``cdist`` compute each pair distance bit for bit alike, so
     the blocks hold the entries of ``pdist(x)`` and ``pdist(y)`` in another
@@ -445,7 +455,7 @@ def _pair_blocks(x: np.ndarray, y: np.ndarray):
 
     n = len(x)
     rows = max(1, _PAIR_BLOCK // n)
-    for i in range(0, n, rows):
+    for i in range(start, n if stop is None else stop, rows):
         j = min(i + rows, n)
         if j - i > 1:
             yield pdist(x[i:j]), pdist(y[i:j])
@@ -453,17 +463,145 @@ def _pair_blocks(x: np.ndarray, y: np.ndarray):
             yield cdist(x[i:j], x[j:]), cdist(y[i:j], y[j:])
 
 
-def _ratio_range(x: np.ndarray, y: np.ndarray):
+def _gram_sides(xt: np.ndarray, yt: np.ndarray):
+    """Squared row norms and error bound E of each translate, as
+    ((norms_x, E_x), (norms_y, E_y)), or None outside the scale guard of
+    :func:`_ratio_range`."""
+    sides = []
+    for t in (xt, yt):
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.einsum("ij,ij->i", t, t)
+        d = t.shape[1]
+        r2 = norms.max() / (1 - _gamma(d))
+        if not 2.0**-1000 <= r2 <= 2.0**1000:  # NaN fails too
+            return None
+        sides.append((norms, (4 * _gamma(d + 3) + 9 * _U) * r2 + d * 2.0**-1071, r2))
+    (nx, ex, rx), (ny, ey, ry) = sides
+    if not 2.0**-900 <= ry / rx <= 2.0**900:
+        return None
+    return (nx, ex), (ny, ey)
+
+
+def _candidate_pairs(x, y, xt, yt, sides):
+    """Yield (source, image) distances of every pair of the rows of x and y
+    that can hold an extreme ratio, by the Gram prefilter of
+    :func:`_ratio_range`, and of every pair of the blocks it cannot thin."""
+    from scipy.spatial.distance import cdist
+
+    (nx, ex), (ny, ey) = sides
+    n = len(x)
+    rows = max(1, _PAIR_BLOCK // n)
+    below = np.tri(rows, dtype=bool)  # block entries (a, b) with b <= a hold no pair
+    gx, gy, t = _gamma(x.shape[1] + 3), _gamma(y.shape[1] + 3), 1 / _WIDE
+    w = ((1 + t) / (1 - t) * (1 + gx) / (1 - gx) * (1 + gy) / (1 - gy)) ** 2
+    w *= ((1 + _U) / (1 - _U)) ** 3 * (1 + 2.0**-40)
+    least, most = np.inf, -np.inf
+    kept, walk = [], []
+    # the two block arrays are allocated once; a block walked exactly waits for them to go
+    bufs = np.empty((2, rows * n))
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        a, b = bufs[:, : (j - i) * (n - i)].reshape(2, j - i, n - i)
+        np.matmul(-2.0 * xt[i:j], xt[i:].T, out=a)
+        a += nx[i:j, None]
+        a += nx[i:]
+        np.matmul(-2.0 * yt[i:j], yt[i:].T, out=b)
+        b += ny[i:j, None]
+        b += ny[i:]
+        a[:, : j - i][below[: j - i, : j - i]] = np.nan
+        b[:, : j - i][below[: j - i, : j - i]] = np.nan
+        close = [np.empty(0, int)]
+        for g, e in ((a, ex), (b, ey)):
+            if np.fmin.reduce(g, None) < _WIDE * e:  # one boolean temporary at a time
+                close.append(np.flatnonzero(g < _WIDE * e))
+        close = np.concatenate(close)  # a pair close on both sides is measured twice
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b /= a
+        rho = b.ravel()
+        rho[close] = np.nan
+        least = np.fmin(least, np.fmin.reduce(rho))
+        most = np.fmax(most, np.fmax.reduce(rho))
+        ends = np.concatenate([close, np.flatnonzero(rho <= least * w), np.flatnonzero(rho >= most / w)])
+        if len(ends) > j - i:
+            walk.append(i)
+        else:
+            kept.append((i + ends // (n - i), i + ends % (n - i), rho[ends]))
+    del bufs, a, b, rho
+    for i in walk:
+        yield from _pair_blocks(x, y, i, i + 1)
+    if not kept:
+        return
+    p, q, rho = map(np.concatenate, zip(*kept))
+    keep = np.isnan(rho) | (rho <= least * w) | (rho >= most / w)
+    order = np.argsort(p[keep], kind="stable")
+    p, q = p[keep][order], q[keep][order]
+    starts = np.flatnonzero(np.diff(p, prepend=-1))  # none when every pair was filtered out
+    for s, e in zip(starts, np.r_[starts[1:], len(p)]):
+        row, cols = p[s], q[s:e]
+        yield cdist(x[row : row + 1], x[cols])[0], cdist(y[row : row + 1], y[cols])[0]
+
+
+def _ratio_range(x: np.ndarray, y: np.ndarray, xt: np.ndarray | None = None, yt: np.ndarray | None = None):
     """Least and greatest ||y_i - y_j|| / ||x_i - x_j|| over all pairs i < j.
 
-    Minimum and maximum are exact, so the blocked walk returns the extremes
-    of the whole ratio array, NaN included.  The source distances are
-    checked on the way: an infinite one raises ``ParameterDomain`` and,
-    failing that, a zero one ``ZeroDistancePair``.
+    Every ratio taken is one of ``pdist(y) / pdist(x)``, and minimum and
+    maximum are exact, so the result is that of the whole ratio array, NaN
+    included.  The source distances are checked on the way: an infinite one
+    raises ``ParameterDomain`` and, failing that, a zero one
+    ``ZeroDistancePair``.
+
+    A cloud that fits in one pair block is walked exactly by
+    :func:`_pair_blocks`.  A larger one first passes a prefilter on
+    translates xt and yt of x and y: x minus one fixed row, each entry
+    rounded once (by default x and y centred on their means; ``jl_transform``
+    passes its differences from the first point, and y itself).  Per row
+    block, one BLAS product per side gives every pair's squared distance
+    A = n_i + n_j - 2 t_i.t_j, with n_i the computed squared row norms, and
+    B on the image.  With u = 2^-53, gamma_m = m u / (1 - m u), d the
+    source's coordinates and R^2 the largest n_i / (1 - gamma_d):
+
+    - the Gram formula is within 4 gamma_d R^2 of ||t_i - t_j||^2 in any
+      summation order, FMA included, and its two additions add 7 u R^2;
+    - rounding the translate moves t_i - t_j by at most u (|t_i| + |t_j|)
+      / (1 - u) from x_i - x_j, so the squared distance by 8 u R^2 (1 + O(u));
+    - underflow adds at most 3 d 2^-1075 to A, and d 2^-1075 to ``pdist``'s
+      sum of squares, which is otherwise within gamma_{d+2} of the exact one.
+
+    So the exact squared distance, moved by twice ``pdist``'s underflow, is
+    within E = (4 gamma_{d+3} + 9 u) R^2 + d 2^-1071 of A, and ``pdist``
+    returns its root times 1 +- gamma_{d+3}; likewise on the image, with its
+    own coordinates.  Pairs with A or B below 2^20 E are "close" (every
+    coincident pair is).  Any other pair's ratio r = fl(pdist(y) / pdist(x))
+    has r^2 within [c_L, c_U] times rho = fl(B / A), where w = c_U / c_L is
+    ((1 + 2^-20) / (1 - 2^-20))^2, times ((1 + gamma_{m+3}) / (1 -
+    gamma_{m+3}))^2 for each side's m coordinates, times ((1 + u) / (1 -
+    u))^3.  Hence the pair holding the least ratio is close or has rho <= w
+    min rho, since c_L rho_p <= r_p^2 <= r_q^2 <= c_U rho_q for the pair q of
+    least rho; the greatest likewise has rho >= max rho / w.  w carries a
+    relative slack of 2^-40 for the rounding of these margins.  The close
+    pairs and those within the margins of the running extremes are kept per
+    block, filtered again against the final extremes, and measured with
+    ``cdist`` row by row, which gives ``pdist``'s bits.  A block that keeps
+    more pairs than it has rows (an isometric image, many tied ratios) is
+    walked exactly instead.
+
+    The prefilter runs only where both R^2 lie in [2^-1000, 2^1000] and their
+    ratio in [2^-900, 2^900]; that rejects non-finite input, keeps every
+    distance finite, and makes every rho and margin a normal number.
+    Outside it, the whole cloud is walked exactly.
     """
+    n = len(x)
+    pieces = None
+    if max(1, _PAIR_BLOCK // n) < n:
+        with np.errstate(over="ignore", invalid="ignore"):
+            xt = x - x.mean(axis=0) if xt is None else xt
+            yt = y - y.mean(axis=0) if yt is None else yt
+        sides = _gram_sides(xt, yt)
+        if sides is not None:
+            pieces = _candidate_pairs(x, y, xt, yt, sides)
     lo, hi = np.float64(np.inf), np.float64(-np.inf)
     coincident = False
-    for src, img in _pair_blocks(x, y):
+    for src, img in pieces or _pair_blocks(x, y):
         if np.isinf(src).any():
             raise ParameterDomain("point distances overflow to infinity; rescale the cloud")
         coincident = coincident or src.min() <= 0.0
@@ -490,10 +628,12 @@ def jl_transform(
     all pairs, and redraws on failure.  When retries run out the best
     attempt (smallest max/min ratio) is returned with ``success=False``.
 
-    The pairs are walked in row blocks (:func:`_ratio_range`), recomputing
-    the source distances in each attempt, so no n(n-1)/2 array is held.
-    The walk also validates the cloud, so the first attempt rejects it
-    after :func:`make_plan` has checked the plan parameters.
+    Each draw is verified by :func:`_ratio_range` without an n(n-1)/2
+    array: Gram bounds on the differences from the first point pick the
+    pairs that can hold an extreme ratio, and only those are measured with
+    ``cdist`` (a cloud of one pair block is walked in full).  The walk also
+    validates the cloud, so the first attempt rejects it after
+    :func:`make_plan` has checked the plan parameters.
     """
     if cloud.norm != "l2":
         raise ParameterDomain("transform requires an l2 point cloud")
@@ -506,11 +646,12 @@ def jl_transform(
     # an overflow in x or y needs no warning: it is an infinite pair distance,
     # which the first walk rejects in the source and reports in the image
     with np.errstate(over="ignore"):
-        x = cloud.coords - cloud.coords[0]
+        x = shifted = cloud.coords - cloud.coords[0]  # a translate, for the walk's prefilter
         if x.shape[1] > n - 1:
             # the R factor of the differences from point 0 carries exactly their geometry
             r = np.linalg.qr(x[1:].T, mode="r")
             x = np.vstack([np.zeros((1, r.shape[0])), r.T])
+            shifted = None
     rng = np.random.default_rng(seed)
     best_y = None
     best_alpha = np.inf
@@ -523,7 +664,8 @@ def jl_transform(
             m = rng.standard_normal((plan.k, plan.ambient))
         with np.errstate(over="ignore"):
             y = plan.sigma * (x @ m[:, : x.shape[1]].T)
-        lo, hi = _ratio_range(cloud.coords, y)
+        del m  # the draw is not held while the image is verified
+        lo, hi = _ratio_range(cloud.coords, y, shifted, y)
         success = bool(lo >= 1.0 and hi <= alpha)
         measured = float(hi / lo)
         if success or measured < best_alpha:

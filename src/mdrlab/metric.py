@@ -295,7 +295,8 @@ def _hop_distances(vertices: int, rows, cols, s: float = 1.0, T: float = math.in
     d = hops.astype(float)
     del hops
     np.copyto(d, np.inf, where=unreached().view(bool))
-    d *= s
+    with np.errstate(over="ignore"):  # an overflowing s*h truncates to T, as shown above
+        d *= s
     np.minimum(d, T, out=d)
     np.fill_diagonal(d, 0.0)
     return d

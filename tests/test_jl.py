@@ -784,3 +784,171 @@ class TestBlockedVerification:
         jl.jl_transform(_cloud(8, 3, 0), 2.0, mode, seed=0, k=2)  # imports outside the trace
         peak = _peak_bytes(jl.jl_transform, _cloud(2000, 100, 12), 2.0, mode, seed=0, max_retries=1)
         assert peak <= 16e6
+
+
+def _whole_array_extremes(x, y):
+    ratios = pdist(y) / pdist(x)
+    return ratios.min(), ratios.max()
+
+
+def _forbid(monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    monkeypatch.setattr(jl, name, refuse)
+
+
+def _walked_block_starts(monkeypatch) -> list:
+    """Record the first row of every block :func:`jl._pair_blocks` walks."""
+    starts = []
+    walk = jl._pair_blocks
+
+    def spy(x, y, start=0, stop=None):
+        starts.append(start)
+        return walk(x, y, start, stop)
+
+    monkeypatch.setattr(jl, "_pair_blocks", spy)
+    return starts
+
+
+class TestGramPrefilter:
+    """Clouds of more than one pair block: the Gram bounds pick the pairs that
+    are measured, and the extremes stay those of the whole ratio array."""
+
+    ROWS_1000 = jl._PAIR_BLOCK // 1000  # rows of a pair block at 1000 points
+
+    @staticmethod
+    def assert_extremes(x, y):
+        lo, hi = jl._ratio_range(x, y)
+        want_lo, want_hi = _whole_array_extremes(x, y)
+        assert (lo.tobytes(), hi.tobytes()) == (want_lo.tobytes(), want_hi.tobytes())
+
+    @pytest.mark.parametrize("mode", jl.MODES)
+    @pytest.mark.parametrize("n", [725, 1000, 1500])
+    def test_matches_whole_array_reference(self, n, mode):
+        assert jl._PAIR_BLOCK // n < n
+        TestBlockedVerification.assert_matches_reference(_cloud(n, 30, n), 2.0, mode, n, 4, None)
+
+    def test_gaussian_attempt_measures_only_candidates(self, monkeypatch):
+        cloud = _cloud(1000, 100, 5)
+        want = _whole_array_transform(cloud, 3.0, "scaled_gaussian", 2, 1, None)
+        _forbid(monkeypatch, "_pair_blocks")
+        res = jl.jl_transform(cloud, 3.0, "scaled_gaussian", seed=2, max_retries=1)
+        assert (res.attempts, res.success, res.measured_distortion) == want[:3]
+        assert res.cloud.coords.tobytes() == want[3].tobytes()
+
+    @pytest.mark.parametrize("holder", ["other-pair", "near-pair"])
+    @pytest.mark.parametrize("near", ["same-block", "earlier-block"])
+    @pytest.mark.parametrize("pick", [np.argmin, np.argmax], ids=["min", "max"])
+    def test_near_coincident_pair(self, pick, near, holder):
+        # a pair 1e-9 apart, relative to the cloud, gets no ratio bound and is
+        # measured; the extreme is held by another pair of the same block, by
+        # a pair of a later block, or by the near pair itself
+        n, rows = 1000, self.ROWS_1000
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((n, 20))
+        y = x @ rng.standard_normal((20, 12))
+        first, second = np.triu_indices(n, 1)  # pdist order
+        ratios = pdist(y) / pdist(x)
+        p, q = first[pick(ratios)], second[pick(ratios)]
+        rest = [r for r in range(n) if r not in (p, q)]
+        order = rest[: 2 * rows + 5] + [p, q] + rest[2 * rows + 5 :]
+        x, y = x[order], y[order]  # the extreme pair is now rows 2 rows + 5 and 2 rows + 6
+        r1 = 2 * rows + 10 if near == "same-block" else 10
+        step = rng.standard_normal(20)
+        x[r1 + 1] = x[r1] + 1e-9 * np.linalg.norm(x[r1]) * step / np.linalg.norm(step)
+        # the near pair's ratio: the median, or past the extreme
+        past = ratios[pick(ratios)] * (0.5 if pick is np.argmin else 2.0)
+        scale = np.median(ratios) if holder == "other-pair" else past
+        turn = rng.standard_normal(12)
+        y[r1 + 1] = y[r1] + scale * np.linalg.norm(x[r1 + 1] - x[r1]) * turn / np.linalg.norm(turn)
+        new = pdist(y) / pdist(x)
+        held = (first[pick(new)], second[pick(new)])
+        assert held == ((2 * rows + 5, 2 * rows + 6) if holder == "other-pair" else (r1, r1 + 1))
+        self.assert_extremes(x, y)
+
+    @pytest.mark.parametrize("mode", jl.MODES)
+    def test_offset_cloud(self, mode):
+        # the differences from the first point, not the coordinates, enter the Gram bounds
+        cloud = metric.PointCloud(1e8 + np.random.default_rng(14).standard_normal((1000, 10)), "l2")
+        TestBlockedVerification.assert_matches_reference(cloud, 2.0, mode, 3, 2, None)
+
+    def test_offset_source_and_image(self):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((1000, 10))
+        self.assert_extremes(1e8 + x, 1e8 + x @ rng.standard_normal((10, 8)))
+
+    @pytest.mark.parametrize("power, walked", [(400, False), (-400, False), (505, True), (-510, True)])
+    def test_scale_guard(self, monkeypatch, power, walked):
+        # at 2^505 and 2^-510 the largest squared norm is outside [2^-1000, 2^1000]
+        cloud = metric.PointCloud(2.0**power * np.random.default_rng(16).standard_normal((800, 12)), "l2")
+        want = _whole_array_transform(cloud, 3.0, "haar_projection", 4, 1, None)
+        _forbid(monkeypatch, "_candidate_pairs" if walked else "_pair_blocks")
+        res = jl.jl_transform(cloud, 3.0, "haar_projection", seed=4, max_retries=1)
+        assert (res.attempts, res.success, res.measured_distortion) == want[:3]
+        assert res.cloud.coords.tobytes() == want[3].tobytes()
+
+    @pytest.mark.parametrize("power, error", [(600, ParameterDomain), (-600, ZeroDistancePair)])
+    def test_scale_past_the_distances(self, monkeypatch, power, error):
+        # the squared distances overflow, or underflow to 0, in the exact walk
+        cloud = metric.PointCloud(2.0**power * np.random.default_rng(16).standard_normal((800, 12)), "l2")
+        _forbid(monkeypatch, "_candidate_pairs")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                jl.jl_transform(cloud, 3.0, "haar_projection", seed=4, max_retries=1)
+
+    def test_isometric_image_walks_every_block(self, monkeypatch):
+        # a rotation keeps every ratio at 1 up to rounding, so no block can be thinned
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((1000, 16))
+        y = x @ np.linalg.qr(rng.standard_normal((16, 16)))[0]
+        starts = _walked_block_starts(monkeypatch)
+        self.assert_extremes(x, y)
+        assert starts == list(range(0, 1000, self.ROWS_1000))
+
+    def test_coincident_pair_in_the_last_block(self, monkeypatch):
+        coords = np.random.default_rng(18).standard_normal((1000, 8))
+        coords[-1] = coords[-2]
+        _forbid(monkeypatch, "_pair_blocks")
+        with pytest.raises(ZeroDistancePair):
+            jl.jl_transform(metric.PointCloud(coords, "l2"), 2.0, "haar_projection", seed=0, k=20)
+
+    @pytest.mark.parametrize("mode", jl.MODES)
+    def test_overflowing_pair(self, mode):
+        coords = TestBlockedVerification.overflowing_last_pair(1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterDomain, match="overflow"):
+                jl.jl_transform(metric.PointCloud(coords, "l2"), 2.0, mode, seed=0, k=20)
+
+    def test_image_with_inf_gives_nan(self):
+        # inf - inf in one coordinate makes a pair distance, and so the extremes, NaN
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((1000, 8))
+        y = x @ rng.standard_normal((8, 6))
+        y[[3, 700], 2] = np.inf
+        with np.errstate(invalid="ignore"):
+            lo, hi = jl._ratio_range(x, y)
+            assert all(np.isnan(v) for v in _whole_array_extremes(x, y))
+        assert np.isnan(lo) and np.isnan(hi)
+
+    def test_walked_block_holds_both_extremes(self, monkeypatch):
+        # the last block's own pairs tie at both extremes, so it is walked, and
+        # its ratios rule out every pair the earlier blocks kept
+        n, rows = 1000, self.ROWS_1000
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((n, 6))
+        y = x @ (np.eye(6) + 0.3 * rng.standard_normal((6, 6)))
+        last = np.arange((n - 1) // rows * rows, n)
+        half = len(last) // 2
+        t = np.arange(len(last), dtype=float)
+        x[last] = 1e3
+        y[last] = 1e3
+        x[last[:half], 0] += t[:half]
+        y[last[:half], 0] += 3 * t[:half]
+        x[last[half:], 1] += t[half:]
+        y[last[half:], 1] += 0.1 * t[half:]
+        starts = _walked_block_starts(monkeypatch)
+        self.assert_extremes(x, y)
+        assert starts == [last[0]]

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -312,6 +313,21 @@ class TestSignedMetric:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows at 8 hops"):
                 signed_metric(t, signs, SignedMetricParams(1e308, math.inf))
+
+    @pytest.mark.parametrize("k", range(2, 40))
+    def test_overflowing_scale_truncates_without_a_warning(self, k):
+        # s * h overflows to inf for the larger hop counts h <= 8 and truncates to T
+        big = sys.float_info.max
+        t = gen_template(8, 4, 20)
+        signs = random_signs(t, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sm = signed_metric(t, signs, SignedMetricParams(big / k, big))
+        hops = signed_metric(t, signs, SignedMetricParams(1.0, math.inf)).dist
+        with np.errstate(over="ignore"):
+            want = np.minimum(hops * (big / k), big)
+        assert sm.dist.tobytes() == want.tobytes()
+        assert_scan_passes(sm)
 
     def test_sign_cover_mismatch(self):
         t = gen_template(8, 4, 7)
