@@ -227,6 +227,8 @@ def psi_monte_carlo(
 
 def _frequency(hits: int, samples: int) -> ProbabilityEstimate:
     """hits/samples with its binomial standard error, floored at 1/samples."""
+    if samples < 1:
+        raise ParameterDomain("samples must be >= 1")
     p = hits / samples
     se = math.sqrt(max(p * (1 - p), 1.0 / samples) / samples)
     return ProbabilityEstimate(p, se, f"monte_carlo({samples})")
@@ -441,28 +443,6 @@ def _gamma(m: int) -> float:
     return m * _U / (1 - m * _U)
 
 
-def _pair_blocks(x: np.ndarray, y: np.ndarray, start: int = 0, stop: int | None = None):
-    """Yield (source, image) distances of all pairs i < j of the rows of x
-    and y with start <= i < stop (default: all rows), each pair once, in row
-    blocks [i, j) of ``_PAIR_BLOCK // n`` rows from ``start``: ``pdist`` of
-    the block's rows, then ``cdist`` from them to the later rows.
-
-    ``pdist`` and ``cdist`` compute each pair distance bit for bit alike, so
-    the blocks hold the entries of ``pdist(x)`` and ``pdist(y)`` in another
-    order and shape, one block pair at a time.
-    """
-    from scipy.spatial.distance import cdist, pdist
-
-    n = len(x)
-    rows = max(1, _PAIR_BLOCK // n)
-    for i in range(start, n if stop is None else stop, rows):
-        j = min(i + rows, n)
-        if j - i > 1:
-            yield pdist(x[i:j]), pdist(y[i:j])
-        if j < n:
-            yield cdist(x[i:j], x[j:]), cdist(y[i:j], y[j:])
-
-
 def _gram_sides(xt: np.ndarray, yt: np.ndarray):
     """Squared row norms and error bound E of each translate, as
     ((norms_x, E_x), (norms_y, E_y)), or None outside the scale guard of
@@ -482,65 +462,6 @@ def _gram_sides(xt: np.ndarray, yt: np.ndarray):
     return (nx, ex), (ny, ey)
 
 
-def _candidate_pairs(x, y, xt, yt, sides):
-    """Yield (source, image) distances of every pair of the rows of x and y
-    that can hold an extreme ratio, by the Gram prefilter of
-    :func:`_ratio_range`, and of every pair of the blocks it cannot thin."""
-    from scipy.spatial.distance import cdist
-
-    (nx, ex), (ny, ey) = sides
-    n = len(x)
-    rows = max(1, _PAIR_BLOCK // n)
-    below = np.tri(rows, dtype=bool)  # block entries (a, b) with b <= a hold no pair
-    gx, gy, t = _gamma(x.shape[1] + 3), _gamma(y.shape[1] + 3), 1 / _WIDE
-    w = ((1 + t) / (1 - t) * (1 + gx) / (1 - gx) * (1 + gy) / (1 - gy)) ** 2
-    w *= ((1 + _U) / (1 - _U)) ** 3 * (1 + 2.0**-40)
-    least, most = np.inf, -np.inf
-    kept, walk = [], []
-    # the two block arrays are allocated once; a block walked exactly waits for them to go
-    bufs = np.empty((2, rows * n))
-    for i in range(0, n, rows):
-        j = min(i + rows, n)
-        a, b = bufs[:, : (j - i) * (n - i)].reshape(2, j - i, n - i)
-        np.matmul(-2.0 * xt[i:j], xt[i:].T, out=a)
-        a += nx[i:j, None]
-        a += nx[i:]
-        np.matmul(-2.0 * yt[i:j], yt[i:].T, out=b)
-        b += ny[i:j, None]
-        b += ny[i:]
-        a[:, : j - i][below[: j - i, : j - i]] = np.nan
-        b[:, : j - i][below[: j - i, : j - i]] = np.nan
-        close = [np.empty(0, int)]
-        for g, e in ((a, ex), (b, ey)):
-            if np.fmin.reduce(g, None) < _WIDE * e:  # one boolean temporary at a time
-                close.append(np.flatnonzero(g < _WIDE * e))
-        close = np.concatenate(close)  # a pair close on both sides is measured twice
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b /= a
-        rho = b.ravel()
-        rho[close] = np.nan
-        least = np.fmin(least, np.fmin.reduce(rho))
-        most = np.fmax(most, np.fmax.reduce(rho))
-        ends = np.concatenate([close, np.flatnonzero(rho <= least * w), np.flatnonzero(rho >= most / w)])
-        if len(ends) > j - i:
-            walk.append(i)
-        else:
-            kept.append((i + ends // (n - i), i + ends % (n - i), rho[ends]))
-    del bufs, a, b, rho
-    for i in walk:
-        yield from _pair_blocks(x, y, i, i + 1)
-    if not kept:
-        return
-    p, q, rho = map(np.concatenate, zip(*kept))
-    keep = np.isnan(rho) | (rho <= least * w) | (rho >= most / w)
-    order = np.argsort(p[keep], kind="stable")
-    p, q = p[keep][order], q[keep][order]
-    starts = np.flatnonzero(np.diff(p, prepend=-1))  # none when every pair was filtered out
-    for s, e in zip(starts, np.r_[starts[1:], len(p)]):
-        row, cols = p[s], q[s:e]
-        yield cdist(x[row : row + 1], x[cols])[0], cdist(y[row : row + 1], y[cols])[0]
-
-
 def _ratio_range(x: np.ndarray, y: np.ndarray, xt: np.ndarray | None = None, yt: np.ndarray | None = None):
     """Least and greatest ||y_i - y_j|| / ||x_i - x_j|| over all pairs i < j.
 
@@ -550,12 +471,14 @@ def _ratio_range(x: np.ndarray, y: np.ndarray, xt: np.ndarray | None = None, yt:
     raises ``ParameterDomain`` and, failing that, a zero one
     ``ZeroDistancePair``.
 
-    A cloud that fits in one pair block is walked exactly by
-    :func:`_pair_blocks`.  A larger one first passes a prefilter on
-    translates xt and yt of x and y: x minus one fixed row, each entry
-    rounded once (by default x and y centred on their means; ``jl_transform``
-    passes its differences from the first point, and y itself).  Per row
-    block, one BLAS product per side gives every pair's squared distance
+    The pairs i < j are taken in row blocks [i, j) of ``_PAIR_BLOCK // n``
+    rows.  A block is either walked, all of its pairs measured (``pdist`` of
+    its rows, then ``cdist`` from them to the later rows, which compute each
+    distance bit for bit alike), or thinned by a prefilter on translates xt
+    and yt of x and y: x minus one fixed row, each entry rounded once (by
+    default x and y centred on their means; ``jl_transform`` passes its
+    differences from the first point, and y itself).  Per block, one BLAS
+    product per side gives every pair's squared distance
     A = n_i + n_j - 2 t_i.t_j, with n_i the computed squared row norms, and
     B on the image.  With u = 2^-53, gamma_m = m u / (1 - m u), d the
     source's coordinates and R^2 the largest n_i / (1 - gamma_d):
@@ -578,36 +501,83 @@ def _ratio_range(x: np.ndarray, y: np.ndarray, xt: np.ndarray | None = None, yt:
     u))^3.  Hence the pair holding the least ratio is close or has rho <= w
     min rho, since c_L rho_p <= r_p^2 <= r_q^2 <= c_U rho_q for the pair q of
     least rho; the greatest likewise has rho >= max rho / w.  w carries a
-    relative slack of 2^-40 for the rounding of these margins.  The close
-    pairs and those within the margins of the running extremes are kept per
-    block, filtered again against the final extremes, and measured with
-    ``cdist`` row by row, which gives ``pdist``'s bits.  A block that keeps
-    more pairs than it has rows (an isometric image, many tied ratios) is
-    walked exactly instead.
+    relative slack of 2^-40 for the rounding of these margins.  Each block
+    keeps its close pairs and those within the margins of the running
+    extremes of rho, the block's own pairs included, and measures them at
+    once with ``cdist`` row by row, which gives ``pdist``'s bits.  The
+    running extremes only move outward as later blocks come in, so the
+    filter is conservative: it keeps every pair that the margins of the
+    final extremes would.  A block that keeps more pairs than it has rows
+    (an isometric image, many tied ratios) is walked instead, its distances
+    written into the buffers of its Gram products.
 
-    The prefilter runs only where both R^2 lie in [2^-1000, 2^1000] and their
-    ratio in [2^-900, 2^900]; that rejects non-finite input, keeps every
-    distance finite, and makes every rho and margin a normal number.
-    Outside it, the whole cloud is walked exactly.
+    The prefilter runs only on clouds of more than one block, where both
+    R^2 lie in [2^-1000, 2^1000] and their ratio in [2^-900, 2^900]; that
+    rejects non-finite input, keeps every distance finite, and makes every
+    rho and margin a normal number.  Otherwise every block is walked.
     """
+    from scipy.spatial.distance import cdist, pdist
+
     n = len(x)
-    pieces = None
-    if max(1, _PAIR_BLOCK // n) < n:
+    rows = min(n, max(1, _PAIR_BLOCK // n))
+    sides = None
+    if rows < n:
         with np.errstate(over="ignore", invalid="ignore"):
             xt = x - x.mean(axis=0) if xt is None else xt
             yt = y - y.mean(axis=0) if yt is None else yt
         sides = _gram_sides(xt, yt)
-        if sides is not None:
-            pieces = _candidate_pairs(x, y, xt, yt, sides)
+    if sides is not None:
+        below = np.tri(rows, dtype=bool)  # block entries (a, b) with b <= a hold no pair
+        gx, gy, t = _gamma(x.shape[1] + 3), _gamma(y.shape[1] + 3), 1 / _WIDE
+        w = ((1 + t) / (1 - t) * (1 + gx) / (1 - gx) * (1 + gy) / (1 - gy)) ** 2
+        w *= ((1 + _U) / (1 - _U)) ** 3 * (1 + 2.0**-40)
+    least, most = np.inf, -np.inf
     lo, hi = np.float64(np.inf), np.float64(-np.inf)
     coincident = False
-    for src, img in pieces or _pair_blocks(x, y):
-        if np.isinf(src).any():
-            raise ParameterDomain("point distances overflow to infinity; rescale the cloud")
-        coincident = coincident or src.min() <= 0.0
-        if not coincident:
-            img /= src
-            lo, hi = np.minimum(lo, img.min()), np.maximum(hi, img.max())
+    # two block arrays, allocated once, hold the Gram products or a walked block's distances
+    bufs = np.empty((2, rows * n if sides is not None else rows * (2 * n - rows - 1) // 2))
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        pieces = None
+        if sides is not None:
+            a, b = bufs[:, : (j - i) * (n - i)].reshape(2, j - i, n - i)
+            close = [np.empty(0, int)]
+            for g, z, (norms, e) in zip((a, b), (xt, yt), sides):
+                np.matmul(-2.0 * z[i:j], z[i:].T, out=g)
+                g += norms[i:j, None]
+                g += norms[i:]
+                g[:, : j - i][below[: j - i, : j - i]] = np.nan
+                if np.fmin.reduce(g, None) < _WIDE * e:  # one boolean temporary at a time
+                    close.append(np.flatnonzero(g < _WIDE * e))
+            close = np.concatenate(close)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                b /= a
+            rho = b.ravel()
+            rho[close] = np.nan
+            least = np.fmin(least, np.fmin.reduce(rho))
+            most = np.fmax(most, np.fmax.reduce(rho))
+            ends = np.concatenate([close, np.flatnonzero(rho <= least * w), np.flatnonzero(rho >= most / w)])
+            if len(ends) <= j - i:
+                p, q = np.divmod(np.unique(ends), n - i)
+                first = np.flatnonzero(np.diff(p, prepend=-1))  # a row's kept pairs are adjacent
+                pieces = [
+                    (cdist(x[i + p[s], None], x[i + c])[0], cdist(y[i + p[s], None], y[i + c])[0])
+                    for s, c in zip(first, np.split(q, first[1:]))
+                ]
+            del ends  # a walked block holds only the two buffers
+        if pieces is None:
+            m, c = (j - i) * (j - i - 1) // 2, (j - i) * (n - j)  # empty pieces skip scipy
+            own, later = bufs[:, :m], bufs[:, m : m + c].reshape(2, j - i, n - j)
+            pieces = [(pdist(x[i:j], out=own[0]), pdist(y[i:j], out=own[1]))] if m else []
+            if c:
+                pieces.append((cdist(x[i:j], x[j:], out=later[0]), cdist(y[i:j], y[j:], out=later[1])))
+        for src, img in pieces:
+            if np.isinf(src).any():
+                raise ParameterDomain("point distances overflow to infinity; rescale the cloud")
+            coincident = coincident or src.min() <= 0.0
+            if not coincident:
+                img /= src
+                lo, hi = np.minimum(lo, img.min()), np.maximum(hi, img.max())
     if coincident:
         raise ZeroDistancePair("coincident points cannot satisfy the lower distortion bound")
     return lo, hi
@@ -628,12 +598,15 @@ def jl_transform(
     all pairs, and redraws on failure.  When retries run out the best
     attempt (smallest max/min ratio) is returned with ``success=False``.
 
-    Each draw is verified by :func:`_ratio_range` without an n(n-1)/2
-    array: Gram bounds on the differences from the first point pick the
-    pairs that can hold an extreme ratio, and only those are measured with
-    ``cdist`` (a cloud of one pair block is walked in full).  The walk also
+    Each draw is verified by :func:`_ratio_range` one row block at a time,
+    without an n(n-1)/2 array: Gram bounds on the differences from the
+    first point pick the block's pairs that can hold an extreme ratio, and
+    only those are measured with ``cdist`` (a cloud of one pair block, or a
+    block the bounds cannot thin, is walked in full).  The walk also
     validates the cloud, so the first attempt rejects it after
-    :func:`make_plan` has checked the plan parameters.
+    :func:`make_plan` has checked the plan parameters.  When no attempt has
+    a finite max/min ratio, because the image distances overflow,
+    ``ParameterDomain`` is raised.
     """
     if cloud.norm != "l2":
         raise ParameterDomain("transform requires an l2 point cloud")
@@ -672,6 +645,8 @@ def jl_transform(
             best_y, best_alpha = y, measured
         if success:
             break
+    if best_y is None:  # every attempt's max/min ratio was inf or NaN
+        raise ParameterDomain("image distances overflow to infinity; rescale the cloud")
     return JlResult(
         cloud=PointCloud(best_y, "l2"),
         plan=plan,

@@ -187,13 +187,14 @@ def verify_sdp(seed: int = 0) -> dict:
     results = []
 
     m = metric.build_metric(np.ones((6, 6)) - np.eye(6))
-    alpha, _, _ = sdp.c2_sdp(m, tol=1e-6)
+    alpha = sdp.c2_bracket(m, tol=1e-6).hi
     _prop(results, "simplex_isometric", abs(alpha - 1.0) <= 2e-6, f"alpha={alpha:.8f}")
 
     c4 = metric.build_metric(
         np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]], float)
     )
-    alpha, witness, _ = sdp.c2_sdp(c4, tol=1e-4)
+    b = sdp.c2_bracket(c4, tol=1e-4)
+    alpha, witness = b.hi, b.witness
     _prop(results, "cycle4_root2", abs(alpha - math.sqrt(2)) <= 1e-3, f"alpha={alpha:.6f}")
 
     cloud = sdp.extract_points(witness)
@@ -205,8 +206,7 @@ def verify_sdp(seed: int = 0) -> dict:
     for _ in range(5):
         pts = rng.standard_normal((3, 2))
         m3 = metric.PointCloud(pts, "l2").to_metric()
-        a3, _, _ = sdp.c2_sdp(m3, tol=1e-4)
-        ok &= a3 <= 1 + 2e-4
+        ok &= sdp.c2_bracket(m3, tol=1e-4).hi <= 1 + 2e-4
     _prop(results, "three_points_isometric", ok)
 
     cert = sdp.find_violating_certificate(c4, 1.3, seed=seed)

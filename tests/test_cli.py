@@ -864,6 +864,19 @@ class TestMainExits:
             "message": "point distances overflow to infinity; rescale the cloud",
         }
 
+    def test_overflowing_image_is_a_json_error(self, tmp_path):
+        # the source distances are finite; every draw's image distances overflow
+        coords = 1e153 * np.random.default_rng(0).standard_normal((40, 10))
+        f = tmp_path / "cloud.json"
+        f.write_text(metric.PointCloud(coords, "l2").to_json())
+        proc = run_cli("jl-project", "--cloud", str(f), "--alpha", "1.5", "--mode", "gaussian",
+                       "--k", "3", "--max-retries", "2", "--seed", "0")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr) == {
+            "error": "ParameterDomain",
+            "message": "image distances overflow to infinity; rescale the cloud",
+        }
+
     def test_malformed_map_is_a_json_error(self, tmp_path, capsys):
         f = tmp_path / "m.json"
         f.write_text(cycle4().to_json())

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.spatial import distance
 from scipy.spatial.distance import pdist
 
 from mdrlab import jl, metric, verify
@@ -486,6 +487,21 @@ class TestTransform:
     def two_points(self):
         return metric.PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]), "l2")
 
+    @staticmethod
+    def huge_cloud():
+        # finite source distances near 1e154, whose images' squares overflow
+        return metric.PointCloud(np.random.default_rng(0).standard_normal((40, 10)) * 1e153, "l2")
+
+    def test_every_attempt_overflowing_is_a_domain_error(self):
+        # both draws give hi = inf; there was no best attempt, and PointCloud(None) raised ValueError
+        with pytest.raises(ParameterDomain, match="image distances overflow"):
+            jl.jl_transform(self.huge_cloud(), 1.5, "scaled_gaussian", seed=0, max_retries=2, k=3)
+
+    def test_a_finite_attempt_is_still_returned(self):
+        res = jl.jl_transform(self.huge_cloud(), 1.5, "haar_projection", seed=0, max_retries=2, k=3)
+        assert not res.success and math.isfinite(res.measured_distortion)
+        assert round(res.measured_distortion, 2) == 20.48
+
     def test_two_point_frequency_matches_psi(self):
         cloud = self.two_points()
         plan = jl.make_plan(2, 2.0, "haar_projection", k=1)
@@ -627,6 +643,18 @@ class TestBoundedMemory:
         n, k, alpha = 20, 5, 2.0
         peak = _peak_bytes(jl.psi_monte_carlo, n, k, alpha, jl.sigma_max(n, k, alpha), 200_000, 4)
         assert peak <= 2e6
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("estimate", [
+    lambda samples: jl.psi_monte_carlo(12, 3, 1.5, 2.0, samples, 0),
+    lambda samples: jl.psi_monte_carlo(12, 3, 1.5, 2.0, samples, 0, sampler="haar"),
+    lambda samples: jl.gaussian_success_monte_carlo(5, 2.0, samples, 0),
+], ids=["sphere", "haar", "gaussian"])
+def test_monte_carlo_needs_a_sample(estimate, samples):
+    # 0 divided by zero, and -5 returned a frequency of -0.0
+    with pytest.raises(ParameterDomain, match="samples must be >= 1"):
+        estimate(samples)
 
 
 class TestMonteCarloChunks:
@@ -791,24 +819,59 @@ def _whole_array_extremes(x, y):
     return ratios.min(), ratios.max()
 
 
-def _forbid(monkeypatch, name):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{name} was called")
+class _MeasuredPairs:
+    """Spy on scipy's ``pdist`` and ``cdist``, which :func:`jl._ratio_range`
+    imports when it is called: count how often each pair of rows of x
+    (side 0) and, when given, of y (side 1) is measured, and the ``pdist``
+    calls.  Rows are told apart by their bytes."""
 
-    monkeypatch.setattr(jl, name, refuse)
+    def __init__(self, monkeypatch, x, y=None):
+        self.index = [{row.tobytes(): r for r, row in enumerate(t)} for t in (x, y) if t is not None]
+        self.counts = np.zeros((len(self.index), len(x), len(x)), np.int32)
+        self.pdist_calls = 0
+        pdist_, cdist_ = distance.pdist, distance.cdist
 
+        def spy_pdist(xa, *args, **kwargs):
+            self.pdist_calls += 1
+            side, (rows,) = self.locate(xa)
+            if side is not None:
+                first, second = np.triu_indices(len(rows), 1)
+                self.counts[side, rows[first], rows[second]] += 1
+            return pdist_(xa, *args, **kwargs)
 
-def _walked_block_starts(monkeypatch) -> list:
-    """Record the first row of every block :func:`jl._pair_blocks` walks."""
-    starts = []
-    walk = jl._pair_blocks
+        def spy_cdist(xa, xb, *args, **kwargs):
+            side, (rows, cols) = self.locate(xa, xb)
+            if side is not None:
+                self.counts[side][np.ix_(rows, cols)] += 1
+            return cdist_(xa, xb, *args, **kwargs)
 
-    def spy(x, y, start=0, stop=None):
-        starts.append(start)
-        return walk(x, y, start, stop)
+        monkeypatch.setattr(distance, "pdist", spy_pdist)
+        monkeypatch.setattr(distance, "cdist", spy_cdist)
 
-    monkeypatch.setattr(jl, "_pair_blocks", spy)
-    return starts
+    def locate(self, *arrays):
+        """The side all rows of ``arrays`` belong to (None for an unknown y), and their indices."""
+        keys = [[row.tobytes() for row in a] for a in arrays]
+        for side, index in enumerate(self.index):
+            if all(k in index for ks in keys for k in ks):
+                return side, [np.array([index[k] for k in ks], int) for ks in keys]
+        assert len(self.index) == 1, "a measured row belongs to neither x nor y"
+        return None, [None] * len(arrays)
+
+    def pairs(self, side=0):
+        """How often each pair was measured, in either order, as a symmetric matrix."""
+        return self.counts[side] + self.counts[side].T
+
+    def assert_candidates_only(self, most=64):
+        """No block was walked, and only a handful of pairs, the same on both sides, were measured."""
+        assert self.pdist_calls == 0
+        assert 0 < self.counts[0].sum() <= most
+        assert (self.counts == self.counts[0]).all()
+
+    def assert_each_pair_once(self, rows=None):
+        """Every pair of ``rows`` (default: all) was measured exactly once on each side."""
+        rows = np.arange(self.counts.shape[1]) if rows is None else rows
+        for side in range(len(self.counts)):
+            assert (self.pairs(side)[np.ix_(rows, rows)] == 1 - np.eye(len(rows), dtype=int)).all()
 
 
 class TestGramPrefilter:
@@ -832,10 +895,11 @@ class TestGramPrefilter:
     def test_gaussian_attempt_measures_only_candidates(self, monkeypatch):
         cloud = _cloud(1000, 100, 5)
         want = _whole_array_transform(cloud, 3.0, "scaled_gaussian", 2, 1, None)
-        _forbid(monkeypatch, "_pair_blocks")
+        spy = _MeasuredPairs(monkeypatch, cloud.coords, want[3])
         res = jl.jl_transform(cloud, 3.0, "scaled_gaussian", seed=2, max_retries=1)
         assert (res.attempts, res.success, res.measured_distortion) == want[:3]
         assert res.cloud.coords.tobytes() == want[3].tobytes()
+        spy.assert_candidates_only()
 
     @pytest.mark.parametrize("holder", ["other-pair", "near-pair"])
     @pytest.mark.parametrize("near", ["same-block", "earlier-block"])
@@ -883,36 +947,50 @@ class TestGramPrefilter:
         # at 2^505 and 2^-510 the largest squared norm is outside [2^-1000, 2^1000]
         cloud = metric.PointCloud(2.0**power * np.random.default_rng(16).standard_normal((800, 12)), "l2")
         want = _whole_array_transform(cloud, 3.0, "haar_projection", 4, 1, None)
-        _forbid(monkeypatch, "_candidate_pairs" if walked else "_pair_blocks")
+        spy = _MeasuredPairs(monkeypatch, cloud.coords, want[3])
         res = jl.jl_transform(cloud, 3.0, "haar_projection", seed=4, max_retries=1)
         assert (res.attempts, res.success, res.measured_distortion) == want[:3]
         assert res.cloud.coords.tobytes() == want[3].tobytes()
+        spy.assert_each_pair_once() if walked else spy.assert_candidates_only()
 
     @pytest.mark.parametrize("power, error", [(600, ParameterDomain), (-600, ZeroDistancePair)])
     def test_scale_past_the_distances(self, monkeypatch, power, error):
         # the squared distances overflow, or underflow to 0, in the exact walk
         cloud = metric.PointCloud(2.0**power * np.random.default_rng(16).standard_normal((800, 12)), "l2")
-        _forbid(monkeypatch, "_candidate_pairs")
+        spy = _MeasuredPairs(monkeypatch, cloud.coords)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error):
                 jl.jl_transform(cloud, 3.0, "haar_projection", seed=4, max_retries=1)
+        # the first block is walked; an infinite distance stops the walk there
+        rows = jl._PAIR_BLOCK // 800
+        spy.assert_each_pair_once(np.arange(rows if error is ParameterDomain else 800))
 
     def test_isometric_image_walks_every_block(self, monkeypatch):
         # a rotation keeps every ratio at 1 up to rounding, so no block can be thinned
         rng = np.random.default_rng(17)
         x = rng.standard_normal((1000, 16))
         y = x @ np.linalg.qr(rng.standard_normal((16, 16)))[0]
-        starts = _walked_block_starts(monkeypatch)
+        spy = _MeasuredPairs(monkeypatch, x, y)
         self.assert_extremes(x, y)
-        assert starts == list(range(0, 1000, self.ROWS_1000))
+        spy.assert_each_pair_once()
+
+    def test_walked_blocks_reuse_the_gram_buffers(self):
+        # every ratio is 2, so all 35 blocks of 87 rows are walked, into the two
+        # 2.1 MB Gram buffers: 11.9 MiB; the two-phase walk read 15.6 MiB, and
+        # one into fresh distance arrays 15.5 MiB
+        x = np.random.default_rng(0).standard_normal((10000, 100))[:3000]
+        y, xt = 2 * x, x - x[0]
+        assert _peak_bytes(jl._ratio_range, x, y, xt, 2 * xt) <= 13 * 2**20
 
     def test_coincident_pair_in_the_last_block(self, monkeypatch):
         coords = np.random.default_rng(18).standard_normal((1000, 8))
         coords[-1] = coords[-2]
-        _forbid(monkeypatch, "_pair_blocks")
+        spy = _MeasuredPairs(monkeypatch, coords[:-1])  # rows 998 and 999 are one key
         with pytest.raises(ZeroDistancePair):
             jl.jl_transform(metric.PointCloud(coords, "l2"), 2.0, "haar_projection", seed=0, k=20)
+        spy.assert_candidates_only()
+        assert spy.counts[0, 998, 998] == 1  # the coincident pair
 
     @pytest.mark.parametrize("mode", jl.MODES)
     def test_overflowing_pair(self, mode):
@@ -934,8 +1012,8 @@ class TestGramPrefilter:
         assert np.isnan(lo) and np.isnan(hi)
 
     def test_walked_block_holds_both_extremes(self, monkeypatch):
-        # the last block's own pairs tie at both extremes, so it is walked, and
-        # its ratios rule out every pair the earlier blocks kept
+        # the last block's own pairs tie at both extremes, so it is walked,
+        # after each earlier block measured the few pairs it kept
         n, rows = 1000, self.ROWS_1000
         rng = np.random.default_rng(20)
         x = rng.standard_normal((n, 6))
@@ -949,6 +1027,8 @@ class TestGramPrefilter:
         y[last[:half], 0] += 3 * t[:half]
         x[last[half:], 1] += t[half:]
         y[last[half:], 1] += 0.1 * t[half:]
-        starts = _walked_block_starts(monkeypatch)
+        spy = _MeasuredPairs(monkeypatch, x, y)
         self.assert_extremes(x, y)
-        assert starts == [last[0]]
+        assert spy.pdist_calls == 2  # the last block, on each side
+        spy.assert_each_pair_once(last)
+        assert (spy.pairs(0).sum() - spy.pairs(0)[np.ix_(last, last)].sum()) // 2 <= 64
