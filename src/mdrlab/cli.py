@@ -258,9 +258,9 @@ def cmd_c2_sdp(args):
 
 
 def cmd_certificate(args):
+    if args.search == (args.cert is not None):
+        raise ValueError("provide exactly one of --cert FILE and --search")
     m = _load_metric(args.metric)
-    if not args.search and args.cert is None:
-        raise ValueError("provide --cert FILE or --search")
     if args.search:
         cert = sdp.find_violating_certificate(m, args.alpha, seed=args.seed)
         if cert is None:
@@ -615,7 +615,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = add("markov-convexity", cmd_markov_convexity, "fork-vs-path convexity ratio")
     p.add_argument("--spec", required=True, help="JSON chain/metric spec file")
     p.add_argument("--samples", type=_parse_count, default=10000)
-    p.add_argument("--method", choices=("auto", "dp", "mc"), default="auto")
+    p.add_argument("--method", choices=("dp", "mc"), default="dp")
 
     p = add("matousek-gen", cmd_matousek_gen, "girth-constrained bipartite template")
     p.add_argument("--n", type=_parse_count, required=True)

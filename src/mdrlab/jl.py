@@ -198,30 +198,21 @@ def _squared_normal_chunks(rng: np.random.Generator, samples: int, width: int):
 
 
 def psi_monte_carlo(
-    n: int, k: int, alpha: float, sigma: float, samples: int, seed, sampler: str = "sphere"
+    n: int, k: int, alpha: float, sigma: float, samples: int, seed
 ) -> ProbabilityEstimate:
     """Empirical frequency of 1 <= sigma * ||proj_k(O z)|| <= alpha.
 
-    ``sampler="sphere"`` draws the image of the fixed unit vector directly as
-    a uniform point on the sphere (the exact distribution of O z), which is
-    what makes 1e6-sample runs cheap; ``sampler="haar"`` takes O z for
-    z = e_1, the first column of an explicit Haar rotation, and is used to
-    cross-check the shortcut.
+    The image O z of a fixed unit vector under a Haar rotation is a uniform
+    point on the sphere, drawn here directly as a normalized Gaussian: the
+    first column of ``sample_haar_orthogonal(n - 1, rng, 1)`` is that same
+    point from the same normals, at the cost of a QR per sample.
     """
     _check_psi_domain(n, k, alpha)
     rng = np.random.default_rng(seed)
     hits = 0
-    if sampler == "sphere":
-        for w2 in _squared_normal_chunks(rng, samples, n - 1):
-            r = np.sqrt(w2[:, :k].sum(axis=1)) / np.sqrt(w2.sum(axis=1))
-            hits += int(((sigma * r >= 1.0) & (sigma * r <= alpha)).sum())
-    elif sampler == "haar":
-        for _ in range(samples):
-            o = sample_haar_orthogonal(n - 1, rng, 1)
-            r = sigma * np.linalg.norm(o[:k, 0])
-            hits += bool(1.0 <= r <= alpha)
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}")
+    for w2 in _squared_normal_chunks(rng, samples, n - 1):
+        r = np.sqrt(w2[:, :k].sum(axis=1)) / np.sqrt(w2.sum(axis=1))
+        hits += int(((sigma * r >= 1.0) & (sigma * r <= alpha)).sum())
     return _frequency(hits, samples)
 
 
@@ -246,22 +237,26 @@ def sigma_max(n: int, k: int, alpha: float) -> float:
     Equals sqrt((alpha^((2n-6)/(n-k-3)) - 1) / (alpha^(2k/(n-k-3)) - 1)); an
     OverflowError is raised (never a silent saturation) if the value exceeds
     double range.  The maximizer diverges at k = n - 3, so that boundary is
-    outside the domain.
+    outside the domain, and so is alpha = inf, where the formula is inf/inf.
     """
     _check_psi_domain(n, k, alpha)
     if k > n - 4:
         raise ParameterDomain(f"sigma_max needs k <= n - 4, got k={k}, n={n}")
+    if alpha == math.inf:
+        raise ParameterDomain("sigma_max needs a finite alpha")
     la = math.log(alpha)
     a = (2 * n - 6) / (n - k - 3) * la
     b = 2 * k / (n - k - 3) * la
     log_sigma = (_log_expm1(a) - _log_expm1(b)) / 2
-    if log_sigma > math.log(np.finfo(float).max):
+    if not log_sigma <= math.log(np.finfo(float).max):
         raise OverflowError(f"sigma_max exponent {log_sigma:.3e} exceeds double range")
     return math.exp(log_sigma)
 
 
 def union_threshold(n: int) -> float:
     """Per-pair failure budget 2/(n(n-1)) of the pairwise union bound."""
+    if not n >= 2:
+        raise ParameterDomain("need n >= 2")
     return 2.0 / (n * (n - 1.0))
 
 

@@ -83,8 +83,8 @@ class ModulusPair:
                 raise ValueError("omega exceeds Omega")
 
     @staticmethod
-    def bi_lipschitz(alpha: float, tau: float = 1.0) -> "ModulusPair":
-        return ModulusPair(PowerModulus(tau, 1.0), PowerModulus(alpha * tau, 1.0))
+    def bi_lipschitz(alpha: float) -> "ModulusPair":
+        return ModulusPair(PowerModulus(1.0, 1.0), PowerModulus(alpha, 1.0))
 
     @staticmethod
     def snowflake(alpha: float, theta: float) -> "ModulusPair":
@@ -112,9 +112,9 @@ def beta_modulus(pair: ModulusPair, grid=None) -> float:
     return float(np.max(ratios))
 
 
-def coarse_dim_exponent(n_points: int, pair: ModulusPair, grid=None) -> float:
+def coarse_dim_exponent(n_points: int, pair: ModulusPair) -> float:
     """beta(omega, Omega) * log(n); the certified exponent up to a universal
     constant that the embedding obstruction leaves implicit."""
     if not 2 <= n_points < math.inf:
         raise ValueError("n_points must be finite and >= 2")
-    return beta_modulus(pair, grid) * math.log(n_points)
+    return beta_modulus(pair) * math.log(n_points)

@@ -173,13 +173,13 @@ class _Bracket:
         if not holds:
             self.lo, self.certificate = level, cert
 
-    def run(self, budget: int, done) -> bool:
-        """Iterate until ``done()`` holds at a check; False if the budget runs out first."""
+    def run(self, done) -> bool:
+        """Iterate until ``done()`` holds at a check; False if MAX_ITER iterations run out first."""
         d2 = self.d2 / self.d2.max()
         iu = np.triu_indices(self.m.n, 1)
         w = d2[iu] ** 2  # the weights of t in the t-step
         z, u, rho = d2, np.zeros_like(d2), 1.0
-        for it in range(budget):
+        for it in range(MAX_ITER):
             self.iterations += 1
             v = z - u
             # t minimizes t + rho/2 |clip(v, d2, t d2) - v|^2: over the pairs
@@ -233,32 +233,32 @@ class C2Bracket:
     status: str
 
 
-def _solve(m: FiniteMetric, done, budget: int) -> C2Bracket:
-    """One ADMM run of at most ``budget`` iterations, until ``done(lo, hi)`` holds at a check."""
+def _solve(m: FiniteMetric, done) -> C2Bracket:
+    """One ADMM run of at most MAX_ITER iterations, until ``done(lo, hi)`` holds at a check."""
     if m.n > MAX_POINTS:
         raise TooLarge(f"instances capped at {MAX_POINTS} points")
     if m.n < 3:
         # one or two points embed isometrically on a line
         return C2Bracket(1.0, 1.0, GramCandidate(_gram_of(_squared_distances(m))), None, 0, "converged")
     b = _Bracket(m)
-    status = "converged" if b.run(budget, lambda: done(b.lo, b.hi)) else "undecided"
+    status = "converged" if b.run(lambda: done(b.lo, b.hi)) else "undecided"
     return C2Bracket(b.lo, b.hi, b.witness, b.certificate, b.iterations, status)
 
 
-def c2_bracket(m: FiniteMetric, tol: float = 1e-4, max_iter: int = MAX_ITER) -> C2Bracket:
+def c2_bracket(m: FiniteMetric, tol: float = 1e-4) -> C2Bracket:
     """Euclidean distortion as a checked bracket of target width ``tol``.
 
-    One ADMM run of at most ``max_iter`` iterations; see the module docstring
+    One ADMM run of at most MAX_ITER iterations; see the module docstring
     for its steps, the rho rule and the two checks that move lo and hi.
     """
     if not tol >= 1e-6:
         raise ValueError("tol below 1e-6 is not supported")
-    return _solve(m, lambda lo, hi: hi - lo <= tol, max_iter)
+    return _solve(m, lambda lo, hi: hi - lo <= tol)
 
 
-def c2_sdp(m: FiniteMetric, tol: float = 1e-4, max_iter: int = MAX_ITER):
+def c2_sdp(m: FiniteMetric, tol: float = 1e-4):
     """Upper end of ``c2_bracket``: ``(hi, witness, iterations)``."""
-    b = c2_bracket(m, tol, max_iter)
+    b = c2_bracket(m, tol)
     return b.hi, b.witness, b.iterations
 
 
@@ -294,7 +294,7 @@ def find_violating_certificate(m: FiniteMetric, alpha: float, seed=0):
     """
     if not 1 <= alpha < math.inf:
         raise ValueError("alpha must be >= 1")
-    b = _solve(m, lambda lo, hi: lo > alpha or hi <= alpha, MAX_ITER)
+    b = _solve(m, lambda lo, hi: lo > alpha or hi <= alpha)
     if b.certificate is not None and not check_certificate(m, b.certificate, alpha)[0]:
         return b.certificate
     if b.status == "undecided":

@@ -43,6 +43,7 @@ from .metric import FiniteMetric, PointCloud, _exact_metric, _hop_distances, _in
 ROW_SUM_TOL = 1e-12
 DETAILED_BALANCE_TOL = 1e-12
 STATIONARY_TOL = 1e-10
+_PAIRING_TRIES = 10000  # pairings drawn before random_regular_graph gives up
 
 
 @dataclass(frozen=True)
@@ -539,7 +540,7 @@ def cheeger_sweep(chain: ReversibleChain):
     return best
 
 
-def random_regular_graph(n: int, r: int, seed, max_tries: int = 10000) -> WeightedGraph:
+def random_regular_graph(n: int, r: int, seed) -> WeightedGraph:
     """Simple r-regular graph by the pairing model with rejection.
 
     Draws a uniformly random perfect matching on n*r stubs and rejects any
@@ -551,7 +552,7 @@ def random_regular_graph(n: int, r: int, seed, max_tries: int = 10000) -> Weight
         raise ValueError("need r >= 3 and n > r")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), r)
-    for _ in range(max_tries):
+    for _ in range(_PAIRING_TRIES):
         perm = rng.permutation(stubs)
         a, b = perm[0::2], perm[1::2]
         if (a == b).any():
@@ -561,7 +562,7 @@ def random_regular_graph(n: int, r: int, seed, max_tries: int = 10000) -> Weight
         if len(np.unique(keys)) != len(keys):
             continue
         return WeightedGraph.build(n, [(int(i), int(j)) for i, j in zip(lo, hi)])
-    raise GenerationFailure(f"no simple pairing found in {max_tries} tries")
+    raise GenerationFailure(f"no simple pairing found in {_PAIRING_TRIES} tries")
 
 
 @dataclass(frozen=True)
@@ -614,7 +615,7 @@ class MarkovConvexityEstimate:
 
 
 def markov_convexity_ratio(
-    spec: MarkovChainSpec, samples: int = 0, seed=0, method: str = "auto"
+    spec: MarkovChainSpec, samples: int = 0, seed=0, method: str = "dp"
 ) -> MarkovConvexityEstimate:
     """Fork-versus-path ratio that witnesses the Markov convexity constant.
 
@@ -622,16 +623,16 @@ def markov_convexity_ratio(
     over scales k >= 1 and times 2^k <= t <= T; rhs^q sums the expected
     q-th powers of single-step displacements.  The fork copies the
     trajectory up to the branch time and evolves independently afterwards.
-    Expectations are exact (``"dp"``, dynamic programming over state
-    marginals) or Monte Carlo with the fork construction (``"mc"``, which
-    needs ``samples >= 1``); ``"auto"`` means ``"dp"``, which the caps of 64
-    states and horizon 64 keep to milliseconds.  The ratio lhs/rhs
-    lower-bounds the Markov q-convexity constant of the image space.
+    Expectations are exact (``"dp"``, the default: dynamic programming over
+    state marginals, which the caps of 64 states and horizon 64 keep to
+    milliseconds) or Monte Carlo with the fork construction (``"mc"``, which
+    needs ``samples >= 1``); any other method raises ValueError.  The ratio
+    lhs/rhs lower-bounds the Markov q-convexity constant of the image space.
     """
+    if method not in ("dp", "mc"):
+        raise ValueError(f"method must be 'dp' or 'mc', got {method!r}")
     if spec.horizon > 64 or spec.states > 64:
         raise HorizonTooLarge("horizon and state count are capped at 64")
-    if method == "auto":
-        method = "dp"
     q = spec.q
     dq = spec.space.dist[np.ix_(spec.point_map, spec.point_map)] ** q
     p = spec.transition

@@ -128,7 +128,7 @@ def _gaussian_failure_quadrature(k: int, alpha: float) -> float:
     return float(np.exp(log_pref + (k / 2) * (np.log(b) - lem) - k * t) @ w)
 
 
-def verify_jl(seed: int = 0, mc_samples: int = 200_000) -> dict:
+def verify_jl(seed: int = 0) -> dict:
     results = []
 
     o = jl.sample_haar_orthogonal(9, seed)
@@ -155,7 +155,7 @@ def verify_jl(seed: int = 0, mc_samples: int = 200_000) -> dict:
     worst = 0.0
     for n, k, alpha, sig in grid:
         value = jl.psi(n, k, alpha, sig).value
-        mc = jl.psi_monte_carlo(n, k, alpha, sig, mc_samples, seed)
+        mc = jl.psi_monte_carlo(n, k, alpha, sig, 200_000, seed)
         dev = abs(value - mc.value) / max(mc.std_error, 1e-12)
         worst = max(worst, dev)
         ok &= dev <= 4.0
@@ -237,7 +237,7 @@ def verify_sdp(seed: int = 0) -> dict:
     return _finish("sdp", results)
 
 
-def verify_spectral(seed: int = 0, instances: int = 60) -> dict:
+def verify_spectral(seed: int = 0) -> dict:
     results = []
     rng = np.random.default_rng(seed)
 
@@ -252,7 +252,7 @@ def verify_spectral(seed: int = 0, instances: int = 60) -> dict:
 
     ok = True
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(60):
         n = int(rng.integers(3, 7))
         chain_a = spectral.random_reversible_chain(n, rng.integers(2**32))
         b = spectral.ReversibleChain(_reversible_partner(chain_a, rng), chain_a.pi)
@@ -273,7 +273,7 @@ def verify_spectral(seed: int = 0, instances: int = 60) -> dict:
     _prop(results, "rayleigh_algebra", ok, f"worst convexity residual {worst:.2e}")
 
     ok = True
-    for _ in range(instances):
+    for _ in range(60):
         n = int(rng.integers(3, 7))
         chain = spectral.random_reversible_chain(n, rng.integers(2**32))
         coords = rng.standard_normal((n, int(rng.integers(1, 4))))
@@ -283,7 +283,7 @@ def verify_spectral(seed: int = 0, instances: int = 60) -> dict:
     _prop(results, "hilbertian_identity", ok)
 
     ok = True
-    for _ in range(instances):
+    for _ in range(60):
         n = int(rng.integers(3, 7))
         mdim = int(rng.integers(1, 6))
         chain = spectral.random_reversible_chain(n, rng.integers(2**32))
@@ -326,14 +326,14 @@ def _reversible_partner(chain, rng) -> np.ndarray:
     return out
 
 
-def verify_matousek(seed: int = 0, instances: int = 50) -> dict:
+def verify_matousek(seed: int = 0) -> dict:
     results = []
     rng = np.random.default_rng(seed)
 
     ok_girth = True
     ok_metric = True
     ok_fork = True
-    for _ in range(instances):
+    for _ in range(50):
         n = int(rng.integers(8, 20))
         g = int(rng.choice([4, 6]))
         template = matousek.gen_template(n, g, rng.integers(2**32))

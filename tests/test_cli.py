@@ -264,14 +264,14 @@ class TestVerifyCommand:
             return max(0.0, 1.0 - ratio * (1.0 - beta_route(n, k, alpha, sigma)))
 
         monkeypatch.setattr(jl, "psi_failure", tampered)
-        summary = verify.verify_jl(seed=0, mc_samples=50_000)
+        summary = verify.verify_jl(seed=0)
         assert "psi_monte_carlo_agreement" in self.failed_properties(summary)
         assert not summary["ok"]
 
     def test_tampered_quadrature_constant_fails_quadrature_agreement(self, monkeypatch):
         # the same prefactor in the independent route turns its check red
         monkeypatch.setattr(verify, "_psi_log_constant", self.printed_prefactor)
-        summary = verify.verify_jl(seed=0, mc_samples=50_000)
+        summary = verify.verify_jl(seed=0)
         assert self.failed_properties(summary) == {"psi_quadrature_agreement"}
         assert not summary["ok"]
 
@@ -790,6 +790,22 @@ class TestMainExits:
         code, out, err = _invoke([*argv.split(), "--seed", "-1"], capsys)
         assert code == 2 and out == ""
         assert "argument --seed: expected a non-negative integer, got -1" in err
+
+    def test_certificate_cert_and_search_together_are_refused(self, tmp_path, capsys):
+        # --search used to run and ignore --cert; neither file exists, so the
+        # refusal comes before any file is read
+        argv = ["certificate", "--metric", str(tmp_path / "m.json"), "--alpha", "1.3",
+                "--cert", str(tmp_path / "cert.json"), "--search"]
+        code, out, err = _invoke(argv, capsys)
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "ValueError"
+
+    def test_markov_method_auto_is_a_usage_error(self, tmp_path, capsys):
+        code, out, err = _invoke(["markov-convexity", "--spec", str(tmp_path / "s.json"),
+                                  "--method", "auto"], capsys)
+        assert code == 2 and out == ""
+        assert "argument --method: invalid choice: 'auto'" in err
 
     def test_gaussian_alpha_past_double_range_is_a_domain_error(self, capsys):
         code, out, err = _invoke(["jl-dim", "--n", "1e9", "--alpha", "1e78", "--mode", "gaussian"], capsys)

@@ -103,13 +103,17 @@ class TestPsi:
         assert abs(value - mc.value) <= 3 * mc.std_error
 
     def test_sampler_consistency(self):
-        # explicit Haar matrices against the spherical shortcut
-        n, k, alpha = 8, 2, 2.0
+        # explicit Haar rotations applied to e_1 read the same normals as the
+        # spherical shortcut, so they hit on exactly the same draws
+        n, k, alpha, samples, seed = 8, 2, 2.0, 500, 10
         sigma = jl.sigma_max(n, k, alpha)
-        sphere = jl.psi_monte_carlo(n, k, alpha, sigma, 50_000, 9, sampler="sphere")
-        haar = jl.psi_monte_carlo(n, k, alpha, sigma, 20_000, 10, sampler="haar")
-        se = math.hypot(sphere.std_error, haar.std_error)
-        assert abs(sphere.value - haar.value) <= 3 * se
+        rng = np.random.default_rng(seed)
+        hits = 0
+        for _ in range(samples):
+            o = jl.sample_haar_orthogonal(n - 1, rng, 1)
+            hits += 1.0 <= sigma * np.linalg.norm(o[:k, 0]) <= alpha
+        assert 0 < hits < samples
+        assert jl.psi_monte_carlo(n, k, alpha, sigma, samples, seed).value == hits / samples
 
     def test_domain(self):
         with pytest.raises(ParameterDomain):
@@ -176,6 +180,28 @@ class TestSigmaMax:
     def test_domain_excludes_boundary(self):
         with pytest.raises(ParameterDomain):
             jl.sigma_max(5, 2, 2.0)  # k = n - 3
+
+    @pytest.mark.parametrize("call", [
+        lambda: jl.sigma_max(7, 2, math.inf),
+        lambda: jl.make_plan(100, math.inf, "haar_projection", 10),
+        lambda: jl.jl_transform(metric.PointCloud(np.eye(6), "l2"), math.inf, "haar_projection", k=3),
+    ], ids=["sigma_max", "make_plan", "jl_transform"])
+    def test_infinite_alpha_is_a_domain_error(self, call):
+        # inf - inf in the log formula gave sigma = nan, which the plan carried
+        # and jl_transform reported as image distances overflowing
+        with pytest.raises(ParameterDomain, match="alpha"):
+            call()
+
+    def test_tails_stay_defined_at_infinite_alpha(self):
+        # the upper tail is 0, so the failure is the lower Beta tail alone
+        assert jl.psi_failure(12, 3, math.inf, 2.0) == pytest.approx(stats.beta.cdf(0.25, 1.5, 4.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_union_threshold_needs_two_points(n):
+    # 2 / (n (n - 1)) divided by zero
+    with pytest.raises(ParameterDomain, match="n >= 2"):
+        jl.union_threshold(n)
 
 
 def _doubling_search(n, alpha):
@@ -648,9 +674,8 @@ class TestBoundedMemory:
 @pytest.mark.parametrize("samples", [0, -5])
 @pytest.mark.parametrize("estimate", [
     lambda samples: jl.psi_monte_carlo(12, 3, 1.5, 2.0, samples, 0),
-    lambda samples: jl.psi_monte_carlo(12, 3, 1.5, 2.0, samples, 0, sampler="haar"),
     lambda samples: jl.gaussian_success_monte_carlo(5, 2.0, samples, 0),
-], ids=["sphere", "haar", "gaussian"])
+], ids=["sphere", "gaussian"])
 def test_monte_carlo_needs_a_sample(estimate, samples):
     # 0 divided by zero, and -5 returned a frequency of -0.0
     with pytest.raises(ParameterDomain, match="samples must be >= 1"):

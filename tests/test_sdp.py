@@ -221,9 +221,10 @@ class TestC2Bracket:
         assert b.status == "converged" and b.hi - b.lo <= 1e-4
         assert_checked(m, b)
 
-    def test_tiny_budget_is_undecided_and_checked(self):
+    def test_tiny_budget_is_undecided_and_checked(self, monkeypatch):
         m = cycle(12)
-        b = sdp.c2_bracket(m, tol=1e-4, max_iter=3)
+        monkeypatch.setattr(sdp, "MAX_ITER", 3)
+        b = sdp.c2_bracket(m, tol=1e-4)
         assert b.status == "undecided"
         assert 1 < b.lo < b.hi and b.hi - b.lo > 1e-4
         assert b.lo <= 6 * math.sin(math.pi / 12) <= b.hi

@@ -831,9 +831,10 @@ class TestRandomRegular:
         with pytest.raises(ValueError):
             random_regular_graph(7, 3, 0)
 
-    def test_generation_failure_cap(self):
+    def test_generation_failure_cap(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_PAIRING_TRIES", 0)
         with pytest.raises(GenerationFailure):
-            random_regular_graph(20, 4, 0, max_tries=0)
+            random_regular_graph(20, 4, 0)
 
 
 class TestMarkovConvexity:
@@ -883,6 +884,12 @@ class TestMarkovConvexity:
         p /= p.sum(axis=1, keepdims=True)
         spec = MarkovChainSpec(p, np.full(40, 1 / 40), 64, path_metric(np.arange(40.0)), np.arange(40))
         assert markov_convexity_ratio(spec) == markov_convexity_ratio(spec, method="dp")
+
+    @pytest.mark.parametrize("method", ["auto", "bogus"])
+    def test_unknown_method_rejected(self, method):
+        # "bogus" with samples used to run Monte Carlo and report mc(10)
+        with pytest.raises(ValueError, match="method must be 'dp' or 'mc'"):
+            markov_convexity_ratio(self._path_spec(), samples=10, method=method)
 
     @pytest.mark.parametrize("where", ["transition", "initial"])
     def test_nan_entry_rejected(self, where):
