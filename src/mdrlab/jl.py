@@ -153,9 +153,6 @@ def psi(n: int, k: int, alpha: float, sigma: float) -> ProbabilityEstimate:
     sigma grows; evaluated as 1 - psi_failure, the two Beta tails of the
     radial law.
     """
-    _check_psi_domain(n, k, alpha)
-    if not sigma >= 0:
-        raise ParameterDomain("sigma must be nonnegative")
     return ProbabilityEstimate(1.0 - psi_failure(n, k, alpha, sigma), 0.0, "beta")
 
 
@@ -170,6 +167,8 @@ def psi_failure(n: int, k: int, alpha: float, sigma: float) -> float:
     tests reconcile this route against the psi integral and Monte Carlo.
     """
     _check_psi_domain(n, k, alpha)
+    if not sigma >= 0:
+        raise ParameterDomain("sigma must be nonnegative")
     if sigma <= 1.0:
         return 1.0
     a, b = k / 2.0, (n - 1 - k) / 2.0
@@ -208,6 +207,8 @@ def psi_monte_carlo(
     point from the same normals, at the cost of a QR per sample.
     """
     _check_psi_domain(n, k, alpha)
+    if not sigma >= 0:
+        raise ParameterDomain("sigma must be nonnegative")
     rng = np.random.default_rng(seed)
     hits = 0
     for w2 in _squared_normal_chunks(rng, samples, n - 1):

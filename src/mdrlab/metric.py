@@ -69,11 +69,14 @@ class FiniteMetric:
 
     Instances are produced by :func:`build_metric`, which enforces symmetry,
     a zero diagonal, positive off-diagonal entries, and the triangle
-    inequality up to ``TRIANGLE_RTOL`` times the largest entry.  That check
-    scans at each pivot j only the pairs (i, k) of rows whose bound
-    ``max_k d[i,k] - (d[j,i] + min_{k != j} d[j,k])`` exceeds the tolerance;
-    the bound and the symmetry it uses hold in floating point, not only in
-    real arithmetic, so every instance passes the scan of all n^3 triples.
+    inequality up to ``TRIANGLE_RTOL`` times the largest entry.  A matrix of
+    small integer multiples of one power of two (every hop metric file) is
+    decided by one exact BLAS min-plus product; any other matrix, and one
+    that product fails, goes to a scan that visits at each pivot j only the
+    pairs (i, k) of rows whose bound
+    ``max_k d[i,k] - (d[j,i] + min_{k != j} d[j,k])`` exceeds the tolerance.
+    Both arguments hold in floating point, not only in real arithmetic, so
+    every instance passes the scan of all n^3 triples.
 
     Two producers are metrics by construction and skip the scan through
     :func:`_exact_metric`: ``WeightedGraph.shortest_path_metric`` (exact
@@ -183,6 +186,18 @@ def build_metric(dist: np.ndarray) -> FiniteMetric:
     TRIANGLE_RTOL * d.max()`` raises :class:`TriangleViolation` with the
     largest slack of that pivot and its row-major first (i, j, k).
 
+    A dyadic matrix passes without that scan.  With 2^e >= 2n, when every
+    entry is an integer multiple D of one power of two 2^q (the unit) and
+    2e * max D <= 1022, :func:`_dyadic_triangles` takes one BLAS product of
+    the powers of two 2^(-e D).  Its terms are normal floats, and the
+    n <= 2^(e-1) terms of a sum add less than a factor 2^(e-1) to the
+    largest, so the sum's binary exponent gives the min-plus product
+    exactly.  In units every slack the scan would take is an exact integer,
+    and a positive one, at least one unit, exceeds ``tol``, which is under
+    3e-10 units; so the verdict is the scan's.  When that route does not
+    apply or finds a violation, the scan below runs unchanged and reports
+    the triple and slack.
+
     Pairs that cannot fail are not scanned.  With ``top[i] = max_k d[i,k]``
     and ``near[j] = min_{k != j} d[j,k]``, row i is live at pivot j when
     ``top[i] - (d[j,i] + near[j]) > tol``.  A dead row cannot fail, and
@@ -213,11 +228,62 @@ def build_metric(dist: np.ndarray) -> FiniteMetric:
     if np.abs(np.diag(d)).max() != 0.0:
         raise NonzeroDiagonal("diagonal entries must be exactly zero")
     if n > 1:
-        off = d[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-        if off.min() <= 0.0:
+        near = d[~np.eye(n, dtype=bool)].reshape(n, n - 1).min(axis=1)
+        if near.min() <= 0.0:
             raise ValueError("off-diagonal distances must be strictly positive")
-        _check_triangles(d, off.min(axis=1), TRIANGLE_RTOL * d.max())
+        if not _dyadic_triangles(d, near):
+            _check_triangles(d, near, TRIANGLE_RTOL * d.max())
     return FiniteMetric(_frozen(d))
+
+
+def _dyadic_triangles(d: np.ndarray, near: np.ndarray) -> bool:
+    """True when ``d = D * 2^q`` for small integers D and no triangle fails.
+
+    With e the least integer such that 2^e >= 2n, the route applies when
+    every entry is an integer multiple D of one power of two 2^q with
+    2e * max D <= 1022; q is the least exponent that keeps max D within
+    that cap, so a matrix that fits a coarser unit fits this one too.
+    Otherwise, as for clouds, snowflakes and SDP witnesses, it returns
+    False, mostly after looking at the n row minima ``near`` alone.
+
+    ``E = 2^(-e D)`` holds powers of two from 2^-511 to 1, and one BLAS
+    product ``S = E E`` holds at (i, k) the sum over j of
+    2^(-e (D[i,j] + D[j,k])), each term at least 2^-1022, a normal float.
+    Let m[i,k] be the min-plus product, the least exponent sum.  A sum of
+    positive floats is never below its largest addend, so S >= 2^(-e m);
+    the n <= 2^(e-1) terms are each at most that addend, so S is below
+    2^(e-1) * 2^(-e m) times a rounding factor under 1 + n 2^-53.  Hence
+    ``floor(log2 S)`` gives m exactly, as m = ceil(-floor(log2 S) / e), and
+    the comparison ``S < 2^(e - 1/2) E``, with a factor sqrt(2) to spare
+    on either side, holds iff m >= D, that is, iff m = D (the term j = i
+    gives m <= D): no triangle fails.
+
+    That verdict is the scan's.  In units of 2^q the entries are integers
+    up to 255, so every sum and slack the scan takes is exact, or
+    overflows to inf where the exact slack is negative as well; a positive
+    slack is at least one unit, while ``TRIANGLE_RTOL * max d`` is under
+    3e-10 units before rounding and under one unit after it.
+    """
+    n = d.shape[0]
+    e = (2 * n - 1).bit_length()
+    cap = 511 // e
+    hi = d.max()
+    q = math.frexp(hi)[1] - cap.bit_length()
+    if math.ldexp(hi, -q) > cap:
+        q += 1
+    units = np.ldexp(near, -q)
+    if units.min() < 1 or (np.floor(units) != units).any():
+        return False
+    a = np.ldexp(d, -q)  # exact: off the diagonal every entry is at least one unit
+    s = np.empty_like(a)
+    if np.subtract(a, np.floor(a, out=s), out=s).any():  # a fractional part
+        return False
+    a *= -e
+    np.exp2(a, out=a)
+    np.matmul(a, a.T, out=s)  # E E, as E is symmetric; the transpose makes it one syrk
+    a *= 2.0 ** (e - 0.5)
+    s -= a
+    return bool(s.max() < 0)
 
 
 def _hop_distances(vertices: int, rows, cols, s: float = 1.0, T: float = math.inf) -> np.ndarray:

@@ -40,6 +40,9 @@ def verify_metric(seed: int = 0) -> dict:
                 metric.snowflake(m, theta)
             except Exception:
                 ok = False
+    # the triangle check's dyadic route against the full scan, from its own
+    # stream so that the draws of the other properties stay as they were
+    ok &= _dyadic_route_matches_full_scan(np.random.default_rng([seed, 1]))
     _prop(results, "snowflake_triangle", ok)
 
     ok = True
@@ -57,6 +60,24 @@ def verify_metric(seed: int = 0) -> dict:
     _prop(results, "volumetric_below_trivial", ok)
 
     return _finish("metric", results)
+
+
+def _dyadic_route_matches_full_scan(rng) -> bool:
+    """Cycle metrics of 4-32 points with one pair lengthened by 0-2 hops, at
+    scales 2^-1074 to 2^1000: the verdict of :func:`metric._dyadic_triangles`
+    is that of every slack d[i,k] - (d[i,j] + d[j,k]) against the tolerance."""
+    ok = True
+    for _ in range(8):
+        n = int(rng.integers(4, 33))
+        hops = np.abs(np.arange(n)[:, None] - np.arange(n))
+        d = np.minimum(hops, n - hops).astype(float)
+        p, q = rng.choice(n, 2, replace=False)
+        d[p, q] = d[q, p] = d[p, q] + rng.integers(0, 3)
+        d = np.ldexp(d, int(rng.integers(-1074, 1001)))
+        near = np.where(np.eye(n, dtype=bool), np.inf, d).min(axis=1)
+        slack = d[:, None, :] - (d[:, :, None] + d[None, :, :])  # slack[i, j, k]
+        ok &= metric._dyadic_triangles(d, near) == (slack.max() <= metric.TRIANGLE_RTOL * d.max())
+    return ok
 
 
 def _psi_log_constant(n: int, k: int) -> float:

@@ -275,6 +275,14 @@ class TestVerifyCommand:
         assert self.failed_properties(summary) == {"psi_quadrature_agreement"}
         assert not summary["ok"]
 
+    def test_dyadic_route_that_passes_everything_fails_the_triangle_property(self, monkeypatch):
+        # the planted cycle metrics are compared with every slack, not with
+        # build_metric, so a route that misses violations turns the check red
+        monkeypatch.setattr(metric, "_dyadic_triangles", lambda d, near: True)
+        summary = verify.verify_metric(seed=0)
+        assert self.failed_properties(summary) == {"snowflake_triangle"}
+        assert not summary["ok"]
+
 
 class TestMiscCommands:
     def test_regular_graph_and_gamma(self, tmp_path):

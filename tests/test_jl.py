@@ -682,6 +682,18 @@ def test_monte_carlo_needs_a_sample(estimate, samples):
         estimate(samples)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, -1.0])
+@pytest.mark.parametrize("estimate", [
+    lambda sigma: jl.psi(12, 3, 2.0, sigma),
+    lambda sigma: jl.psi_failure(12, 3, 2.0, sigma),
+    lambda sigma: jl.psi_monte_carlo(12, 3, 2.0, sigma, 100, 0),
+], ids=["psi", "psi_failure", "psi_monte_carlo"])
+def test_sigma_must_be_nonnegative(estimate, sigma):
+    # psi_failure returned 1.0 and psi_monte_carlo a frequency of 0.0
+    with pytest.raises(ParameterDomain, match="^sigma must be nonnegative$"):
+        estimate(sigma)
+
+
 class TestMonteCarloChunks:
     """Chunked draws give the estimate of one whole draw, bit for bit."""
 

@@ -249,6 +249,139 @@ class TestTriangleScan:
         assert got.slack == want.slack == 1.7e308 - 1.1e308
 
 
+def _near(d):
+    return np.where(np.eye(len(d), dtype=bool), np.inf, d).min(axis=1)
+
+
+def _hypercube(k):
+    x = np.arange(2**k)
+    return np.array([[bin(a ^ b).count("1") for b in x] for a in x], float)
+
+
+def _offset_line(n, top):
+    # 1 + |x_i - x_j| off the diagonal, with x in [0, top - 1]: a metric whose
+    # largest entry is top; two points at 0 and one at top - 1 make the
+    # product's smallest term the square of the smallest entry of E
+    x = np.concatenate([[0, 0, top - 1], np.random.default_rng(n).integers(0, top, n - 3)])
+    return np.abs(x[:, None] - x[None, :]).astype(float) + 1 - np.eye(n)
+
+
+def _plant(rng, d):
+    # move one pair by a whole number of units, up or down, keeping it positive
+    d = d.copy()
+    p, q = rng.choice(len(d), 2, replace=False)
+    unit = d[d > 0].min()
+    d[p, q] = d[q, p] = d[p, q] + unit * rng.choice([-1, 1, 2]) if d[p, q] > unit else d[p, q] + unit
+    return d
+
+
+class TestDyadicRoute:
+    """Matrices of integer multiples of one power of two are decided by one
+    exact min-plus product; the verdict, triple, slack and message stay those
+    of the full scan, and a valid matrix never reaches the scan."""
+
+    def check(self, d, *, applies=True):
+        """build_metric agrees with the full scan, and the route decides every
+        valid matrix of its domain (``applies``) and turns away the rest."""
+        with np.errstate(over="ignore"):
+            want = _scan_oracle(d)
+        got = _scan_verdict(d)
+        assert (want is None) == (got is None)
+        if want is not None:
+            assert (got.triple, got.slack, str(got)) == (want.triple, want.slack, str(want))
+        assert metric._dyadic_triangles(d, _near(d)) is (applies and want is None)
+        return want is not None
+
+    @pytest.fixture
+    def scan_calls(self, monkeypatch):
+        calls = []
+        scan = metric._check_triangles
+        monkeypatch.setattr(metric, "_check_triangles", lambda *a: calls.append(a) or scan(*a))
+        return calls
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 2.0])
+    def test_signed_metrics_with_planted_violations(self, s):
+        rng = np.random.default_rng(int(4 * s))
+        verdicts = []
+        for n in (4, 8, 16, 32, 64, 128):
+            t = matousek.gen_template(n, 4, rng.integers(2**32))
+            params = matousek.SignedMetricParams(s, s * int(rng.integers(1, 7)))
+            d = matousek.signed_metric(t, matousek.random_signs(t, rng.integers(2**32)), params).dist
+            verdicts += [self.check(d), self.check(_plant(rng, d))]
+        assert not any(verdicts[::2]) and any(verdicts[1::2])
+
+    def test_hop_metrics_with_planted_violations(self):
+        rng = np.random.default_rng(7)
+        verdicts = []
+        for n, r in ((6, 3), (40, 3), (100, 4), (200, 3), (400, 4)):
+            d = spectral.random_regular_graph(n, r, rng.integers(2**32)).shortest_path_metric().dist
+            verdicts += [self.check(d), self.check(_plant(rng, d))]
+        assert not any(verdicts[::2]) and any(verdicts[1::2])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-1074, -1070, -1060, -1022, -600, -1, 0, 3, 500, 1000, 1019])
+    def test_power_of_two_scales_are_silent(self, k):
+        # 2^-1074 is the smallest subnormal; at 2^1019 sums of two entries of
+        # the 33-point cycle (diameter 16) overflow to inf
+        rng = np.random.default_rng(k + 2000)
+        verdicts = []
+        for d in (_hypercube(4), spectral.WeightedGraph.build(33, [(i, (i + 1) % 33) for i in range(33)])
+                  .shortest_path_metric().dist, _offset_line(20, 9)):
+            d = np.ldexp(d, k)
+            verdicts += [self.check(d), self.check(_plant(rng, d))]
+        assert not any(verdicts[::2]) and any(verdicts[1::2])
+
+    @pytest.mark.parametrize("n", [3, 4, 33, 257, 400])
+    def test_edge_of_the_normal_range(self, n):
+        # with 2^e >= 2n, the route takes largest entries D <= 511 // e units
+        cap = 511 // (2 * n - 1).bit_length()
+        at, past = _offset_line(n, cap), _offset_line(n, cap + 1)
+        assert self.check(at) is False
+        assert self.check(past, applies=False) is False
+        planted = at.copy()
+        planted[1, 2] = planted[2, 1] = 1  # d[0, 2] = cap > 1 + 1
+        assert self.check(planted)
+        # the cap bounds the entries in units, whatever the unit
+        assert self.check(2.0 * at) is False
+        assert self.check(2.0 * past, applies=False) is False
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_hypercubes_fill_the_margin(self, k):
+        # n = 2^(e-1) points, and every vertex lies on a geodesic between
+        # antipodes: their sum has n equal least terms, the most it can have
+        d = _hypercube(k)
+        assert len(d) == 2 ** ((2 * len(d) - 1).bit_length() - 1)
+        assert self.check(d) is False
+        if k > 1:
+            d = d.copy()  # build_metric froze it
+            d[0, -1] = d[-1, 0] = k + 1
+            assert self.check(d)
+
+    def test_non_dyadic_matrices_are_turned_away_by_their_row_minima(self):
+        rng = np.random.default_rng(3)
+        for family in ("l2", "snowflake", "box"):
+            d = SCAN_FAMILIES[family](rng, 256)
+            near = _near(d)
+            tracemalloc.start()
+            assert metric._dyadic_triangles(d, near) is False
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < d.nbytes / 8
+
+    def test_valid_dyadic_matrices_never_reach_the_scan(self, scan_calls):
+        g = spectral.random_regular_graph(512, 4, 0)
+        t = matousek.gen_template(128, 6, 0)
+        signed = matousek.signed_metric(t, matousek.random_signs(t, 0), matousek.SignedMetricParams(0.5, 3))
+        for d in (g.shortest_path_metric().dist, signed.dist, np.ldexp(_hypercube(5), -1070)):
+            assert metric.build_metric(d).dist.tobytes() == d.tobytes()
+        assert scan_calls == []
+        d = _hypercube(3)
+        d[0, 7] = d[7, 0] = 5
+        with pytest.raises(TriangleViolation):
+            metric.build_metric(d)
+        assert len(scan_calls) == 1
+
+
 class TestDistortion:
     def test_identity_map(self):
         m = metric.random_metric(6, 0)
