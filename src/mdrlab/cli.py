@@ -8,8 +8,8 @@ dict or a list of row dicts; ``main`` emits that payload once, and ``sweep``
 runs any subcommand over a grid through the same parser.  Numeric output is
 printed with 12 significant digits.  Domain errors exit with code 2 and a
 machine-readable JSON object on stderr; ``verify`` exits 1 when a property
-suite fails.  A dimension search that certifies no k (``NoFeasibleK``) does
-not change the exit code; each such warning is one JSON object on stderr.
+suite fails.  A dimension search that finds no certified k (``NoFeasibleK``)
+does not change the exit code; each such warning is one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ def cmd_certificate(args):
         raise ValueError("provide exactly one of --cert FILE and --search")
     m = _load_metric(args.metric)
     if args.search:
-        cert = sdp.find_violating_certificate(m, args.alpha, seed=args.seed)
+        cert = sdp.find_violating_certificate(m, args.alpha)
         if cert is None:
             return {"found": False, "alpha": args.alpha}
     else:

@@ -40,10 +40,6 @@ class TooLargeForExact(MdrlabError):
     pass
 
 
-class ConfigTooLarge(MdrlabError):
-    pass
-
-
 class IndexMismatch(MdrlabError):
     pass
 
@@ -55,7 +51,7 @@ class ParameterDomain(MdrlabError):
 
 
 class NoFeasibleK(UserWarning):
-    """No dimension k certifies the union bound; the trivial k = n - 1 is returned."""
+    """The dimension search found no certified k; the trivial k = n - 1 is returned."""
 
 
 class ZeroDistancePair(MdrlabError):

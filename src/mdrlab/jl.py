@@ -268,7 +268,9 @@ def jl_min_dim_projection(n: int, alpha: float) -> int:
     per-pair budget 2/(n(n-1)); sigma_max needs k <= n - 4.  Bisection of
     [1, n - 4] returns a certified k whose k - 1 is uncertified, or k = 1.
     If it runs past n - 4, which was then probed and uncertified, the
-    trivial k = n - 1 is returned under a NoFeasibleK warning.
+    trivial k = n - 1 is returned under a NoFeasibleK warning that says
+    only this: bisection found no certified k, which does not exclude a
+    certified window that no probe hit.
 
     The result is the least certified k* when the certified k below n - 4
     form one interval from k* (or there are none); a scan of every k found
@@ -288,7 +290,7 @@ def jl_min_dim_projection(n: int, alpha: float) -> int:
 
     k = bisect_left(range(n - 3), True, lo=1, key=feasible)
     if k > n - 4:
-        warnings.warn(f"no k <= {n - 4} is certified; returning the trivial n - 1", NoFeasibleK)
+        warnings.warn(f"bisection of [1, {n - 4}] found no certified k; returning the trivial n - 1", NoFeasibleK)
         return n - 1
     return k
 
@@ -330,23 +332,6 @@ def gaussian_failure(k: int, alpha: float) -> float:
     lo = 2.0 * k * la / (alpha**2 - 1.0)
     sp = _special()
     return float(sp.chdtr(k, lo) + sp.chdtrc(k, alpha**2 * lo))
-
-
-def gaussian_success_prob(k: int, alpha: float) -> ProbabilityEstimate:
-    """P(1 <= ||G_k^alpha z|| <= alpha) for the optimally rescaled Gaussian."""
-    fail = gaussian_failure(k, alpha)
-    return ProbabilityEstimate(min(1.0, max(0.0, 1.0 - fail)), 0.0, "chi2")
-
-
-def gaussian_success_monte_carlo(k: int, alpha: float, samples: int, seed) -> ProbabilityEstimate:
-    """Empirical frequency of 1 <= ||G_k^alpha z|| <= alpha over Gaussian draws."""
-    rng = np.random.default_rng(seed)
-    s = gaussian_sigma(k, alpha)
-    hits = 0
-    for g2 in _squared_normal_chunks(rng, samples, k):
-        r = s * np.sqrt(g2.sum(axis=1))
-        hits += int(((r >= 1.0) & (r <= alpha)).sum())
-    return _frequency(hits, samples)
 
 
 def jl_min_dim_gaussian(n: int, alpha: float) -> int:

@@ -86,9 +86,6 @@ class SignAssignment:
             if v not in (-1, 1):
                 raise ValueError("signs must be +1 or -1")
 
-    def of(self, edge) -> int:
-        return self.signs[tuple(edge)]
-
 
 @dataclass(frozen=True)
 class SignedMetricParams:

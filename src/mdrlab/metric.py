@@ -10,7 +10,6 @@ volumetric dimension lower bounds.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -18,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigTooLarge,
     DegenerateSource,
     Disconnected,
-    IndexMismatch,
     NonInjectiveMap,
     NonzeroDiagonal,
     SymmetryViolation,
@@ -222,9 +219,8 @@ def build_metric(dist: np.ndarray) -> FiniteMetric:
         raise ValueError("need at least one point")
     if not np.all(np.isfinite(d)):
         raise ValueError("distance matrix has non-finite entries")
-    asym = np.abs(d - d.T).max()
-    if asym > 0:
-        raise SymmetryViolation(f"matrix asymmetric by {asym:.3e}")
+    if not np.array_equal(d, d.T):
+        raise SymmetryViolation(f"matrix asymmetric by {np.abs(d - d.T).max():.3e}")
     if np.abs(np.diag(d)).max() != 0.0:
         raise NonzeroDiagonal("diagonal entries must be exactly zero")
     if n > 1:
@@ -233,7 +229,9 @@ def build_metric(dist: np.ndarray) -> FiniteMetric:
             raise ValueError("off-diagonal distances must be strictly positive")
         if not _dyadic_triangles(d, near):
             _check_triangles(d, near, TRIANGLE_RTOL * d.max())
-    return FiniteMetric(_frozen(d))
+    # a copy, taken after the validation buffers are freed: the caller's array
+    # stays writable and unshared
+    return FiniteMetric(_frozen(d.copy()))
 
 
 def _dyadic_triangles(d: np.ndarray, near: np.ndarray) -> bool:
@@ -599,36 +597,3 @@ def volumetric_lower_bound(n: int, alpha: float) -> float:
     if not alpha >= 1:
         raise ValueError("alpha must be >= 1")
     return math.log(n) / math.log(alpha + 1.0)
-
-
-def metric_cotype_ratio(m: FiniteMetric, assignment: np.ndarray, q: float, mm: int, n: int):
-    """Both sides of the discrete-torus quadratic inequality, as raw numbers.
-
-    ``assignment`` has shape (2m,)*n and holds point indices of ``m``; the
-    left side sums d(x_{w + m e_i}, x_w)^2 / m^2 over axes i and torus points
-    w, the right side averages d(x_{w + eps}, x_w)^2 over the 3^n sign
-    perturbations with the n^(1 - 2/q) prefactor.  The hidden constant of the
-    inequality is not materialized, so this is a reporter, not a verdict.
-    """
-    if not q > 0:
-        raise ValueError("q must be positive")
-    side = 2 * mm
-    if side ** n > 4096:
-        raise ConfigTooLarge(f"(2m)^n = {side ** n} exceeds the enumeration cap")
-    a = _indices(assignment, m.n, IndexMismatch, f"assignment entries must be integers in [0, {m.n})")
-    if a.shape != (side,) * n:
-        raise IndexMismatch(f"assignment shape {a.shape} != {(side,) * n}")
-    d2 = m.dist ** 2
-    lhs = 0.0
-    for i in range(n):
-        shifted = np.roll(a, -mm, axis=i)
-        lhs += (d2[shifted, a]).sum() / mm ** 2
-    rhs = 0.0
-    for eps in itertools.product((-1, 0, 1), repeat=n):
-        shifted = a
-        for axis, e in enumerate(eps):
-            if e:
-                shifted = np.roll(shifted, -e, axis=axis)
-        rhs += (d2[shifted, a]).sum()
-    rhs *= n ** (1.0 - 2.0 / q) / 3.0 ** n
-    return float(lhs), float(rhs)

@@ -317,24 +317,6 @@ def gamma_bruteforce(chain: ReversibleChain, m: FiniteMetric, p: float = 2.0) ->
     return best
 
 
-def gamma_sampled_lower_bound(
-    chain: ReversibleChain, cloud_dim: int, norm: str, samples: int, seed
-) -> float:
-    """Certified lower bound on gamma(A, ||.||_X^2) from random configurations.
-
-    The supremum over configurations is not computable for a norm; this
-    reports the best 1/R seen over random Gaussian configurations, which is
-    a valid lower bound but has no convergence guarantee.
-    """
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(samples):
-        coords = rng.standard_normal((chain.n, cloud_dim))
-        x = Configuration(PointCloud(coords, norm))
-        best = max(best, 1.0 / rayleigh(x, chain, 2.0))
-    return best
-
-
 def hilbert_rayleigh_identity(x: Configuration, chain: ReversibleChain):
     """Both sides of ||(A (x) Id) x_c|| / ||x_c|| = sqrt(1 - R(x; A^2, H^2)).
 

@@ -230,7 +230,7 @@ def verify_sdp(seed: int = 0) -> dict:
         ok &= sdp.c2_bracket(m3, tol=1e-4).hi <= 1 + 2e-4
     _prop(results, "three_points_isometric", ok)
 
-    cert = sdp.find_violating_certificate(c4, 1.3, seed=seed)
+    cert = sdp.find_violating_certificate(c4, 1.3)
     _prop(results, "violating_certificate_found", cert is not None)
 
     hops = np.abs(np.arange(12)[:, None] - np.arange(12))

@@ -57,7 +57,7 @@ class TestJlDim:
         assert "jl.py:" not in proc.stderr
         warning = json.loads(proc.stderr)
         assert warning["warning"] == "NoFeasibleK"
-        assert "no k <= 1 is certified" in warning["message"]
+        assert "bisection of [1, 1] found no certified k" in warning["message"]
 
 
 class TestOutputsAndFormats:

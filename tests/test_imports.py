@@ -3,8 +3,10 @@ scipy subpackage loads only in the commands that compute with it, so a
 top-level import cannot silently bring back the cold-start cost of
 ``import mdrlab.cli``."""
 
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 from helpers import cycle4, graph_cycle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 HEAVY = ("scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.spatial", "scipy.sparse")
 
 
@@ -45,6 +48,18 @@ def test_package_exposes_its_submodules_only():
         "assert not hasattr(mdrlab, 'psi') and not hasattr(mdrlab, 'c2_bracket')"
     )
     assert "mdrlab.cli" not in loaded
+
+
+def test_readme_layout_names_exist():
+    # every name in README's "Library layout" table is an attribute of its
+    # module, so the table cannot keep a deleted name
+    section = README.read_text(encoding="utf-8").split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(mdrlab\.\w+)` \| (`\w+`(?:, `\w+`)*) \|$", section, re.M)
+    libraries = ("jl", "matousek", "metric", "moduli", "sdp", "spectral")
+    assert sorted(module for module, _ in rows) == [f"mdrlab.{name}" for name in libraries]
+    for module, cell in rows:
+        names = re.findall(r"`(\w+)`", cell)
+        assert [n for n in names if not hasattr(importlib.import_module(module), n)] == [], module
 
 
 @pytest.mark.parametrize(

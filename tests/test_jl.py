@@ -379,7 +379,7 @@ class TestGaussianProb:
     def test_probability_range(self):
         for k in (1, 2, 5, 20):
             for alpha in (1.1, 2.0, 10.0):
-                v = jl.gaussian_success_prob(k, alpha).value
+                v = 1.0 - jl.gaussian_failure(k, alpha)
                 assert 0.0 <= v <= 1.0
 
     def test_k2_elementary_cdf(self):
@@ -387,12 +387,19 @@ class TestGaussianProb:
         alpha = 2.0
         lo = 4 * math.log(alpha) / (alpha**2 - 1)
         elementary = math.exp(-lo / 2) - math.exp(-(alpha**2) * lo / 2)
-        assert abs(jl.gaussian_success_prob(2, alpha).value - elementary) <= 1e-9
+        assert abs((1.0 - jl.gaussian_failure(2, alpha)) - elementary) <= 1e-9
 
     def test_monte_carlo_agreement(self):
-        value = jl.gaussian_success_prob(10, 2.0).value
-        mc = jl.gaussian_success_monte_carlo(10, 2.0, 1_000_000, 12)
-        assert abs(value - mc.value) <= 3 * mc.std_error
+        # 10^6 rescaled Gaussian images of a unit vector, drawn in ten chunks
+        k, alpha, samples = 10, 2.0, 1_000_000
+        rng = np.random.default_rng(12)
+        s = jl.gaussian_sigma(k, alpha)
+        hits = 0
+        for _ in range(10):
+            r = s * np.linalg.norm(rng.standard_normal((samples // 10, k)), axis=1)
+            hits += int(((r >= 1.0) & (r <= alpha)).sum())
+        p = hits / samples
+        assert abs((1.0 - jl.gaussian_failure(k, alpha)) - p) <= 3 * math.sqrt(p * (1 - p) / samples)
 
     def test_tail_integral_agreement(self):
         for k in (1, 3, 10, 40):
@@ -404,14 +411,13 @@ class TestGaussianProb:
         # the 1e9-point, alpha = 2 certificate, evaluated with 50-digit mpmath
         exact = 1.7675874660809711e-18
         assert abs(jl.gaussian_failure(329, 2.0) - exact) <= 1e-12 * exact
-        assert jl.gaussian_success_prob(329, 2.0).method == "chi2"
 
     def test_haar_beats_gaussian_pointwise(self):
         # the rotation plan's per-pair probability dominates the Gaussian one
         for n, k in [(10, 2), (20, 5), (40, 8)]:
             for alpha in (1.5, 2.0, 4.0):
                 haar_p = 1.0 - jl.psi_failure(n, k, alpha, jl.sigma_max(n, k, alpha))
-                gauss_p = jl.gaussian_success_prob(k, alpha).value
+                gauss_p = 1.0 - jl.gaussian_failure(k, alpha)
                 assert gauss_p <= haar_p + 1e-9
 
 
@@ -674,8 +680,7 @@ class TestBoundedMemory:
 @pytest.mark.parametrize("samples", [0, -5])
 @pytest.mark.parametrize("estimate", [
     lambda samples: jl.psi_monte_carlo(12, 3, 1.5, 2.0, samples, 0),
-    lambda samples: jl.gaussian_success_monte_carlo(5, 2.0, samples, 0),
-], ids=["sphere", "gaussian"])
+], ids=["sphere"])
 def test_monte_carlo_needs_a_sample(estimate, samples):
     # 0 divided by zero, and -5 returned a frequency of -0.0
     with pytest.raises(ParameterDomain, match="samples must be >= 1"):
@@ -708,15 +713,16 @@ class TestMonteCarloChunks:
         assert 0 < hits < samples
         assert jl.psi_monte_carlo(n, k, alpha, sigma, samples, seed).value == hits / samples
 
+    @staticmethod
+    def chunked_norms(samples, k, seed):
+        chunks = jl._squared_normal_chunks(np.random.default_rng(seed), samples, k)
+        return np.concatenate([np.sqrt(g2.sum(axis=1)) for g2 in chunks])
+
     def test_gaussian_over_ragged_chunks(self):
-        k, alpha, seed = 700, 1.1, 6
-        rows = 2**20 // k
-        samples = 2 * rows + 17
-        s = jl.gaussian_sigma(k, alpha)
-        r = s * np.linalg.norm(np.random.default_rng(seed).standard_normal((samples, k)), axis=1)
-        hits = int(((r >= 1.0) & (r <= alpha)).sum())
-        assert 0 < hits < samples
-        assert jl.gaussian_success_monte_carlo(k, alpha, samples, seed).value == hits / samples
+        k, seed = 700, 6
+        samples = 2 * (2**20 // k) + 17
+        whole = np.linalg.norm(np.random.default_rng(seed).standard_normal((samples, k)), axis=1)
+        assert np.array_equal(self.chunked_norms(samples, k, seed), whole)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_psi_sphere_sampler_at_the_chunk_boundary(self, extra):
@@ -731,13 +737,10 @@ class TestMonteCarloChunks:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_gaussian_at_the_chunk_boundary(self, extra):
-        k, alpha, seed = 13, 1.5, 8
+        k, seed = 13, 8
         samples = 4 * (2**16 // k) + extra
-        s = jl.gaussian_sigma(k, alpha)
-        r = s * np.linalg.norm(np.random.default_rng(seed).standard_normal((samples, k)), axis=1)
-        hits = int(((r >= 1.0) & (r <= alpha)).sum())
-        assert 0 < hits < samples
-        assert jl.gaussian_success_monte_carlo(k, alpha, samples, seed).value == hits / samples
+        whole = np.linalg.norm(np.random.default_rng(seed).standard_normal((samples, k)), axis=1)
+        assert np.array_equal(self.chunked_norms(samples, k, seed), whole)
 
 
 def _whole_array_transform(cloud, alpha, mode, seed, max_retries, k):

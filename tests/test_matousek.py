@@ -204,7 +204,7 @@ class TestHopDistances:
             t = gen_template(n, g, rng.integers(2**32))
             signs = random_signs(t, rng.integers(2**32))
             left, right = np.array(t.edges, dtype=int).reshape(-1, 2).T
-            sign = np.array([signs.of(e) for e in t.edges])
+            sign = np.array([signs.signs[e] for e in t.edges])
             rows = np.where(sign > 0, matousek.plus_vertex(left), matousek.minus_vertex(left, n))
             cols = matousek.right_vertex(right, n)
             for s, T in HOP_SCALES[1:]:
@@ -230,7 +230,7 @@ class TestSignedMetric:
         sm = signed_metric(t, signs, SignedMetricParams(s, cap))
         assert sm.dist.max() <= cap + 1e-12
         for (i, j) in t.edges:
-            left = i if signs.of((i, j)) > 0 else 12 + i
+            left = i if signs.signs[(i, j)] > 0 else 12 + i
             assert sm.dist[left, 24 + j] == pytest.approx(s)
 
     def test_fork_separation(self):
@@ -300,7 +300,7 @@ class TestSignedMetric:
         signs = random_signs(t, 16)
         sm = signed_metric(t, signs, SignedMetricParams(s, math.inf))
         left, right = np.array(t.edges, dtype=int).reshape(-1, 2).T
-        sign = np.array([signs.of(e) for e in t.edges])
+        sign = np.array([signs.signs[e] for e in t.edges])
         rows = np.where(sign > 0, matousek.plus_vertex(left), matousek.minus_vertex(left, 8))
         d = metric._hop_distances(24, rows, matousek.right_vertex(right, 8), s, math.inf)
         assert sm.dist.tobytes() == metric.build_metric(d).dist.tobytes()

@@ -9,7 +9,6 @@ from scipy.spatial.distance import cdist
 from helpers import equilateral, path_metric
 from mdrlab import matousek, metric, spectral
 from mdrlab.errors import (
-    ConfigTooLarge,
     DegenerateSource,
     IndexMismatch,
     NonInjectiveMap,
@@ -52,8 +51,17 @@ class TestBuildMetric:
 
     def test_symmetry_violation(self):
         d = np.array([[0, 1], [2, 0]], dtype=float)
-        with pytest.raises(SymmetryViolation):
+        with pytest.raises(SymmetryViolation, match=r"^matrix asymmetric by 1\.000e\+00$"):
             metric.build_metric(d)
+
+    def test_input_stays_writable_and_unshared(self):
+        # the caller may go on writing into its array; a validated metric must not see that
+        d = np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]], dtype=float)
+        m = metric.build_metric(d)
+        assert d.flags.writeable and not m.dist.flags.writeable
+        assert not np.shares_memory(d, m.dist)
+        d[0, 2] = d[2, 0] = 9.0
+        assert m.dist[0, 2] == 3.0
 
     def test_nonzero_diagonal(self):
         d = np.array([[0.5, 1], [1, 0]], dtype=float)
@@ -818,51 +826,6 @@ class TestVolumetric:
                 assert metric.volumetric_lower_bound(n, alpha) <= n - 1
 
 
-class TestMetricCotype:
-    def test_constant_configuration(self):
-        m = path_metric([0.0, 1.0])
-        a = np.zeros((2, 2), dtype=int)  # n=2 axes, m=1
-        lhs, rhs = metric.metric_cotype_ratio(m, a, 2.0, 1, 2)
-        assert lhs == 0.0 and rhs == 0.0
-
-    def test_two_point_alternation(self):
-        # n = 1, m = 1: x_w alternates between two points at distance 1
-        m = path_metric([0.0, 1.0])
-        a = np.array([0, 1])
-        lhs, rhs = metric.metric_cotype_ratio(m, a, 2.0, 1, 1)
-        assert lhs == pytest.approx(2.0)
-        # independent enumeration of the right side: eps in {-1,0,1}
-        expected_rhs = 0.0
-        for eps in (-1, 0, 1):
-            for w in (0, 1):
-                expected_rhs += (m.dist[a[(w + eps) % 2], a[w]]) ** 2
-        expected_rhs *= 1.0 ** (1 - 2 / 2.0) / 3.0
-        assert rhs == pytest.approx(expected_rhs)
-
-    def test_homogeneity(self):
-        m = path_metric([0.0, 1.0, 3.0])
-        doubled = metric.build_metric(2 * m.dist)
-        a = np.array([[0, 1, 2, 1], [2, 0, 1, 0], [1, 2, 0, 2], [0, 0, 1, 1]])  # (2m,)^n, m=2, n=2
-        l1, r1 = metric.metric_cotype_ratio(m, a, 3.0, 2, 2)
-        l2, r2 = metric.metric_cotype_ratio(doubled, a, 3.0, 2, 2)
-        assert l2 == pytest.approx(4 * l1)
-        assert r2 == pytest.approx(4 * r1)
-
-    def test_size_cap(self):
-        m = path_metric([0.0, 1.0])
-        with pytest.raises(ConfigTooLarge):
-            metric.metric_cotype_ratio(m, np.zeros((8,) * 5, dtype=int), 2.0, 4, 5)
-
-    def test_index_mismatch(self):
-        from mdrlab.errors import IndexMismatch
-
-        m = path_metric([0.0, 1.0])
-        with pytest.raises(IndexMismatch):
-            metric.metric_cotype_ratio(m, np.zeros((2, 2), dtype=int), 2.0, 1, 1)  # wrong shape
-        with pytest.raises(IndexMismatch):
-            metric.metric_cotype_ratio(m, np.full((2, 2), 5, dtype=int), 2.0, 1, 2)  # bad index
-
-
 def _c4():
     return metric.build_metric(np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]], dtype=float))
 
@@ -873,9 +836,6 @@ _WALK4 = np.array([[0, 1, 0, 0], [0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5], [0, 0, 1, 0
 # class it raises for a number that is no index in range, and an integer out of range.
 GATE_CALLERS = {
     "distortion": (lambda v: metric.distortion(_c4(), _c4(), [0, 1, 2, v]), NonInjectiveMap, 4),
-    "metric_cotype_ratio": (
-        lambda v: metric.metric_cotype_ratio(_c4(), [[0, 1], [2, v]], 2.0, 1, 2), IndexMismatch, 4
-    ),
     "Configuration": (lambda v: spectral.Configuration(_c4(), [0, 1, 2, v]), ValueError, 4),
     "MarkovChainSpec.point_map": (
         lambda v: spectral.MarkovChainSpec(_WALK4, np.full(4, 0.25), 4, _c4(), [0, 1, 2, v]), ValueError, 4
