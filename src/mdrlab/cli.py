@@ -49,10 +49,6 @@ def _round_floats(obj):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.12g}")
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 
@@ -159,7 +155,6 @@ def cmd_jl_dim(args):
         # the trivial k = n - 1 fallback has no haar certificate
         payload.update(
             sigma=plan.sigma,
-            success_prob=plan.success_prob,
             failure_prob=plan.failure_prob,
             union_bound=plan.union_bound,
         )
@@ -248,7 +243,6 @@ def cmd_c2_sdp(args):
     m = _load_metric(args.metric)
     b = sdp.c2_bracket(m, tol=args.tol)
     return {
-        "alpha": b.hi,
         "lo": b.lo,
         "hi": b.hi,
         "status": b.status,

@@ -35,16 +35,15 @@ normalized, and ``verify jl`` fails with it: see tests/test_cli.py's
 from __future__ import annotations
 
 import functools
-import json
 import math
 import warnings
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoFeasibleK, ParameterDomain, ZeroDistancePair
-from .metric import PointCloud
+from .metric import PointCloud, _frozen
 
 MODES = ("haar_projection", "scaled_gaussian")
 
@@ -66,11 +65,11 @@ class ProbabilityEstimate:
 class JlPlan:
     """A dimension-reduction instance with its success certificate.
 
-    ``success_prob`` is the per-pair probability that one unit direction
-    lands in [1, alpha] and ``failure_prob`` = 1 - success_prob its
-    complement, evaluated directly from the tails so it stays readable when
-    success_prob rounds to 1; ``union_bound`` = 1 - C(n,2) failure_prob
-    lower-bounds the probability that a single draw works for all pairs.
+    ``failure_prob`` is the per-pair probability that one unit direction
+    lands outside [1, alpha], evaluated directly from the tails so it stays
+    readable where its complement rounds to 1; ``union_bound`` = 1 - C(n,2)
+    failure_prob lower-bounds the probability that a single draw works for
+    all pairs.
     ``ambient`` is the dimension the rotation acts on: n - 1 whenever the
     requested k permits, padded up to k + 3 otherwise (zero-padding is an
     isometry, so the certificate stays exact).
@@ -81,13 +80,9 @@ class JlPlan:
     k: int
     sigma: float
     mode: str
-    success_prob: float
     failure_prob: float
     union_bound: float
     ambient: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -403,7 +398,6 @@ def make_plan(n: int, alpha: float, mode: str, k: int | None = None) -> JlPlan:
         k=int(k),
         sigma=float(sig),
         mode=mode,
-        success_prob=1.0 - failure,
         failure_prob=failure,
         union_bound=1.0 - pairs * failure,
         ambient=int(ambient),
@@ -433,7 +427,7 @@ def _gram_sides(xt: np.ndarray, yt: np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
             norms = np.einsum("ij,ij->i", t, t)
         d = t.shape[1]
-        r2 = norms.max() / (1 - _gamma(d))
+        r2 = float(norms.max()) / (1 - _gamma(d))  # a Python float: ry / rx below overflows to inf silently
         if not 2.0**-1000 <= r2 <= 2.0**1000:  # NaN fails too
             return None
         sides.append((norms, (4 * _gamma(d + 3) + 9 * _U) * r2 + d * 2.0**-1071, r2))
@@ -629,7 +623,7 @@ def jl_transform(
     if best_y is None:  # every attempt's max/min ratio was inf or NaN
         raise ParameterDomain("image distances overflow to infinity; rescale the cloud")
     return JlResult(
-        cloud=PointCloud(best_y, "l2"),
+        cloud=PointCloud(_frozen(best_y), "l2"),
         plan=plan,
         attempts=attempt,
         success=success,

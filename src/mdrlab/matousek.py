@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexMismatch
-from .metric import FiniteMetric, _exact_metric, _hop_distances, _indices
+from .metric import FiniteMetric, _exact_metric, _hop_distances
 
 
 @dataclass(frozen=True)
@@ -38,16 +38,7 @@ class TemplateGraph:
 
     n: int
     edges: tuple  # sorted (left, right) pairs
-    girth: float  # computed at build time; inf for forests
-
-    @staticmethod
-    def build(n: int, edges) -> "TemplateGraph":
-        if np.ndim(n):
-            raise ValueError("n must be a nonnegative integer")
-        n = _indices(n, math.inf, ValueError, "n must be a nonnegative integer").item()
-        pairs = _indices(list(edges), n, ValueError, f"template edges must be pairs of integers in [0, {n})")
-        es = sorted({(i, j) for i, j in pairs.tolist()})  # an entry that is not a pair fails to unpack
-        return TemplateGraph(n, tuple(es), girth(2 * n, [(i, n + j) for i, j in es]))
+    girth: float  # inf for forests
 
     @property
     def edge_count(self) -> int:
@@ -68,11 +59,6 @@ class TemplateGraph:
                 "edges": [list(e) for e in self.edges],
             }
         )
-
-    @staticmethod
-    def from_json(text: str) -> "TemplateGraph":
-        obj = json.loads(text)
-        return TemplateGraph.build(obj["n"], obj["edges"])
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,9 @@ class PointCloud:
     """n points in a k-dimensional normed space.
 
     ``norm`` is one of ``"l2"``, ``"l1"``, ``"linf"`` or ``"lp"``; the
-    latter requires the exponent ``p >= 1``.
+    latter requires the exponent ``p >= 1``.  Writable coordinates are
+    copied, so the caller's array stays writable and unshared; read-only
+    ones, as the library's producers hand over their fresh arrays, are kept.
     """
 
     coords: np.ndarray
@@ -116,7 +118,10 @@ class PointCloud:
     p: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _frozen(np.atleast_2d(self.coords)))
+        coords = np.atleast_2d(self.coords)
+        if coords.flags.writeable:
+            coords = np.array(coords, float, order="C")
+        object.__setattr__(self, "coords", _frozen(coords))
         if not np.all(np.isfinite(self.coords)):
             raise ValueError("point coordinates have non-finite entries")
         if self.norm not in NORM_TAGS:
@@ -155,8 +160,8 @@ class PointCloud:
         obj = json.loads(text)
         norm = obj["norm"]
         if isinstance(norm, dict):
-            return PointCloud(np.asarray(obj["coords"], float), "lp", p=float(norm["lp"]))
-        return PointCloud(np.asarray(obj["coords"], float), norm)
+            return PointCloud(_frozen(obj["coords"]), "lp", p=float(norm["lp"]))
+        return PointCloud(_frozen(obj["coords"]), norm)
 
 
 @dataclass(frozen=True)
@@ -164,12 +169,11 @@ class EmbeddingReport:
     """Distortion report for an index map between two finite metrics.
 
     ``distortion = expansion / contraction`` is the bi-Lipschitz constant
-    after optimal rescaling; ``scale`` is the contraction (the valid scaling
-    factor); ``avg_ratio`` is the ratio of summed pairwise distances.
+    after optimal rescaling, by the contraction; ``avg_ratio`` is the ratio
+    of summed pairwise distances.
     """
 
     distortion: float
-    scale: float
     expansion: float
     contraction: float
     avg_ratio: float
@@ -449,7 +453,6 @@ def distortion(source: FiniteMetric, target: FiniteMetric, mapping) -> Embedding
     expansion = float(ratios.max())
     return EmbeddingReport(
         distortion=expansion / contraction,
-        scale=contraction,
         expansion=expansion,
         contraction=contraction,
         avg_ratio=float(dt.sum() / ds.sum()),
@@ -458,7 +461,7 @@ def distortion(source: FiniteMetric, target: FiniteMetric, mapping) -> Embedding
 
 def frechet_embed(m: FiniteMetric) -> PointCloud:
     """Isometric coordinate embedding x -> (d(x, x_1), ..., d(x, x_n)) into l-infinity."""
-    return PointCloud(m.dist.copy(), "linf")
+    return PointCloud(m.dist, "linf")
 
 
 def bourgain_embed(m: FiniteMetric, seed) -> PointCloud:
@@ -492,7 +495,7 @@ def bourgain_embed(m: FiniteMetric, seed) -> PointCloud:
         if mask.any():
             coords[:, c] = m.dist[mask].min(axis=0)
     coords /= math.sqrt(len(masks))
-    return PointCloud(coords, "l2")
+    return PointCloud(_frozen(coords), "l2")
 
 
 def snowflake(m: FiniteMetric, theta: float) -> FiniteMetric:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, CertificateInvalid, NotPSD, ParameterDomain, TooLarge
-from .metric import FiniteMetric, PointCloud
+from .metric import FiniteMetric, PointCloud, _frozen
 
 MAX_POINTS = 128
 # ADMM iterations one run may spend before it ends undecided.  Random
@@ -75,10 +75,6 @@ class GramCandidate:
         if np.linalg.eigvalsh((q + q.T) / 2).min() < -1e-9 * scale:
             raise NotPSD("Q has an eigenvalue below -1e-9 of its trace scale")
         object.__setattr__(self, "Q", q)
-
-    @property
-    def n(self) -> int:
-        return self.Q.shape[0]
 
 
 @dataclass(frozen=True)
@@ -308,8 +304,7 @@ def find_violating_certificate(m: FiniteMetric, alpha: float, seed=0):
 def extract_points(q: GramCandidate) -> PointCloud:
     """Gram factorization Q = V L V' -> coordinates V sqrt(L), negatives clipped."""
     vals, vecs = np.linalg.eigh((q.Q + q.Q.T) / 2)
-    coords = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    return PointCloud(coords, "l2")
+    return PointCloud(_frozen(vecs * np.sqrt(np.clip(vals, 0.0, None))), "l2")
 
 
 def c2_bruteforce(m: FiniteMetric, starts: int = 64, seed=0) -> float:

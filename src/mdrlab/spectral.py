@@ -171,9 +171,6 @@ class ReversibleChain:
         sym = (s[:, None] * self.A) / s[None, :]
         return np.linalg.eigh((sym + sym.T) / 2)
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "A": self.A.tolist(), "pi": self.pi.tolist()})
-
     @staticmethod
     def from_json(text: str) -> "ReversibleChain":
         obj = json.loads(text)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import cycle4, path_metric
-from mdrlab import cli, jl, metric, verify
+from mdrlab import cli, jl, metric, sdp, verify
 
 
 def run_cli(*args, env_extra=None):
@@ -47,7 +47,7 @@ class TestJlDim:
     def test_haar_mode(self):
         proc = run_cli("jl-dim", "--n", "100", "--alpha", "2", "--mode", "haar")
         obj = json.loads(proc.stdout)
-        assert obj["k"] >= 1 and obj["union_bound"] <= obj["success_prob"]
+        assert obj["k"] >= 1 and obj["union_bound"] <= 1 - obj["failure_prob"]
 
     def test_haar_fallback_prints_no_certificate(self):
         proc = run_cli("jl-dim", "--n", "5", "--alpha", "1.05", "--mode", "haar")
@@ -113,7 +113,7 @@ class TestMetricCommands:
         f.write_text(cycle4().to_json())
         proc = run_cli("c2-sdp", "--metric", str(f))
         obj = json.loads(proc.stdout)
-        assert obj["alpha"] == pytest.approx(math.sqrt(2), abs=1e-3)
+        assert obj["hi"] == pytest.approx(math.sqrt(2), abs=1e-3)
         assert len(obj["Q"]) == 4
 
 
@@ -299,6 +299,11 @@ class TestMiscCommands:
         proc = run_cli("beta", "--family", "snowflake", "--alpha", "2", "--theta", "0.5")
         assert json.loads(proc.stdout)["beta"] == pytest.approx(1 / 16)
 
+    def test_beta_default_family_is_bilipschitz(self, capsys):
+        code, out, _ = _invoke(["beta", "--alpha", "2"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"family": "bilipschitz", "alpha": 2.0, "theta": 1.0, "beta": 0.25}
+
     def test_matousek_gen_and_signed(self):
         proc = run_cli("matousek-gen", "--n", "16", "--g", "6", "--seed", "2")
         obj = json.loads(proc.stdout)
@@ -324,6 +329,37 @@ class TestMiscCommands:
         proc = run_cli("certificate", "--metric", str(m_file), "--alpha", "1.3")
         assert proc.returncode == 2  # neither --cert nor --search
 
+    def test_certificate_search_on_c4(self, tmp_path, capsys):
+        # c2(C4) = sqrt(2): at 1.3 the search finds a violated certificate, at 1.5 none exists
+        f = tmp_path / "c4.json"
+        f.write_text(cycle4().to_json())
+        argv = ["certificate", "--metric", str(f), "--search", "--alpha"]
+        code, out, _ = _invoke([*argv, "1.3"], capsys)
+        obj = json.loads(out)
+        cert = sdp.NegativeTypeCertificate(np.array(obj.pop("A")))
+        assert code == 0
+        assert obj == {"found": True, "alpha": 1.3, "holds": False, "lhs": 1.0, "rhs": 0.769516728625}
+        assert sdp.check_certificate(cycle4(), cert, 1.3)[0] is False
+        code, out, _ = _invoke([*argv, "1.5"], capsys)
+        assert code == 0 and json.loads(out) == {"found": False, "alpha": 1.5}
+
+    @pytest.mark.parametrize("points", [[0.0], [0.0, 3.0]])
+    def test_c2_sdp_on_one_and_two_points(self, points, tmp_path, capsys):
+        f = tmp_path / "m.json"
+        f.write_text(path_metric(points).to_json())
+        code, out, _ = _invoke(["c2-sdp", "--metric", str(f)], capsys)
+        obj = json.loads(out)
+        assert code == 0
+        assert (obj["status"], obj["iterations"], obj["lo"], obj["hi"]) == ("converged", 0, 1.0, 1.0)
+
+    def test_cheeger_on_a_reducible_chain_is_disconnected(self, tmp_path, capsys):
+        # two closed classes, {0} and {1, 2}: no spectral gap
+        f = tmp_path / "chain.json"
+        f.write_text(json.dumps({"A": [[1, 0, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]], "pi": [0.2, 0.4, 0.4]}))
+        code, out, err = _invoke(["cheeger", "--chain", str(f)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "Disconnected"
+
     def test_c2_sdp_rejects_distances_whose_squares_overflow(self, tmp_path):
         f = tmp_path / "huge.json"
         f.write_text(metric.build_metric(metric.random_metric(12, 5).dist * 1e160).to_json())
@@ -339,7 +375,7 @@ class TestMiscCommands:
 
         chain = spectral.random_reversible_chain(5, 77)
         f = tmp_path / "chain.json"
-        f.write_text(chain.to_json())
+        f.write_text(json.dumps({"A": chain.A.tolist(), "pi": chain.pi.tolist()}))
         proc = run_cli("gamma", "--chain", str(f))
         obj = json.loads(proc.stdout)
         assert obj["gamma_hilbert"] == pytest.approx(
@@ -502,14 +538,14 @@ GOLDEN_SHA256 = {
     "certificate": (0, "650d4cb220013766209b09bf775995b9667e6c20e15a8af1c42e96571bcf3735"),
     "dim-exponent": (0, "55b9bd0e7ac57875831552314adaccc7b164776ac725cf0d00d3927b14039c61"),
     "dim-exponent-csv": (0, "81f522c8f5cca770b91f5a53a2288d2be542c9ddd7779e3acd8b2bf0d04dc82e"),
-    "distortion": (0, "bdfbd8886bc02a0127c32eb1527de90d85bf0669ccf59ac5f39f8f145dda52cf"),
+    "distortion": (0, "a75e73d8b28a53443d36870faab53056d091a3c7e2dfa3f1d5a34b8a02502c8c"),
     "doubling": (0, "5556200f492deacfdc75dbb11f0d8bd875a83aeb2f849806f91e7940abb5d34f"),
     "doubling-big-exact": (0, "7672c36a361c9c304ece47fdc41778a5b500019a587cae658c4d22f2399609fd"),
     "doubling-big-greedy": (0, "742c91ad832a0e21ab1512cb9070fe02c398445fbd763ccf00b09978960e8241"),
     "frechet": (0, "e6d4df6d5177ac559076b8407b33a2d77dd05497211fd622a311bb5f2947021b"),
-    "jl-dim": (0, "b8bf644e17f449f047f2b0f637abd697792af345e9a28b27629a0d410faa820e"),
+    "jl-dim": (0, "ac074ad5ed345ae215a5a0a49e3521867748b01d78d95398ca2eba662ace9b2b"),
     "jl-dim-domain": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "jl-dim-haar-csv": (0, "f48380a70783922fcb69f2e63c2c49a6ad9e62994c7d0aeac3692d6eef41cd9f"),
+    "jl-dim-haar-csv": (0, "70302b56190a69fecce99827b68f7a02775921ccbb60279810e23f75ea38294d"),
     "jl-project": (0, "de57a0c5653eca4b9aa8ae5d7f51cc04f20dc5133156f1e4e06082c96ab5177f"),
     "markov-convexity": (0, "bf4ff56a44fee32106fcc065ee86ca0ba4b4e05bd9da82c5095eb6130d139624"),
     "matousek-gen": (0, "ad090a62f0f3f4aec86028e574c98e27f8d22ce7cff04a706a5bb54d8d951553"),
@@ -523,7 +559,7 @@ GOLDEN_SHA256 = {
     "sigma-max": (0, "d0ec78e8fe5a572633d3a8a6b8e9e58d575b678d04e3a1eb00d3ca45685a3c66"),
     "signed-metric": (0, "4324978f90c3460efd47f7a60f96285eca0aab496a4e8ff4695fd1756809ac89"),
     "snowflake": (0, "139a7315656cf7a1ed1dcafd9ca002b40df887a9e029b8e60457ebb5935bf7e4"),
-    "sweep-haar": (0, "04070dbf5206249add32ba473b06f584767e4eda36490a7a52653deeaafc8326"),
+    "sweep-haar": (0, "4129631ed94059fe558f030f78086a17dce528741bdcd5355faa3117c845a7c6"),
     "sweep-volumetric": (0, "873fa457091892394b5c6ab0dd14b245dca949902e5700b6fdad61c3cb389029"),
     "verify": (0, "86ccec84e16656311851422fa9e0cbef825fd5bfe906db9c6a9a866a2d446859"),
     "verify-unknown": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -531,7 +567,6 @@ GOLDEN_SHA256 = {
 
 GOLDEN_PAYLOAD = {
     "c2-sdp": {
-        "alpha": 1.41421356237,
         "lo": 1.41421356096,
         "hi": 1.41421356237,
         "status": "converged",
@@ -770,7 +805,7 @@ class TestMainExits:
         f = tmp_path / "c4.json"
         f.write_text(cycle4().to_json())
         code, out, _ = _invoke(["c2-sdp", "--metric", str(f), "--tol", "1e-3"], capsys)
-        assert code == 0 and json.loads(out)["alpha"] == pytest.approx(math.sqrt(2), abs=2e-3)
+        assert code == 0 and json.loads(out)["hi"] == pytest.approx(math.sqrt(2), abs=2e-3)
 
     def test_failed_verify_payload_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "run_suite", lambda name, seed: {"suite": name, "ok": False})
@@ -967,8 +1002,14 @@ class TestMainExits:
             (["gamma", "--chain", "{f}"], {"A": 5, "pi": [1]}),
             (["markov-convexity", "--spec", "{f}"],
              {"transition": 5, "initial": [1], "horizon": 2, "dist": [[0]], "point_map": [0]}),
+            (["doubling", "--metric", "{f}"], {"n": 2, "dist": [[0, 1, 2], [1, 0, 1]]}),
+            (["doubling", "--metric", "{f}"], {"n": 2, "dist": [[0, math.nan], [math.nan, 0]]}),
+            (["cheeger", "--chain", "{f}"], {"A": [[0, 1], [1, 0]], "pi": [0, 1]}),
+            # stationary under the uniform pi, but a cycle in one direction is not reversible
+            (["cheeger", "--chain", "{f}"], {"A": [[0, 1, 0], [0, 0, 1], [1, 0, 0]], "pi": [1 / 3] * 3}),
         ],
-        ids=["short-edge", "fractional-endpoint", "long-edge", "scalar-chain", "scalar-transition"],
+        ids=["short-edge", "fractional-endpoint", "long-edge", "scalar-chain", "scalar-transition",
+             "non-square-metric", "nan-metric", "zero-pi", "no-detailed-balance"],
     )
     def test_malformed_input_is_a_json_error(self, argv, text, tmp_path, capsys):
         f = tmp_path / "in.json"
@@ -976,6 +1017,27 @@ class TestMainExits:
         code, out, err = _invoke([a.format(f=f) for a in argv], capsys)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "argv, text, error, message",
+        [
+            (["distortion", "--source", "{m}", "--target", "{m}", "--map", "[0, 1, 2]"], None,
+             "NonInjectiveMap", "map must assign all 4 source indices"),
+            (["certificate", "--metric", "{m}", "--alpha", "2", "--cert", "{f}"], {"A": [[0, 0, 0], [0, 0, 0]]},
+             "CertificateInvalid", "A must be square"),
+            (["certificate", "--metric", "{m}", "--alpha", "2", "--cert", "{f}"],
+             {"A": [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [-1, 0, 0, 1]]},
+             "CertificateInvalid", "A must be symmetric"),
+        ],
+        ids=["short-map", "non-square-cert", "asymmetric-cert"],
+    )
+    def test_refused_input_names_its_error(self, argv, text, error, message, tmp_path, capsys):
+        m, f = tmp_path / "c4.json", tmp_path / "in.json"
+        m.write_text(cycle4().to_json())
+        f.write_text(json.dumps(text))
+        code, out, err = _invoke([a.format(m=m, f=f) for a in argv], capsys)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {"error": error, "message": message}
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_forest_template_harness_prints_inf_girth(self, fmt, capsys):

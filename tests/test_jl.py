@@ -541,7 +541,7 @@ class TestTransform:
             jl.jl_transform(cloud, 2.0, "haar_projection", seed=s, max_retries=1, k=1).success
             for s in range(500)
         )
-        p = plan.success_prob
+        p = 1 - plan.failure_prob
         assert abs(wins / 500 - p) <= 3 * math.sqrt(p * (1 - p) / 500)
 
     def test_success_postconditions(self):
@@ -596,7 +596,7 @@ class TestTransform:
 
     def test_plan_invariants(self):
         plan = jl.make_plan(64, 2.0, "haar_projection")
-        assert plan.union_bound <= plan.success_prob
+        assert plan.union_bound <= 1 - plan.failure_prob
         assert plan.sigma == pytest.approx(jl.sigma_max(plan.ambient + 1, plan.k, 2.0))
         gplan = jl.make_plan(64, 2.0, "scaled_gaussian")
         assert gplan.sigma == pytest.approx(
@@ -604,16 +604,13 @@ class TestTransform:
         )
 
     def test_plan_json_roundtrip(self):
-        import json
-
         plan = jl.make_plan(32, 2.0, "scaled_gaussian")
-        obj = json.loads(plan.to_json())
-        assert obj["k"] == plan.k and obj["mode"] == "scaled_gaussian"
-        assert obj["failure_prob"] == plan.failure_prob == jl.gaussian_failure(plan.k, 2.0)
+        assert plan.mode == "scaled_gaussian"
+        assert plan.failure_prob == jl.gaussian_failure(plan.k, 2.0)
 
     def test_failure_prob_readable_where_success_rounds_to_one(self):
         plan = jl.make_plan(10**9, 2.0, "scaled_gaussian")
-        assert plan.success_prob == 1.0
+        assert 1 - plan.failure_prob == 1.0
         assert 0.0 < plan.failure_prob < 1e-17
         assert plan.union_bound == 1.0 - 10**9 * (10**9 - 1) / 2.0 * plan.failure_prob
 
@@ -1039,6 +1036,15 @@ class TestGramPrefilter:
             warnings.simplefilter("error")
             with pytest.raises(ParameterDomain, match="overflow"):
                 jl.jl_transform(metric.PointCloud(coords, "l2"), 2.0, mode, seed=0, k=20)
+
+    def test_scales_2_960_apart_are_walked_without_warning(self):
+        # both sides pass the 2^+-1000 guard, but their ratio does not fit in a double
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((600, 5)) * 2.0**-480
+        y = rng.standard_normal((600, 3)) * 2.0**480
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_extremes(x, y)
 
     def test_image_with_inf_gives_nan(self):
         # inf - inf in one coordinate makes a pair distance, and so the extremes, NaN

@@ -13,7 +13,7 @@ class TestC2Sdp:
         for n in (4, 7, 10):
             alpha, witness, _ = sdp.c2_sdp(equilateral(n), tol=1e-6)
             assert abs(alpha - 1.0) <= 1e-6
-            assert witness.n == n
+            assert witness.Q.shape == (n, n)
 
     def test_cycle4(self):
         alpha, _, _ = sdp.c2_sdp(cycle4(), tol=1e-4)
