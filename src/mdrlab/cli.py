@@ -134,11 +134,10 @@ def _load_cloud(path: str) -> metric.PointCloud:
 
 def _load_chain(path: str) -> spectral.ReversibleChain:
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    obj = json.loads(text)
+        obj = json.loads(fh.read())
     if "edges" in obj:
-        return spectral.chain_from_graph(spectral.WeightedGraph.from_json(text))
-    return spectral.ReversibleChain.from_json(text)
+        return spectral.chain_from_graph(spectral.WeightedGraph.build(obj["n"], obj["edges"]))
+    return spectral.ReversibleChain(metric._owned(obj["A"]), metric._owned(obj["pi"]))
 
 
 def _mode(arg: str) -> str:
@@ -261,7 +260,7 @@ def cmd_certificate(args):
             return {"found": False, "alpha": args.alpha}
     else:
         with open(args.cert, encoding="utf-8") as fh:
-            cert = sdp.NegativeTypeCertificate(np.asarray(json.loads(fh.read())["A"], dtype=float))
+            cert = sdp.NegativeTypeCertificate(json.loads(fh.read())["A"])
     holds, lhs, rhs = sdp.check_certificate(m, cert, args.alpha)
     payload = {"alpha": args.alpha, "holds": holds, "lhs": lhs, "rhs": rhs}
     if args.search:

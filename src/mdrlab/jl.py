@@ -437,7 +437,7 @@ def _gram_sides(xt: np.ndarray, yt: np.ndarray):
     return (nx, ex), (ny, ey)
 
 
-def _ratio_range(x: np.ndarray, y: np.ndarray, xt: np.ndarray | None = None, yt: np.ndarray | None = None):
+def _ratio_range(x: np.ndarray, y: np.ndarray, xt: np.ndarray, yt: np.ndarray):
     """Least and greatest ||y_i - y_j|| / ||x_i - x_j|| over all pairs i < j.
 
     Every ratio taken is one of ``pdist(y) / pdist(x)``, and minimum and
@@ -450,13 +450,13 @@ def _ratio_range(x: np.ndarray, y: np.ndarray, xt: np.ndarray | None = None, yt:
     rows.  A block is either walked, all of its pairs measured (``pdist`` of
     its rows, then ``cdist`` from them to the later rows, which compute each
     distance bit for bit alike), or thinned by a prefilter on translates xt
-    and yt of x and y: x minus one fixed row, each entry rounded once (by
-    default x and y centred on their means; ``jl_transform`` passes its
-    differences from the first point, and y itself).  Per block, one BLAS
-    product per side gives every pair's squared distance
-    A = n_i + n_j - 2 t_i.t_j, with n_i the computed squared row norms, and
-    B on the image.  With u = 2^-53, gamma_m = m u / (1 - m u), d the
-    source's coordinates and R^2 the largest n_i / (1 - gamma_d):
+    and yt of x and y: x minus one fixed row, each entry rounded once
+    (``jl_transform`` passes its differences from the first point, and y
+    itself).  Per block, one BLAS product per side gives every pair's
+    squared distance A = n_i + n_j - 2 t_i.t_j, with n_i the computed
+    squared row norms, and B on the image.  With u = 2^-53, gamma_m =
+    m u / (1 - m u), d the source's coordinates and R^2 the largest
+    n_i / (1 - gamma_d):
 
     - the Gram formula is within 4 gamma_d R^2 of ||t_i - t_j||^2 in any
       summation order, FMA included, and its two additions add 7 u R^2;
@@ -495,12 +495,7 @@ def _ratio_range(x: np.ndarray, y: np.ndarray, xt: np.ndarray | None = None, yt:
 
     n = len(x)
     rows = min(n, max(1, _PAIR_BLOCK // n))
-    sides = None
-    if rows < n:
-        with np.errstate(over="ignore", invalid="ignore"):
-            xt = x - x.mean(axis=0) if xt is None else xt
-            yt = y - y.mean(axis=0) if yt is None else yt
-        sides = _gram_sides(xt, yt)
+    sides = _gram_sides(xt, yt) if rows < n else None
     if sides is not None:
         below = np.tri(rows, dtype=bool)  # block entries (a, b) with b <= a hold no pair
         gx, gy, t = _gamma(x.shape[1] + 3), _gamma(y.shape[1] + 3), 1 / _WIDE
@@ -599,7 +594,6 @@ def jl_transform(
             # the R factor of the differences from point 0 carries exactly their geometry
             r = np.linalg.qr(x[1:].T, mode="r")
             x = np.vstack([np.zeros((1, r.shape[0])), r.T])
-            shifted = None
     rng = np.random.default_rng(seed)
     best_y = None
     best_alpha = np.inf

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexMismatch
-from .metric import FiniteMetric, _exact_metric, _hop_distances
+from .metric import FiniteMetric, _exact_metric, _hop_distances, _owned
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,15 @@ class TemplateGraph:
 
 @dataclass(frozen=True)
 class SignAssignment:
-    """+1/-1 coin flip for every template edge."""
+    """+1/-1 coin flips, a read-only vector in ``TemplateGraph.edges`` order."""
 
-    signs: dict
+    signs: np.ndarray
 
     def __post_init__(self):
-        for v in self.signs.values():
-            if v not in (-1, 1):
-                raise ValueError("signs must be +1 or -1")
+        signs = _owned(self.signs)
+        if signs.ndim != 1 or not (np.abs(signs) == 1).all():
+            raise ValueError("signs must be a vector of +1 and -1")
+        object.__setattr__(self, "signs", signs)
 
 
 @dataclass(frozen=True)
@@ -209,20 +210,7 @@ def gen_template(n: int, g: int, seed) -> TemplateGraph:
 
 def random_signs(template: TemplateGraph, seed) -> SignAssignment:
     rng = np.random.default_rng(seed)
-    flips = rng.integers(0, 2, size=template.edge_count) * 2 - 1
-    return SignAssignment({e: int(f) for e, f in zip(template.edges, flips)})
-
-
-def plus_vertex(i: int) -> int:
-    return i
-
-
-def minus_vertex(i: int, n: int) -> int:
-    return n + i
-
-
-def right_vertex(j: int, n: int) -> int:
-    return 2 * n + j
+    return SignAssignment(rng.integers(0, 2, size=template.edge_count) * 2 - 1)
 
 
 def signed_metric(
@@ -239,20 +227,17 @@ def signed_metric(
     floating-point argument are in :func:`mdrlab.metric._hop_distances`.
     """
     n = template.n
-    if set(signs.signs.keys()) != set(template.edges):
+    if signs.signs.shape != (template.edge_count,):
         raise IndexMismatch("sign assignment must cover exactly the template edges")
     # edge (i, j) joins the plus (sign +1) or minus (sign -1) copy of i to j
     left, right = np.array(template.edges, dtype=int).reshape(-1, 2).T
-    sign = np.array([signs.signs[e] for e in template.edges], dtype=int)
-    rows = np.where(sign > 0, plus_vertex(left), minus_vertex(left, n))
-    cols = right_vertex(right, n)
-    d = _hop_distances(3 * n, rows, cols, params.s, params.T)
-    return _exact_metric(d)
+    rows = np.where(signs.signs > 0, left, n + left)
+    return _exact_metric(_hop_distances(3 * n, rows, 2 * n + right, params.s, params.T))
 
 
 def min_fork_distance(metric: FiniteMetric, n: int) -> float:
-    """min over left vertices of d(lambda+, lambda-) in a signed metric."""
-    return float(min(metric.dist[plus_vertex(i), minus_vertex(i, n)] for i in range(n)))
+    """min over left vertices i of d(lambda+, lambda-), the entry (i, n + i), in a signed metric."""
+    return float(metric.dist[:n, n : 2 * n].diagonal().min())
 
 
 def experiment_harness(

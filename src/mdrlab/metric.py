@@ -38,8 +38,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _owned(a) -> np.ndarray:
+    """How a validated object takes in an array: as a read-only float C array.
+
+    A writable array is copied, so the caller's stays writable and unshared; a
+    read-only one, as producers hand over their fresh arrays, is kept unless it
+    needs converting; any other input is converted once.  A 0-d input stays 0-d.
+    """
+    keep = isinstance(a, np.ndarray) and not a.flags.writeable
+    a = (np.asarray if keep else np.array)(a, dtype=float, order="C")
+    a.setflags(write=False)
+    return a
+
+
 def _indices(values, size, exc, message: str) -> np.ndarray:
-    """``values`` as an int array of exact integers in [0, size); a scalar gives a 0-d array.
+    """``values`` as a read-only int array of exact integers in [0, size); a scalar gives a 0-d array.
 
     A string, a boolean (also one in a list of numbers, which numpy would
     promote), None or a ragged list raises TypeError; a non-finite, fractional
@@ -57,6 +70,7 @@ def _indices(values, size, exc, message: str) -> np.ndarray:
         raise exc(message) from None
     if not ((idx == a) & (idx >= 0) & (idx < size)).all():
         raise exc(message)
+    idx.setflags(write=False)
     return idx
 
 
@@ -95,7 +109,7 @@ class FiniteMetric:
     @staticmethod
     def from_json(text: str) -> "FiniteMetric":
         obj = json.loads(text)
-        return build_metric(np.asarray(obj["dist"], dtype=float))
+        return build_metric(_owned(obj["dist"]))
 
 
 # the scipy.spatial.distance metric of each norm tag; "lp" also passes p
@@ -108,9 +122,8 @@ class PointCloud:
     """n points in a k-dimensional normed space.
 
     ``norm`` is one of ``"l2"``, ``"l1"``, ``"linf"`` or ``"lp"``; the
-    latter requires the exponent ``p >= 1``.  Writable coordinates are
-    copied, so the caller's array stays writable and unshared; read-only
-    ones, as the library's producers hand over their fresh arrays, are kept.
+    latter requires the exponent ``p >= 1``.  The coordinates are taken in
+    by :func:`_owned`: a writable array is copied, a read-only one kept.
     """
 
     coords: np.ndarray
@@ -118,10 +131,7 @@ class PointCloud:
     p: float | None = None
 
     def __post_init__(self):
-        coords = np.atleast_2d(self.coords)
-        if coords.flags.writeable:
-            coords = np.array(coords, float, order="C")
-        object.__setattr__(self, "coords", _frozen(coords))
+        object.__setattr__(self, "coords", np.atleast_2d(_owned(self.coords)))
         if not np.all(np.isfinite(self.coords)):
             raise ValueError("point coordinates have non-finite entries")
         if self.norm not in NORM_TAGS:
@@ -233,9 +243,7 @@ def build_metric(dist: np.ndarray) -> FiniteMetric:
             raise ValueError("off-diagonal distances must be strictly positive")
         if not _dyadic_triangles(d, near):
             _check_triangles(d, near, TRIANGLE_RTOL * d.max())
-    # a copy, taken after the validation buffers are freed: the caller's array
-    # stays writable and unshared
-    return FiniteMetric(_frozen(d.copy()))
+    return FiniteMetric(_owned(d))  # a writable d is copied after the validation buffers are freed
 
 
 def _dyadic_triangles(d: np.ndarray, near: np.ndarray) -> bool:

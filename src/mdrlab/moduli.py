@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InverseOutOfRange
+from .metric import _owned
 
 
 @dataclass(frozen=True)
@@ -42,14 +43,13 @@ class PowerModulus:
 
 @dataclass(frozen=True)
 class TabulatedModulus:
-    """Strictly increasing samples with monotone (linear) interpolation."""
+    """Strictly increasing samples, held read-only, with monotone (linear) interpolation."""
 
     s: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        s, v = _owned(self.s), _owned(self.values)
         if s.ndim != 1 or s.shape != v.shape or len(s) < 2:
             raise ValueError("need matching 1-d sample arrays of length >= 2")
         if not (np.diff(s) > 0).all() or not (np.diff(v) > 0).all():

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, CertificateInvalid, NotPSD, ParameterDomain, TooLarge
-from .metric import FiniteMetric, PointCloud, _frozen
+from .metric import FiniteMetric, PointCloud, _frozen, _owned
 
 MAX_POINTS = 128
 # ADMM iterations one run may spend before it ends undecided.  Random
@@ -59,12 +59,12 @@ CHECK_EVERY = 10
 
 @dataclass(frozen=True)
 class GramCandidate:
-    """A symmetric matrix of inner products, psd up to 1e-9 of its trace scale."""
+    """A symmetric matrix of inner products, psd up to 1e-9 of its trace scale; held read-only."""
 
     Q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.Q, dtype=float)
+        q = _owned(self.Q)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("Q must be square")
         if not np.isfinite(q).all():
@@ -79,12 +79,12 @@ class GramCandidate:
 
 @dataclass(frozen=True)
 class NegativeTypeCertificate:
-    """A psd matrix with zero row sums; the a_ij of the distortion test."""
+    """A psd matrix with zero row sums, held read-only; the a_ij of the distortion test."""
 
     A: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.A, dtype=float)
+        a = _owned(self.A)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise CertificateInvalid("A must be square")
         if not np.isfinite(a).all():

@@ -38,7 +38,7 @@ from .errors import (
     NoGap,
     TooLarge,
 )
-from .metric import FiniteMetric, PointCloud, _exact_metric, _hop_distances, _indices
+from .metric import FiniteMetric, PointCloud, _exact_metric, _frozen, _hop_distances, _indices, _owned
 
 ROW_SUM_TOL = 1e-12
 DETAILED_BALANCE_TOL = 1e-12
@@ -75,36 +75,29 @@ class WeightedGraph:
             norm[key] = w
         return WeightedGraph(n, tuple(sorted(key + (w,) for key, w in norm.items())))
 
-    def adjacency(self) -> np.ndarray:
-        w = np.zeros((self.n, self.n))
-        for i, j, wt in self.edges:
-            w[i, j] = w[j, i] = wt
-        return w
-
     def is_connected(self) -> bool:
-        """One component: union-find over the edge list (no vertices: False)."""
-        root = list(range(self.n))
+        """One component (no vertices: False), decided on the edge array in rounds.
 
-        def find(v):
-            while root[v] != v:
-                root[v] = v = root[root[v]]
-            return v
+        A round hooks the larger root of every edge with two roots under the
+        smaller one (roots only point lower, so no cycle forms) and points every
+        vertex at its root.  Once each edge has one root, the roots are the
+        components, and the graph is connected when vertex 0 is the only root.
+        """
+        i, j, _ = self._columns()
+        root = np.arange(self.n)
+        while ((a := root[i]) != (b := root[j])).any():
+            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            while (root[root] != root).any():
+                root = root[root]
+        return self.n > 0 and bool((root == 0).all())
 
-        parts = self.n
-        for i, j, _ in self.edges:
-            a, b = find(i), find(j)
-            if a != b:
-                root[a] = b
-                parts -= 1
-        return parts == 1
+    def _columns(self):
+        """The edge list as arrays: int endpoints i and j, float weights w."""
+        i, j, w = zip(*self.edges) if self.edges else ((), (), ())
+        return np.array(i, dtype=int), np.array(j, dtype=int), np.array(w, dtype=float)
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]})
-
-    @staticmethod
-    def from_json(text: str) -> "WeightedGraph":
-        obj = json.loads(text)
-        return WeightedGraph.build(obj["n"], obj["edges"])
 
     def shortest_path_metric(self) -> FiniteMetric:
         """Hop-count metric (edge weights ignored); graph must be connected.
@@ -115,17 +108,17 @@ class WeightedGraph:
         :func:`~mdrlab.metric.build_metric` is skipped (see
         :func:`mdrlab.metric._hop_distances`).
         """
-        ij = np.array([e[:2] for e in self.edges], dtype=int).reshape(-1, 2)
-        return _exact_metric(_hop_distances(self.n, ij[:, 0], ij[:, 1]))
+        i, j, _ = self._columns()
+        return _exact_metric(_hop_distances(self.n, i, j))
 
 
 def _stochastic(a, w, row_tol: float):
-    """Float copies of a row-stochastic matrix and a distribution on its states.
+    """A row-stochastic matrix and a distribution on its states, as :func:`_owned` takes them in.
 
     Rows must sum to 1 within ``row_tol``, the distribution within 1e-12.
     ``x >= 0`` is false for NaN, and an infinite entry fails its sum test.
     """
-    a, w = np.array(a, dtype=float), np.array(w, dtype=float)
+    a, w = _owned(a), _owned(w)
     n = a.shape[0] if a.ndim else 0
     if a.shape != (n, n):
         raise ValueError("the transition matrix must be square")
@@ -140,7 +133,7 @@ def _stochastic(a, w, row_tol: float):
 
 @dataclass(frozen=True)
 class ReversibleChain:
-    """Row-stochastic A with stationary measure pi and detailed balance (read-only copies)."""
+    """Row-stochastic A with stationary measure pi and detailed balance, both held read-only."""
 
     A: np.ndarray
     pi: np.ndarray
@@ -156,7 +149,6 @@ class ReversibleChain:
             raise ValueError("detailed balance fails at 1e-12")
         if np.abs(p @ a - p).max() > STATIONARY_TOL:
             raise ValueError("pi is not stationary within 1e-10")
-        a.flags.writeable = p.flags.writeable = False
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "pi", p)
 
@@ -171,24 +163,22 @@ class ReversibleChain:
         sym = (s[:, None] * self.A) / s[None, :]
         return np.linalg.eigh((sym + sym.T) / 2)
 
-    @staticmethod
-    def from_json(text: str) -> "ReversibleChain":
-        obj = json.loads(text)
-        return ReversibleChain(np.asarray(obj["A"], float), np.asarray(obj["pi"], float))
-
 
 def _walk(flows: np.ndarray):
-    """A = F / rowsum(F) and pi = rowsum(F) / sum(F), exactly reversible for symmetric flows F."""
+    """Read-only A = F / rowsum(F), in place of F, and pi = rowsum(F) / sum(F); reversible for symmetric F."""
     row = flows.sum(axis=1)
     with np.errstate(invalid="ignore"):  # 0/0 on a single vertex, which ReversibleChain rejects
-        return flows / row[:, None], row / row.sum()
+        return _frozen(np.divide(flows, row[:, None], out=flows)), _frozen(row / row.sum())
 
 
 def chain_from_graph(g: WeightedGraph) -> ReversibleChain:
     """Weighted random walk: A_ij = w_ij / deg(i), pi_i = deg(i) / (2 total weight)."""
     if not g.is_connected():
         raise Disconnected("graph is not connected")
-    return ReversibleChain(*_walk(g.adjacency()))
+    i, j, w = g._columns()
+    flows = np.zeros((g.n, g.n))
+    flows[i, j] = flows[j, i] = w
+    return ReversibleChain(*_walk(flows))
 
 
 def random_reversible_chain(n: int, seed, lazy: float = 0.0) -> ReversibleChain:
@@ -221,7 +211,7 @@ class Configuration:
             raise TypeError("space must be a FiniteMetric or PointCloud")
         count = self.space.n
         message = f"assignment must be a nonempty list of point indices, integers in [0, {count})"
-        idx = np.arange(count) if self.assignment is None else _indices(self.assignment, count, ValueError, message)
+        idx = _indices(range(count) if self.assignment is None else self.assignment, count, ValueError, message)
         if idx.ndim != 1 or len(idx) == 0:
             raise ValueError(message)
         object.__setattr__(self, "assignment", idx)

@@ -919,7 +919,7 @@ class TestGramPrefilter:
 
     @staticmethod
     def assert_extremes(x, y):
-        lo, hi = jl._ratio_range(x, y)
+        lo, hi = jl._ratio_range(x, y, x - x.mean(axis=0), y - y.mean(axis=0))
         want_lo, want_hi = _whole_array_extremes(x, y)
         assert (lo.tobytes(), hi.tobytes()) == (want_lo.tobytes(), want_hi.tobytes())
 
@@ -1053,7 +1053,7 @@ class TestGramPrefilter:
         y = x @ rng.standard_normal((8, 6))
         y[[3, 700], 2] = np.inf
         with np.errstate(invalid="ignore"):
-            lo, hi = jl._ratio_range(x, y)
+            lo, hi = jl._ratio_range(x, y, x - x.mean(axis=0), y - y.mean(axis=0))
             assert all(np.isnan(v) for v in _whole_array_extremes(x, y))
         assert np.isnan(lo) and np.isnan(hi)
 

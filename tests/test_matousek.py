@@ -203,9 +203,8 @@ class TestHopDistances:
             t = gen_template(n, g, rng.integers(2**32))
             signs = random_signs(t, rng.integers(2**32))
             left, right = np.array(t.edges, dtype=int).reshape(-1, 2).T
-            sign = np.array([signs.signs[e] for e in t.edges])
-            rows = np.where(sign > 0, matousek.plus_vertex(left), matousek.minus_vertex(left, n))
-            cols = matousek.right_vertex(right, n)
+            rows = np.where(signs.signs > 0, left, n + left)
+            cols = 2 * n + right
             for s, T in HOP_SCALES[1:]:
                 sm = signed_metric(t, signs, SignedMetricParams(s, T))
                 assert sm.dist.tobytes() == _dijkstra_hops(3 * n, rows, cols, s, T).tobytes()
@@ -228,8 +227,8 @@ class TestSignedMetric:
         s, cap = 0.7, 2.1
         sm = signed_metric(t, signs, SignedMetricParams(s, cap))
         assert sm.dist.max() <= cap + 1e-12
-        for (i, j) in t.edges:
-            left = i if signs.signs[(i, j)] > 0 else 12 + i
+        for (i, j), sign in zip(t.edges, signs.signs):
+            left = i if sign > 0 else 12 + i
             assert sm.dist[left, 24 + j] == pytest.approx(s)
 
     def test_fork_separation(self):
@@ -258,7 +257,7 @@ class TestSignedMetric:
             cap = 100.0
             sm = signed_metric(t, signs, SignedMetricParams(1.0, cap))
             for i in range(n):
-                d = sm.dist[matousek.plus_vertex(i), matousek.minus_vertex(i, n)]
+                d = sm.dist[i, n + i]
                 if d < cap:
                     found_finite += 1
                     assert d >= t.girth
@@ -299,9 +298,8 @@ class TestSignedMetric:
         signs = random_signs(t, 16)
         sm = signed_metric(t, signs, SignedMetricParams(s, math.inf))
         left, right = np.array(t.edges, dtype=int).reshape(-1, 2).T
-        sign = np.array([signs.signs[e] for e in t.edges])
-        rows = np.where(sign > 0, matousek.plus_vertex(left), matousek.minus_vertex(left, 8))
-        d = metric._hop_distances(24, rows, matousek.right_vertex(right, 8), s, math.inf)
+        rows = np.where(signs.signs > 0, left, 8 + left)
+        d = metric._hop_distances(24, rows, 16 + right, s, math.inf)
         assert sm.dist.tobytes() == metric.build_metric(d).dist.tobytes()
         assert sm.dist.max() == s * 8
 
@@ -330,7 +328,7 @@ class TestSignedMetric:
 
     def test_sign_cover_mismatch(self):
         t = gen_template(8, 4, 7)
-        bad = SignAssignment({e: 1 for e in list(t.edges)[:-1]})
+        bad = SignAssignment(np.ones(t.edge_count - 1))
         with pytest.raises(IndexMismatch):
             signed_metric(t, bad, SignedMetricParams(1.0, 4.0))
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from helpers import equilateral, path_metric
-from mdrlab import matousek, metric, spectral
+from mdrlab import matousek, metric, moduli, sdp, spectral
 from mdrlab.errors import (
     DegenerateSource,
     IndexMismatch,
@@ -853,7 +853,7 @@ GATE_CALLERS = {
     ),
     "WeightedGraph.build": (lambda v: spectral.WeightedGraph.build(4, [(0, 1), (1, 2), (2, v)]), ValueError, 4),
     "WeightedGraph.from_json": (
-        lambda v: spectral.WeightedGraph.from_json(json.dumps({"n": v, "edges": []})), ValueError, -1
+        lambda v: spectral.WeightedGraph.build(**json.loads(json.dumps({"n": v, "edges": []}))), ValueError, -1
     ),
 }
 
@@ -886,7 +886,7 @@ class TestIndexGate:
         assert spectral.markov_convexity_ratio(spec) == spectral.markov_convexity_ratio(
             GATE_CALLERS["MarkovChainSpec.horizon"][0](8)
         )
-        g = spectral.WeightedGraph.from_json('{"n": 3.0, "edges": [[0, 1.0], [1, 2]]}')
+        g = spectral.WeightedGraph.build(**json.loads('{"n": 3.0, "edges": [[0, 1.0], [1, 2]]}'))
         assert g.to_json() == '{"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}'
 
     @pytest.mark.parametrize("values", [2**63, 2**64, 10**23, -(2**63) - 1, [1, 10**23], [[0, 2**64], [1, 2]]])
@@ -902,3 +902,54 @@ class TestIndexGate:
     def test_non_numeric_is_a_type_error(self, values):
         with pytest.raises(TypeError):
             metric._indices(values, 4, ValueError, "bad")
+
+
+_CHAIN5 = spectral.random_reversible_chain(5, 1)
+
+# Each validating carrier: its array inputs, a constructor taking them in that
+# order, and the arrays it stores for them, in the same order.
+CARRIERS = {
+    "PointCloud": (
+        [np.random.default_rng(0).standard_normal((5, 3))], metric.PointCloud, lambda c: [c.coords]
+    ),
+    "build_metric": ([_c4().dist], metric.build_metric, lambda m: [m.dist]),
+    "ReversibleChain": ([_CHAIN5.A, _CHAIN5.pi], spectral.ReversibleChain, lambda c: [c.A, c.pi]),
+    "MarkovChainSpec": (
+        [_WALK4, np.full(4, 0.25), np.array([0, 1, 2, 3])],
+        lambda p, mu, pm: spectral.MarkovChainSpec(p, mu, 4, _c4(), pm),
+        lambda s: [s.transition, s.initial, s.point_map],
+    ),
+    "Configuration": ([np.array([0, 1, 3])], lambda a: spectral.Configuration(_c4(), a), lambda x: [x.assignment]),
+    "GramCandidate": ([np.eye(3) / 2], sdp.GramCandidate, lambda g: [g.Q]),
+    "NegativeTypeCertificate": (
+        [np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0])], sdp.NegativeTypeCertificate, lambda c: [c.A]
+    ),
+    "TabulatedModulus": ([np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 3.0])], moduli.TabulatedModulus,
+                         lambda t: [t.s, t.values]),
+    "SignAssignment": ([np.array([1.0, -1.0, -1.0])], matousek.SignAssignment, lambda s: [s.signs]),
+}
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("carrier", CARRIERS)
+    def test_writable_inputs_are_copied(self, carrier):
+        inputs, build, stored = CARRIERS[carrier]
+        inputs = [a.copy() for a in inputs]
+        obj = build(*inputs)
+        held = stored(obj)
+        assert all(not h.flags.writeable for h in held)
+        assert all(a.flags.writeable and not np.shares_memory(a, h) for a in inputs for h in held)
+        before = [h.tobytes() for h in held]
+        for a in inputs:
+            a[...] = 0  # editing the caller's arrays changes nothing the carrier holds
+        assert [h.tobytes() for h in stored(obj)] == before
+
+    @pytest.mark.parametrize("carrier", CARRIERS)
+    def test_read_only_float_inputs_are_kept(self, carrier):
+        inputs, build, stored = CARRIERS[carrier]
+        inputs = [a.copy() for a in inputs]
+        for a in inputs:
+            a.flags.writeable = False
+        held = stored(build(*inputs))
+        assert all(not h.flags.writeable for h in held)
+        assert all(h is a for a, h in zip(inputs, held) if a.dtype == float)

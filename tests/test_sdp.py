@@ -137,6 +137,19 @@ class TestCertificates:
         assert not holds_low
         assert holds_high
 
+    def test_editing_the_callers_array_changes_no_certificate(self):
+        # c2(C4) = sqrt(2), so the certificate holds at 1.5; overwriting the
+        # checked array with a zero-row-sum matrix of least eigenvalue -2 once
+        # made check_certificate "prove" c2(C4) > 1.5
+        v = np.array([1.0, -1.0, 1.0, -1.0])
+        a = np.outer(v, v)
+        cert = sdp.NegativeTypeCertificate(a)
+        a[:] = 0
+        a[[0, 2, 0, 2], [0, 2, 2, 0]] = [-1, -1, 1, 1]
+        assert np.linalg.eigvalsh(a).min() == pytest.approx(-2) and not a.sum(axis=1).any()
+        holds, lhs, rhs = sdp.check_certificate(cycle4(), cert, 1.5)
+        assert holds and lhs == 8.0 and rhs == pytest.approx(24 * 1.25 / 3.25)
+
     def test_duality_consistency(self):
         # a violating certificate at alpha0 forces c2 >= alpha0 - tol
         alpha0 = 1.3

@@ -135,7 +135,8 @@ class TestChainConstruction:
 
     def test_json_roundtrip(self):
         chain = random_reversible_chain(5, 1)
-        again = ReversibleChain.from_json(json.dumps({"A": chain.A.tolist(), "pi": chain.pi.tolist()}))
+        obj = json.loads(json.dumps({"A": chain.A.tolist(), "pi": chain.pi.tolist()}))
+        again = ReversibleChain(obj["A"], obj["pi"])
         assert np.allclose(again.A, chain.A)
 
 
@@ -817,17 +818,32 @@ class TestRandomRegular:
         assert not WeightedGraph.build(0, []).is_connected()
         assert WeightedGraph.build(1, []).is_connected()
         rng = np.random.default_rng(23)
-        seen = set()
+        graphs = []
         for _ in range(60):
             n = int(rng.integers(2, 30))
             pairs = {tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(int(rng.integers(0, 2 * n)))}
-            g = WeightedGraph.build(n, [(int(i), int(j), float(rng.uniform(0.5, 2))) for i, j in pairs])
-            ij = np.array(sorted(pairs), dtype=int).reshape(-1, 2)
+            graphs.append((n, sorted(pairs)))
+        # randomly labelled long paths and cycles take several hook rounds (7 or 8 here);
+        # cutting one path edge, two cycle edges or the cycle in two leaves two components
+        n = 4096
+        for _ in range(3):
+            label = rng.permutation(n).tolist()
+            path = list(zip(label[:-1], label[1:]))
+            cut, cut2 = sorted(rng.choice(np.arange(2, n - 3), 2, replace=False).tolist())  # cycles of >= 3
+            cycle = path + [(label[-1], label[0])]
+            halves = path[:cut] + [(label[cut], label[0])] + path[cut + 1 :] + [(label[-1], label[cut + 1])]
+            graphs += [(n, path), (n, cycle), (n, path[:cut] + path[cut + 1 :])]
+            graphs += [(n, cycle[:cut] + cycle[cut + 1 : cut2] + cycle[cut2 + 1 :]), (n, halves)]
+        seen = []
+        for n, pairs in graphs:
+            g = WeightedGraph.build(n, [(i, j, float(rng.uniform(0.5, 2))) for i, j in pairs])
+            ij = np.array(pairs, dtype=int).reshape(-1, 2)
             adj = csr_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(n, n))
             want = connected_components(adj, directed=False)[0] == 1
             assert g.is_connected() == want
-            seen.add(want)
-        assert seen == {True, False}
+            seen.append(want)
+        assert set(seen[:60]) == {True, False}
+        assert seen[60:] == [True, True, False, False, False] * 3
 
     def test_parity_validation(self):
         with pytest.raises(ValueError):
