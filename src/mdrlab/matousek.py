@@ -63,15 +63,21 @@ class TemplateGraph:
 
 @dataclass(frozen=True)
 class SignAssignment:
-    """+1/-1 coin flips, a read-only vector in ``TemplateGraph.edges`` order."""
+    """+1/-1 coin flips, a read-only vector, one per edge of ``edges``, in that order.
+
+    ``edges`` is the ``TemplateGraph.edges`` tuple the flips were drawn for,
+    kept shared; :func:`signed_metric` refuses the flips for any other template.
+    """
 
     signs: np.ndarray
+    edges: tuple
 
     def __post_init__(self):
         signs = _owned(self.signs)
-        if signs.ndim != 1 or not (np.abs(signs) == 1).all():
-            raise ValueError("signs must be a vector of +1 and -1")
+        if signs.shape != (len(self.edges),) or not (np.abs(signs) == 1).all():
+            raise ValueError("signs must be a vector of +1 and -1, one per edge")
         object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "edges", tuple(self.edges))
 
 
 @dataclass(frozen=True)
@@ -210,7 +216,7 @@ def gen_template(n: int, g: int, seed) -> TemplateGraph:
 
 def random_signs(template: TemplateGraph, seed) -> SignAssignment:
     rng = np.random.default_rng(seed)
-    return SignAssignment(rng.integers(0, 2, size=template.edge_count) * 2 - 1)
+    return SignAssignment(rng.integers(0, 2, size=template.edge_count) * 2 - 1, template.edges)
 
 
 def signed_metric(
@@ -227,8 +233,8 @@ def signed_metric(
     floating-point argument are in :func:`mdrlab.metric._hop_distances`.
     """
     n = template.n
-    if signs.signs.shape != (template.edge_count,):
-        raise IndexMismatch("sign assignment must cover exactly the template edges")
+    if signs.edges != template.edges:
+        raise IndexMismatch("sign assignment was drawn for another template's edges")
     # edge (i, j) joins the plus (sign +1) or minus (sign -1) copy of i to j
     left, right = np.array(template.edges, dtype=int).reshape(-1, 2).T
     rows = np.where(signs.signs > 0, left, n + left)

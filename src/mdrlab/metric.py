@@ -156,8 +156,11 @@ class PointCloud:
         return squareform(pdist(self.coords, _PDIST_METRIC[self.norm], **kwargs))
 
     def to_metric(self) -> FiniteMetric:
-        """Induced finite metric; raises if two points coincide."""
-        return build_metric(self.pairwise())
+        """Induced finite metric; raises if two points coincide.
+
+        The fresh matrix goes in read-only, so the metric keeps it uncopied.
+        """
+        return build_metric(_frozen(self.pairwise()))
 
     def to_json(self) -> str:
         norm = {"lp": self.p} if self.norm == "lp" else self.norm
@@ -453,9 +456,9 @@ def distortion(source: FiniteMetric, target: FiniteMetric, mapping) -> Embedding
         raise NonInjectiveMap(f"map must assign all {source.n} source indices")
     if len(np.unique(idx)) != source.n:
         raise NonInjectiveMap("map is not injective")
-    iu = np.triu_indices(source.n, 1)
-    ds = source.dist[iu]
-    dt = target.dist[idx, :][:, idx][iu]
+    i, j = np.triu_indices(source.n, 1)
+    ds = source.dist[i, j]
+    dt = target.dist[idx[i], idx[j]]  # only the i < j entries of the mapped target
     ratios = dt / ds
     contraction = float(ratios.min())
     expansion = float(ratios.max())

@@ -43,6 +43,7 @@ from .metric import FiniteMetric, PointCloud, _exact_metric, _frozen, _hop_dista
 ROW_SUM_TOL = 1e-12
 DETAILED_BALANCE_TOL = 1e-12
 STATIONARY_TOL = 1e-10
+_BLOCK = 2**16  # doubles per temporary block of the detailed-balance check and _hilbert_averages
 _PAIRING_TRIES = 10000  # pairings drawn before random_regular_graph gives up
 
 
@@ -144,9 +145,12 @@ class ReversibleChain:
         a, p = _stochastic(self.A, self.pi, ROW_SUM_TOL)
         if not (p > 0).all():
             raise ValueError("pi must be a strictly positive probability vector")
-        flows = p[:, None] * a
-        if np.abs(flows - flows.T).max() > DETAILED_BALANCE_TOL:
-            raise ValueError("detailed balance fails at 1e-12")
+        rows = max(1, _BLOCK // len(p))  # pi_i a_ij against pi_j a_ji, a block of rows at a time
+        for r in range(0, len(p), rows):
+            gap = p[r : r + rows, None] * a[r : r + rows]
+            gap -= a[:, r : r + rows].T * p
+            if np.abs(gap, out=gap).max() > DETAILED_BALANCE_TOL:
+                raise ValueError("detailed balance fails at 1e-12")
         if np.abs(p @ a - p).max() > STATIONARY_TOL:
             raise ValueError("pi is not stationary within 1e-10")
         object.__setattr__(self, "A", a)
@@ -158,10 +162,18 @@ class ReversibleChain:
 
     @cached_property
     def _spectrum(self):
-        """eigh of A as a self-adjoint operator on L2(pi): sqrt(pi) A / sqrt(pi), symmetrized."""
+        """eigh of A as a self-adjoint operator on L2(pi): sqrt(pi) A / sqrt(pi), symmetrized.
+
+        One n x n temporary sits beside the matrix eigh gets: the scaled A is
+        divided in place, its transpose added into a new array, and the sum
+        halved in place, the same operations as (sym + sym.T) / 2, so the same bits.
+        """
         s = np.sqrt(self.pi)
-        sym = (s[:, None] * self.A) / s[None, :]
-        return np.linalg.eigh((sym + sym.T) / 2)
+        sym = s[:, None] * self.A
+        sym /= s
+        sym = sym + sym.T
+        sym /= 2
+        return np.linalg.eigh(sym)
 
 
 def _walk(flows: np.ndarray):
@@ -439,9 +451,6 @@ def dim_lower_exponent(f: PointCloud, chain: ReversibleChain):
     return alpha_hat, gap / alpha_hat * math.sqrt(pair_avg)
 
 
-_BLOCK = 2**16  # doubles per temporary array of _hilbert_averages
-
-
 def _hilbert_averages(x: np.ndarray, chain: ReversibleChain):
     """Edge and pair averages of squared l2 distances (see :func:`dim_lower_exponent`)."""
     n, dim = x.shape
@@ -490,9 +499,15 @@ def cheeger_sweep(chain: ReversibleChain):
     # Prefix t holds order[:t+1].  Its crossing flow is the sum over j > t of
     # the column sums of rows <= t, and its smaller side the lesser of a prefix
     # and a suffix sum of pi: sums of nonnegative terms, relatively accurate to
-    # ~n eps, in O(n^2) for all prefixes together.
-    reach = np.cumsum(flows[np.ix_(order, order)], axis=0)
-    cross = np.triu(reach, 1).sum(axis=1)[:-1]
+    # ~n eps, in O(n^2) for all prefixes together.  The reordered table is
+    # cumulated and its lower triangle zeroed in place, and freed before the
+    # rescan below: one n x n temporary beside the flows.
+    reach = flows[np.ix_(order, order)]
+    np.cumsum(reach, axis=0, out=reach)
+    for k in range(n):
+        reach[k, : k + 1] = 0.0
+    cross = reach.sum(axis=1)[:-1]
+    del reach
     p = pi[order]
     fast = cross / np.minimum(np.cumsum(p)[:-1], np.cumsum(p[::-1])[-2::-1])
     # Prefixes near the least are recomputed as sums over the prefix, and the

@@ -102,8 +102,9 @@ def test_closed_form_command_loads_no_heavy_scipy():
         ["matousek-harness", "--n", "8", "--g", "4", "--s", "1", "--T", "4", "--trials", "3"],
         ["dim-exponent", "--n", "16", "--r", "3", "--trials", "2"],
         ["verify", "matousek"],
+        ["verify", "metric"],
     ],
-    ids=["signed-metric", "matousek-harness", "dim-exponent", "verify-matousek"],
+    ids=["signed-metric", "matousek-harness", "dim-exponent", "verify-matousek", "verify-metric"],
 )
 def test_hop_metric_commands_load_no_scipy(argv):
     # hop metrics come from a numpy breadth-first search, and the exponent of

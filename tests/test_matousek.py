@@ -328,9 +328,24 @@ class TestSignedMetric:
 
     def test_sign_cover_mismatch(self):
         t = gen_template(8, 4, 7)
-        bad = SignAssignment(np.ones(t.edge_count - 1))
+        bad = SignAssignment(np.ones(t.edge_count - 1), t.edges[:-1])
         with pytest.raises(IndexMismatch):
             signed_metric(t, bad, SignedMetricParams(1.0, 4.0))
+
+    def test_signs_of_another_template_with_as_many_edges(self):
+        t1, t2 = gen_template(12, 4, 0), gen_template(12, 4, 15)
+        assert t1.edge_count == t2.edge_count == 37 and t1.edges != t2.edges
+        signs = random_signs(t2, 0)
+        assert signs.edges is t2.edges  # kept shared, not copied
+        with pytest.raises(IndexMismatch):
+            signed_metric(t1, signs, SignedMetricParams(1.0, 4.0))
+        assert signed_metric(t2, signs, SignedMetricParams(1.0, 4.0)).n == 36
+
+    def test_signs_must_match_their_edges(self):
+        t = gen_template(8, 4, 7)
+        for signs in (np.ones(t.edge_count + 1), np.ones((t.edge_count, 1)), np.zeros(t.edge_count)):
+            with pytest.raises(ValueError):
+                SignAssignment(signs, t.edges)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -926,7 +926,10 @@ CARRIERS = {
     ),
     "TabulatedModulus": ([np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 3.0])], moduli.TabulatedModulus,
                          lambda t: [t.s, t.values]),
-    "SignAssignment": ([np.array([1.0, -1.0, -1.0])], matousek.SignAssignment, lambda s: [s.signs]),
+    "SignAssignment": (
+        [np.array([1.0, -1.0, -1.0])], lambda s: matousek.SignAssignment(s, ((0, 0), (0, 1), (1, 0))),
+        lambda s: [s.signs],
+    ),
 }
 
 

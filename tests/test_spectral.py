@@ -133,6 +133,43 @@ class TestChainConstruction:
         a[0, 0] = pi[0] = 0.0  # the caller's arrays stay theirs
         assert chain.A[0, 0] == 0.5 and chain.pi[0] == 0.5
 
+    @staticmethod
+    def circulation(chain, states, eps):
+        """A and pi of the chain with eps of flow sent round the cycle ``states``:
+        rows still sum to 1 and pi stays stationary, but detailed balance fails
+        by 2 eps on each edge of the cycle."""
+        a = chain.A.copy()
+        for u, v in zip(states, states[1:] + states[:1]):
+            a[u, v] += eps / chain.pi[u]
+            a[v, u] -= eps / chain.pi[v]
+        return a, chain.pi
+
+    def test_detailed_balance_in_the_last_row_block(self):
+        # 2**16 // 300 = 218 rows per block: the cycle lies in the second block
+        chain = random_reversible_chain(300, 3)
+        assert ReversibleChain(chain.A, chain.pi).n == 300
+        a, pi = self.circulation(chain, [297, 298, 299], 1e-6)
+        flows = pi[:, None] * a
+        assert (np.flatnonzero((np.abs(flows - flows.T) > 1e-12).any(axis=1)) >= 218).all()
+        with pytest.raises(ValueError, match="detailed balance fails at 1e-12"):
+            ReversibleChain(a, pi)
+
+    def test_detailed_balance_verdict_is_the_dense_one(self):
+        chain = random_reversible_chain(300, 4)
+        verdicts = []
+        for eps in np.linspace(4e-13, 6e-13, 21):
+            a, pi = self.circulation(chain, [5, 240, 299], eps)
+            flows = pi[:, None] * a
+            fails = np.abs(flows - flows.T).max() > spectral.DETAILED_BALANCE_TOL
+            try:
+                ReversibleChain(a, pi)
+                verdicts.append((fails, False))
+            except ValueError as exc:
+                assert str(exc) == "detailed balance fails at 1e-12"
+                verdicts.append((fails, True))
+        assert all(want == got for want, got in verdicts)
+        assert {want for want, _ in verdicts} == {False, True}
+
     def test_json_roundtrip(self):
         chain = random_reversible_chain(5, 1)
         obj = json.loads(json.dumps({"A": chain.A.tolist(), "pi": chain.pi.tolist()}))
@@ -743,6 +780,66 @@ class TestCheeger:
             cut, cond = cheeger_sweep(chain)
             want_cut, want_cond = self.per_prefix_scan(chain)
             assert cut == want_cut and cond == want_cond
+
+
+class TestKernelsMatchDenseExpressions:
+    """The kernels against the dense n x n expressions they replace, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def expander(self):
+        g = random_regular_graph(600, 4, 7)
+        return chain_from_graph(g), g.shortest_path_metric()
+
+    def test_spectrum(self, expander):
+        chain, _ = expander
+        s = np.sqrt(chain.pi)
+        sym = (s[:, None] * chain.A) / s[None, :]
+        vals, vecs = np.linalg.eigh((sym + sym.T) / 2)
+        assert chain._spectrum[0].tobytes() == vals.tobytes()
+        assert chain._spectrum[1].tobytes() == vecs.tobytes()
+
+    def test_cheeger_sweep(self, expander):
+        chain, _ = expander
+        n, pi = chain.n, chain.pi
+        vals, vecs = chain._spectrum
+        v = vecs[:, -2]
+        mag = np.abs(v)
+        if v[np.argmax(mag > 1e-8 * mag.max())] > 0:
+            v = -v
+        order = np.argsort(v / np.sqrt(pi))
+        flows = pi[:, None] * chain.A
+        reach = np.cumsum(flows[np.ix_(order, order)], axis=0)
+        cross = np.triu(reach, 1).sum(axis=1)[:-1]
+        p = pi[order]
+        fast = cross / np.minimum(np.cumsum(p)[:-1], np.cumsum(p[::-1])[-2::-1])
+        want = (None, np.inf)
+        for t in np.flatnonzero(fast <= fast.min() * (1 + 1e-9)):
+            side = np.zeros(n, dtype=bool)
+            side[order[: t + 1]] = True
+            vol = pi[side].sum()
+            cond = flows[side][:, ~side].sum() / min(vol, 1 - vol)
+            if cond < want[1]:
+                want = (tuple(int(i) for i in np.flatnonzero(side)), float(cond))
+        cut, cond = cheeger_sweep(chain)
+        assert cut == want[0] and cond.hex() == want[1].hex()
+
+    @pytest.mark.parametrize("mapped", [False, True], ids=["identity", "injective"])
+    def test_distortion(self, expander, mapped):
+        _, pm = expander
+        if mapped:  # into a larger hop metric, by an injective map that is no permutation
+            target = random_regular_graph(640, 4, 8).shortest_path_metric()
+            idx = np.random.default_rng(9).choice(640, 600, replace=False)
+        else:
+            target, idx = pm, np.arange(600)
+        iu = np.triu_indices(600, 1)
+        ds = pm.dist[iu]
+        dt = target.dist[idx, :][:, idx][iu]
+        ratios = dt / ds
+        want = metric.EmbeddingReport(
+            ratios.max() / ratios.min(), ratios.max(), ratios.min(), dt.sum() / ds.sum()
+        )
+        got = metric.distortion(pm, target, idx)
+        assert [float(x).hex() for x in vars(got).values()] == [float(x).hex() for x in vars(want).values()]
 
 
 class TestRandomRegular:
