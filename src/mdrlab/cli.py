@@ -15,8 +15,10 @@ does not change the exit code; each such warning is one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
 import dataclasses
+import gc
 import io
 import itertools
 import json
@@ -24,11 +26,12 @@ import math
 import os
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import jl, matousek, metric, moduli, sdp, spectral, verify
 from .errors import BudgetInfeasible, MdrlabError, NoFeasibleK, RetriesExhausted, UnknownSuite
+
+if TYPE_CHECKING:
+    from . import metric, spectral
 
 DEFAULT_SEED = 123456789
 
@@ -123,16 +126,22 @@ def _parse_seed(text: str) -> int:
 
 
 def _load_metric(path: str) -> metric.FiniteMetric:
+    from . import metric
+
     with open(path, encoding="utf-8") as fh:
         return metric.FiniteMetric.from_json(fh.read())
 
 
 def _load_cloud(path: str) -> metric.PointCloud:
+    from . import metric
+
     with open(path, encoding="utf-8") as fh:
         return metric.PointCloud.from_json(fh.read())
 
 
 def _load_chain(path: str) -> spectral.ReversibleChain:
+    from . import metric, spectral
+
     with open(path, encoding="utf-8") as fh:
         obj = json.loads(fh.read())
     if "edges" in obj:
@@ -148,6 +157,8 @@ def _mode(arg: str) -> str:
 
 
 def cmd_jl_dim(args):
+    from . import jl
+
     plan = jl.make_plan(args.n, args.alpha, _mode(args.mode))
     payload = {"n": args.n, "alpha": args.alpha, "mode": args.mode, "k": plan.k}
     if plan.mode == "scaled_gaussian" or plan.k <= args.n - 4:
@@ -161,6 +172,8 @@ def cmd_jl_dim(args):
 
 
 def cmd_jl_project(args):
+    from . import jl
+
     cloud = _load_cloud(args.cloud)
     res = jl.jl_transform(
         cloud, args.alpha, _mode(args.mode), seed=args.seed, max_retries=args.max_retries, k=args.k
@@ -180,6 +193,8 @@ def cmd_jl_project(args):
 
 
 def cmd_psi(args):
+    from . import jl
+
     est = jl.psi(args.n, args.k, args.alpha, args.sigma)
     payload = {
         "n": args.n,
@@ -193,6 +208,8 @@ def cmd_psi(args):
 
 
 def cmd_sigma_max(args):
+    from . import jl
+
     payload = {
         "n": args.n,
         "k": args.k,
@@ -203,6 +220,8 @@ def cmd_sigma_max(args):
 
 
 def cmd_distortion(args):
+    from . import metric
+
     src = _load_metric(args.source)
     dst = _load_metric(args.target)
     mapping = json.loads(args.map) if args.map else list(range(src.n))
@@ -210,12 +229,16 @@ def cmd_distortion(args):
 
 
 def cmd_frechet(args):
+    from . import metric
+
     m = _load_metric(args.metric)
     cloud = metric.frechet_embed(m)
     return json.loads(cloud.to_json())
 
 
 def cmd_bourgain(args):
+    from . import metric
+
     m = _load_metric(args.metric)
     cloud = metric.bourgain_embed(m, args.seed)
     rep = metric.distortion(m, cloud.to_metric(), list(range(m.n)))
@@ -225,11 +248,15 @@ def cmd_bourgain(args):
 
 
 def cmd_snowflake(args):
+    from . import metric
+
     m = _load_metric(args.metric)
     return json.loads(metric.snowflake(m, args.theta).to_json())
 
 
 def cmd_doubling(args):
+    from . import metric
+
     m = _load_metric(args.metric)
     payload = {"n": m.n, "mode": args.mode, "K": metric.doubling_constant(m, args.mode)}
     if args.alpha is not None:
@@ -239,6 +266,8 @@ def cmd_doubling(args):
 
 
 def cmd_c2_sdp(args):
+    from . import sdp
+
     m = _load_metric(args.metric)
     b = sdp.c2_bracket(m, tol=args.tol)
     return {
@@ -251,6 +280,8 @@ def cmd_c2_sdp(args):
 
 
 def cmd_certificate(args):
+    from . import sdp
+
     if args.search == (args.cert is not None):
         raise ValueError("provide exactly one of --cert FILE and --search")
     m = _load_metric(args.metric)
@@ -269,6 +300,8 @@ def cmd_certificate(args):
 
 
 def cmd_gamma(args):
+    from . import spectral
+
     chain = _load_chain(args.chain)
     payload = {"lambda2": spectral.lambda2(chain), "gamma_hilbert": spectral.gamma_hilbert(chain)}
     if args.metric:
@@ -279,6 +312,8 @@ def cmd_gamma(args):
 
 
 def cmd_rayleigh(args):
+    from . import spectral
+
     chain = _load_chain(args.chain)
     m = _load_metric(args.metric)
     assignment = json.loads(args.assignment)
@@ -288,6 +323,8 @@ def cmd_rayleigh(args):
 
 
 def cmd_t_param(args):
+    from . import spectral
+
     chain = _load_chain(args.chain)
     cloud = _load_cloud(args.cloud)
     x = spectral.Configuration(cloud)
@@ -304,6 +341,10 @@ def cmd_t_param(args):
 
 
 def cmd_dim_exponent(args):
+    import numpy as np
+
+    from . import metric, spectral
+
     rng = np.random.default_rng(args.seed)
     rows = []
     for i in range(args.trials):
@@ -327,6 +368,8 @@ def cmd_dim_exponent(args):
 
 
 def cmd_cheeger(args):
+    from . import spectral
+
     chain = _load_chain(args.chain)
     cut, cond = spectral.cheeger_sweep(chain)
     lam = spectral.lambda2(chain)
@@ -340,6 +383,8 @@ def cmd_cheeger(args):
 
 
 def cmd_regular_graph(args):
+    from . import spectral
+
     g = spectral.random_regular_graph(args.n, args.r, args.seed)
     payload = json.loads(g.to_json())
     payload["lambda2"] = spectral.lambda2(spectral.chain_from_graph(g))
@@ -347,6 +392,8 @@ def cmd_regular_graph(args):
 
 
 def cmd_markov_convexity(args):
+    from . import metric, spectral
+
     with open(args.spec, encoding="utf-8") as fh:
         obj = json.load(fh)
     m = metric.build_metric(obj["dist"])
@@ -362,6 +409,8 @@ def _girth(g: float):
 
 
 def cmd_matousek_gen(args):
+    from . import matousek
+
     t = matousek.gen_template(args.n, args.g, args.seed)
     payload = json.loads(t.to_json())
     payload.update(girth=_girth(t.girth), edges_count=t.edge_count, density_ratio=t.density_ratio)
@@ -369,6 +418,10 @@ def cmd_matousek_gen(args):
 
 
 def cmd_signed_metric(args):
+    import numpy as np
+
+    from . import matousek
+
     rng = np.random.default_rng(args.seed)
     template = matousek.gen_template(args.n, args.g, rng.integers(2**63 - 1))
     signs = matousek.random_signs(template, rng.integers(2**63 - 1))
@@ -379,6 +432,8 @@ def cmd_signed_metric(args):
 
 
 def cmd_matousek_harness(args):
+    from . import matousek
+
     rows = matousek.experiment_harness(
         args.n, args.g, args.s, args.T, args.trials, args.seed, alpha=args.alpha
     )
@@ -386,6 +441,8 @@ def cmd_matousek_harness(args):
 
 
 def cmd_beta(args):
+    from . import moduli
+
     if args.family == "bilipschitz":
         pair = moduli.ModulusPair.bi_lipschitz(args.alpha)
     else:
@@ -399,6 +456,10 @@ def cmd_beta(args):
 
 
 def cmd_pipeline(args):
+    import numpy as np
+
+    from . import jl, metric
+
     m = _load_metric(args.metric)
     rng = np.random.default_rng(args.seed)
     cloud = metric.bourgain_embed(m, rng.integers(2**63 - 1))
@@ -437,6 +498,8 @@ def cmd_pipeline(args):
 
 
 def cmd_volumetric(args):
+    from . import metric
+
     k_min = metric.volumetric_lower_bound(args.n, args.alpha)
     return {"n": args.n, "alpha": args.alpha, "k_min": k_min}
 
@@ -467,6 +530,10 @@ class _CellParser(argparse.ArgumentParser):
 
 
 def cmd_sweep(args):
+    import numpy as np
+
+    from . import metric
+
     with open(args.spec, encoding="utf-8") as fh:
         spec = json.load(fh)
     if spec["command"] == "sweep":
@@ -499,6 +566,8 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
+    from . import verify
+
     if args.suite not in verify.SUITES:
         raise UnknownSuite(f"suite must be one of {verify.SUITES}")
     return verify.run_suite(args.suite, seed=args.seed)
@@ -591,7 +660,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = add("t-param", cmd_t_param, "lazy-power Hilbert threshold parameter")
     p.add_argument("--chain", required=True)
     p.add_argument("--cloud", required=True)
-    p.add_argument("--cap", type=int, default=4096)
+    p.add_argument("--cap", type=_parse_count, default=4096)
 
     p = add("dim-exponent", cmd_dim_exponent, "expander dimension exponent survey")
     p.add_argument("--n", type=_parse_count, required=True)
@@ -653,6 +722,11 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
 
 def main(argv=None) -> int:
+    # At exit every object still tracked is frozen into the permanent
+    # generation, which the interpreter's shutdown collections skip; the OS
+    # reclaims the memory.  Re-registering keeps one hook per process.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     if args.seed is None:
         args.seed = DEFAULT_SEED

@@ -456,17 +456,26 @@ def distortion(source: FiniteMetric, target: FiniteMetric, mapping) -> Embedding
         raise NonInjectiveMap(f"map must assign all {source.n} source indices")
     if len(np.unique(idx)) != source.n:
         raise NonInjectiveMap("map is not injective")
-    i, j = np.triu_indices(source.n, 1)
-    ds = source.dist[i, j]
-    dt = target.dist[idx[i], idx[j]]  # only the i < j entries of the mapped target
-    ratios = dt / ds
+    # The i < j distances of the source and of the mapped target, row by row
+    # in triu order, which the sums' rounding follows; the ratios overwrite
+    # the target's.
+    n = source.n
+    ds, dt = np.empty(n * (n - 1) // 2), np.empty(n * (n - 1) // 2)
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        ds[start:stop] = source.dist[i, i + 1 :]
+        np.take(target.dist[idx[i]], idx[i + 1 :], out=dt[start:stop])
+        start = stop
+    avg_ratio = float(dt.sum() / ds.sum())
+    ratios = np.divide(dt, ds, out=dt)
     contraction = float(ratios.min())
     expansion = float(ratios.max())
     return EmbeddingReport(
         distortion=expansion / contraction,
         expansion=expansion,
         contraction=contraction,
-        avg_ratio=float(dt.sum() / ds.sum()),
+        avg_ratio=avg_ratio,
     )
 
 

@@ -365,7 +365,10 @@ def t_parameter(x: Configuration, chain: ReversibleChain, d: float, t_cap: int =
     mu_k = (1 + lambda_k)/2 and w_k the squared eigen-coefficients of the
     pi-centred, sqrt(pi)-weighted H-configuration; a bisection on [1, t_cap]
     makes O(log t_cap) O(n) evaluations, so ``t_cap`` bounds the answer, not the work.
+    A ``t_cap`` that is not a positive integer raises ValueError before any work.
     """
+    if isinstance(t_cap, bool) or not isinstance(t_cap, (int, np.integer)) or t_cap < 1:
+        raise ValueError(f"t_cap must be a positive integer, got {t_cap!r}")
     if not d >= 1:
         raise ValueError("d must be >= 1")
     if not isinstance(x.space, PointCloud):
@@ -495,14 +498,15 @@ def cheeger_sweep(chain: ReversibleChain):
         v = -v
     pi = chain.pi
     order = np.argsort(v / np.sqrt(pi))
-    flows = pi[:, None] * chain.A
     # Prefix t holds order[:t+1].  Its crossing flow is the sum over j > t of
-    # the column sums of rows <= t, and its smaller side the lesser of a prefix
-    # and a suffix sum of pi: sums of nonnegative terms, relatively accurate to
-    # ~n eps, in O(n^2) for all prefixes together.  The reordered table is
-    # cumulated and its lower triangle zeroed in place, and freed before the
-    # rescan below: one n x n temporary beside the flows.
-    reach = flows[np.ix_(order, order)]
+    # the column sums of rows <= t of the flows pi_i a_ij, and its smaller side
+    # the lesser of a prefix and a suffix sum of pi: sums of nonnegative terms,
+    # relatively accurate to ~n eps, in O(n^2) for all prefixes together.  The
+    # reordered flow table is the one n x n temporary: gathered from A, its
+    # rows scaled, cumulated and its lower triangle zeroed in place, and freed
+    # before the rescan below.
+    reach = chain.A[np.ix_(order, order)]
+    reach *= pi[order][:, None]
     np.cumsum(reach, axis=0, out=reach)
     for k in range(n):
         reach[k, : k + 1] = 0.0
@@ -518,7 +522,7 @@ def cheeger_sweep(chain: ReversibleChain):
         side = np.zeros(n, dtype=bool)
         side[order[: t + 1]] = True
         vol = pi[side].sum()
-        cond = flows[side][:, ~side].sum() / min(vol, 1 - vol)
+        cond = (pi[side][:, None] * chain.A[side][:, ~side]).sum() / min(vol, 1 - vol)
         if cond < best[1]:
             best = (tuple(int(i) for i in np.flatnonzero(side)), float(cond))
     return best

@@ -15,11 +15,15 @@ from mdrlab import cli, jl, metric, sdp, verify
 
 
 def run_cli(*args, env_extra=None):
+    return run_python("-m", "mdrlab.cli", *args, env_extra=env_extra)
+
+
+def run_python(*args, env_extra=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
-        [sys.executable, "-m", "mdrlab.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -1090,3 +1094,52 @@ class TestMainExits:
         assert code == 2 and out == ""
         (line,) = err.splitlines()
         assert json.loads(line)["error"] in ("ValueError", "NonInjectiveMap", "TypeError")
+
+    @pytest.mark.parametrize("cap", ["0", "-5", "1.5"])
+    def test_t_param_cap_below_one_is_a_usage_error(self, cap, tmp_path, capsys):
+        # --cap 0 used to print CapExceeded "no t <= 0 reaches the Hilbert Rayleigh threshold"
+        chain = tmp_path / "path.json"
+        chain.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
+        cloud = tmp_path / "cloud.json"
+        cloud.write_text(metric.PointCloud(np.random.default_rng(1).standard_normal((4, 3)), "l1").to_json())
+        code, out, err = _invoke(["t-param", "--chain", str(chain), "--cloud", str(cloud), "--cap", cap], capsys)
+        assert code == 2 and out == ""
+        assert f"argument --cap: expected a positive integer, got {cap}" in err
+
+
+class TestExitHook:
+    """``main`` freezes the tracked objects at exit, so shutdown skips collecting them."""
+
+    SIGNED = ["signed-metric", "--n", "64", "--g", "6", "--s", "1", "--T", "8"]
+
+    def test_console_run_writes_the_in_process_bytes(self, tmp_path, capsys):
+        code, want, _ = _invoke(self.SIGNED, capsys)
+        assert code == 0 and want
+        proc = run_cli(*self.SIGNED)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+        out = tmp_path / "signed.json"
+        proc = run_cli(*self.SIGNED, "--out", str(out))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert out.read_bytes() == want.encode()
+
+    def test_unknown_suite_still_exits_2_with_json(self):
+        proc = run_cli("verify", "nonsense")
+        assert proc.returncode == 2 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "UnknownSuite"
+
+    def test_many_calls_register_one_hook(self, tmp_path):
+        # gc.freeze counts its calls; the check registered first runs last
+        code = (
+            "import atexit, gc, sys\n"
+            "calls, freeze = [], gc.freeze\n"
+            "gc.freeze = lambda: calls.append(1) or freeze()\n"
+            "atexit.register(lambda: print('freezes at exit', len(calls), gc.get_freeze_count() > 0))\n"
+            "from mdrlab.cli import main\n"
+            "for _ in range(3):\n"
+            "    assert main(['sigma-max', '--n', '7', '--k', '2', '--alpha', '2', '--out', sys.argv[1]]) == 0\n"
+            "print('freezes before exit', len(calls))\n"
+        )
+        proc = run_python("-c", code, str(tmp_path / "sigma-max.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["freezes before exit 0", "freezes at exit 1 True"]

@@ -1,7 +1,8 @@
-"""Import budget: ``import mdrlab`` loads numpy and no scipy module, and each
-scipy subpackage loads only in the commands that compute with it, so a
-top-level import cannot silently bring back the cold-start cost of
-``import mdrlab.cli``."""
+"""Import budget: ``import mdrlab`` and ``import mdrlab.cli`` load no submodule
+and no numpy until first use, each command loads only the submodules it
+computes with, and each scipy subpackage loads only in the commands that
+compute with it, so a top-level import cannot silently bring back the
+cold-start cost of ``import mdrlab.cli``."""
 
 import importlib
 import json
@@ -35,6 +36,35 @@ def modules_after(code: str) -> set:
 def test_import_loads_no_heavy_scipy(code):
     loaded = modules_after(code)
     assert sorted(m for m in loaded if m == "scipy" or m.startswith("scipy.")) == []
+
+
+@pytest.mark.parametrize(
+    "code, submodules",
+    [("import mdrlab", []), ("import mdrlab.cli", ["mdrlab.cli", "mdrlab.errors"])],
+)
+def test_import_loads_no_numpy_and_no_library_submodule(code, submodules):
+    loaded = modules_after(code)
+    assert "numpy" not in loaded
+    assert sorted(m for m in loaded if m.startswith("mdrlab.")) == submodules
+
+
+@pytest.mark.parametrize(
+    "argv, submodules",
+    [
+        (["matousek-gen", "--n", "64", "--g", "6"], ["matousek", "metric"]),
+        (["sigma-max", "--n", "7", "--k", "2", "--alpha", "2"], ["jl", "metric"]),
+        (["c2-sdp", "--metric", "{c4}"], ["metric", "sdp"]),
+    ],
+    ids=["matousek-gen", "sigma-max", "c2-sdp"],
+)
+def test_commands_load_only_the_submodules_they_compute_with(argv, submodules, tmp_path):
+    # jl and sdp build on metric's point clouds; errors and the CLI itself are always there
+    c4 = tmp_path / "c4.json"
+    c4.write_text(cycle4().to_json())
+    argv = [a.format(c4=c4) for a in argv]
+    loaded = modules_after(f"from mdrlab.cli import main\nassert main({argv!r}) == 0")
+    want = sorted(["mdrlab.cli", "mdrlab.errors", *(f"mdrlab.{name}" for name in submodules)])
+    assert sorted(m for m in loaded if m.startswith("mdrlab.")) == want
 
 
 def test_package_exposes_its_submodules_only():

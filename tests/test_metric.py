@@ -428,6 +428,19 @@ class TestDistortion:
         assert rep.distortion == pytest.approx(rep.expansion / rep.contraction)
         assert rep.distortion >= 1.0
 
+    def test_two_pair_buffers_at_1024_points(self):
+        # the source and target distances of the i < j pairs, 4 MiB each here,
+        # and no index arrays, which took 16 of the former 24 MiB
+        pm = spectral.random_regular_graph(1024, 4, 0).shortest_path_metric()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            metric.distortion(pm, pm, np.arange(1024))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
 
 class TestFrechet:
     def test_single_point(self):

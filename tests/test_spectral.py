@@ -493,6 +493,22 @@ class TestTParameter:
         with pytest.raises(CapExceeded):
             t_parameter(Configuration(cloud), chain, 50.0, t_cap=1)
 
+    @pytest.mark.parametrize("cap", [0, -5, 2.5, 3.0, True, "8"])
+    def test_cap_that_is_no_positive_integer_is_refused_before_any_work(self, cap):
+        # before, t_cap < 1 gave t = 1 and "no t <= 0 reaches the threshold": no verdict on the chain
+        path = WeightedGraph.build(4, [(0, 1), (1, 2), (2, 3)])
+        cloud = metric.PointCloud(np.random.default_rng(1).standard_normal((4, 3)), "l1")
+        for check in (t_parameter, power_expander_check):
+            chain = chain_from_graph(path)
+            with pytest.raises(ValueError, match="t_cap must be a positive integer"):
+                check(Configuration(cloud), chain, math.sqrt(3), cap)
+            assert "_spectrum" not in vars(chain)  # no eigendecomposition was taken
+
+    def test_smallest_cap_is_one(self):
+        chain = chain_from_graph(WeightedGraph.build(2, [(0, 1)]))
+        x = Configuration(metric.PointCloud(np.array([[0.0], [1.0]]), "l2"))
+        assert t_parameter(x, chain, 1.0, np.int64(1))[0] == 1
+
     def test_closed_form_minimal_against_matrix_powers(self):
         # reference: R(x; L^(2t), H^2) from explicit matrix powers of the lazy chain
         rng = np.random.default_rng(26)
@@ -780,6 +796,20 @@ class TestCheeger:
             cut, cond = cheeger_sweep(chain)
             want_cut, want_cond = self.per_prefix_scan(chain)
             assert cut == want_cut and cond == want_cond
+
+    def test_one_flow_table_at_1024_vertices(self):
+        # the reordered flow table is the one n x n temporary: 8 MiB here,
+        # where the flows beside their reordered copy took 16 MiB
+        chain = chain_from_graph(random_regular_graph(1024, 4, 0))
+        lambda2(chain)  # the spectrum is cached before the measurement
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cheeger_sweep(chain)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestKernelsMatchDenseExpressions:
