@@ -38,6 +38,16 @@ residuals (Boyd et al. 2011, section 3.4.1): doubled, with U halved, when the
 primal residual |X - Z| exceeds 10 times the dual residual rho |Z - Z_prev|,
 and halved, with U doubled, in the opposite case.  A run ends "converged"
 once hi - lo <= tol and "undecided" if it spends its iteration budget first.
+
+The loop computes nothing that stays fixed during a run more than once (the
+pair ratios' denominators and weights, the -inf after the last sorted ratio,
+d^2 off the diagonal, the squared distances of the certificate sums), and its
+outputs are a contract bit for bit.  So it keeps the rounding of each
+expression: the ratios v/d^2 in the order of the pairs i < j, the argsort of
+their negatives, the cumulative sums of t_k, np.clip for the t-box,
+np.linalg.eigh of U'(X + U)U, and the eigenvector columns gathered into a
+contiguous array before each product, since BLAS rounds a strided view of
+them differently.
 """
 
 from __future__ import annotations
@@ -79,7 +89,13 @@ class GramCandidate:
 
 @dataclass(frozen=True)
 class NegativeTypeCertificate:
-    """A psd matrix with zero row sums, held read-only; the a_ij of the distortion test."""
+    """A psd matrix with zero row sums, held read-only; the a_ij of the distortion test.
+
+    Symmetry, row sums and the least eigenvalue are checked to 1e-9 of the
+    largest |a_ij|.  A positive factor scales both sides of the test and so
+    changes no verdict; the checks scale with it, so a negative definite
+    matrix of tiny entries is refused like a large one.
+    """
 
     A: np.ndarray
 
@@ -89,7 +105,7 @@ class NegativeTypeCertificate:
             raise CertificateInvalid("A must be square")
         if not np.isfinite(a).all():
             raise CertificateInvalid("A must be finite")
-        scale = max(1.0, np.abs(a).max())
+        scale = np.abs(a).max()
         if np.abs(a - a.T).max() > 1e-9 * scale:
             raise CertificateInvalid("A must be symmetric")
         if np.abs(a.sum(axis=1)).max() > 1e-9 * scale:
@@ -140,6 +156,7 @@ class _Bracket:
         self.d2 = _squared_distances(m)
         self.u1 = _ones_complement_basis(n)
         self.off = ~np.eye(n, dtype=bool)
+        self.d2_off = self.d2[self.off]
         self.lo, self.certificate = 1.0, None
         self.hi, self.witness = math.inf, None
         self.iterations = 0
@@ -148,15 +165,16 @@ class _Bracket:
 
     def _offer_gram(self, q: np.ndarray) -> None:
         """Take a psd Gram matrix as the witness if its exact distortion beats hi."""
-        r2 = _dist2_of(q)[self.off] / self.d2[self.off]
-        if r2.min() <= 0 or math.sqrt(r2.max() / r2.min()) >= self.hi:
+        r2 = _dist2_of(q)[self.off] / self.d2_off
+        least = r2.min()
+        if least <= 0 or math.sqrt(r2.max() / least) >= self.hi:
             return
-        witness = GramCandidate(q / r2.min())
-        r2 = _dist2_of(witness.Q)[self.off] / self.d2[self.off]
+        witness = GramCandidate(q / least)
+        r2 = _dist2_of(witness.Q)[self.off] / self.d2_off
         self.hi, self.witness = math.sqrt(r2.max() / r2.min()), witness
 
     def _offer_gap(self, a: np.ndarray) -> None:
-        """Take a psd zero-row-sum gap as the certificate if check_certificate confirms it beats lo."""
+        """Take a psd zero-row-sum gap as the certificate if its sums confirm that it beats lo."""
         w = a * self.d2
         p, neg = w[w > 0].sum(), -w[w < 0].sum()
         if neg <= 0:
@@ -165,15 +183,21 @@ class _Bracket:
         if level <= self.lo:
             return
         cert = NegativeTypeCertificate(a)
-        holds, _, _ = check_certificate(self.m, cert, level)
-        if not holds:
+        if not _certificate_sums(cert.A, self.d2, level)[0]:
             self.lo, self.certificate = level, cert
 
     def run(self, done) -> bool:
         """Iterate until ``done()`` holds at a check; False if MAX_ITER iterations run out first."""
+        n, u1 = self.m.n, self.u1
+        u1t = u1.T
         d2 = self.d2 / self.d2.max()
-        iu = np.triu_indices(self.m.n, 1)
-        w = d2[iu] ** 2  # the weights of t in the t-step
+        pairs = np.ravel_multi_index(np.triu_indices(n, 1), (n, n))  # the pairs i < j, flat
+        d2p = d2.take(pairs)
+        w = d2p**2  # the weights of t in the t-step
+        # the sorted ratios, followed by the -inf that no t_k can stay below
+        rs = np.empty(pairs.size + 1)
+        rs[-1] = -np.inf
+        r, r_next = rs[:-1], rs[1:]
         z, u, rho = d2, np.zeros_like(d2), 1.0
         for it in range(MAX_ITER):
             self.iterations += 1
@@ -182,20 +206,22 @@ class _Bracket:
             # i < j the derivative 1 - 2 rho sum_{r > t} w (r - t) in the ratios
             # r = v/d2 is zero at t_k = (sum_{i<=k} w r - 1/(2 rho)) / sum_{i<=k} w
             # over the k largest r, for the first k with t_k above the next ratio
-            ratio = v[iu] / d2[iu]
-            order = np.argsort(-ratio)
-            r, wk = ratio[order], w[order]
-            tk = (np.cumsum(wk * r) - 0.5 / rho) / np.cumsum(wk)
-            t = max(1.0, tk[np.argmax(tk >= np.append(r[1:], -np.inf))])
-            x = np.clip(v, d2, t * d2)  # the zero diagonal of d2 keeps x hollow
-            vals, vecs = np.linalg.eigh(self.u1.T @ (x + u) @ self.u1)
+            ratio = v.take(pairs) / d2p
+            order = (-ratio).argsort()
+            r[:] = ratio.take(order)
+            wk = w.take(order)
+            tk = ((wk * r).cumsum() - 0.5 / rho) / wk.cumsum()
+            t = max(1.0, tk[(tk >= r_next).argmax()])
+            x = v.clip(d2, t * d2)  # the zero diagonal of d2 keeps x hollow
+            xu = x + u
+            vals, vecs = np.linalg.eigh(u1t @ xu @ u1)
             pos = vals > 0
-            g = self.u1 @ vecs[:, pos]
+            g = u1 @ vecs[:, pos]
             gap = (g * vals[pos]) @ g.T
             gap = (gap + gap.T) / 2  # x + u - gap is the cone projection P_K(x + u)
-            z_prev, z, u = z, x + u - gap, gap
+            z_prev, z, u = z, np.subtract(xu, gap, out=xu), gap
             if it % CHECK_EVERY == 0:
-                g = self.u1 @ vecs[:, ~pos]
+                g = u1 @ vecs[:, ~pos]
                 self._offer_gram((g * (-0.5 * vals[~pos])) @ g.T)
                 self._offer_gap(gap)
                 if done():
@@ -270,9 +296,13 @@ def check_certificate(m: FiniteMetric, cert: NegativeTypeCertificate, alpha: flo
         raise CertificateInvalid(f"certificate size {cert.n} != metric size {m.n}")
     if not 1 <= alpha < math.inf:
         raise ValueError("alpha must be >= 1")
-    d2 = _squared_distances(m)
-    lhs = float((cert.A * d2).sum())
-    rhs = float((alpha**2 - 1) / (alpha**2 + 1) * (np.abs(cert.A) * d2).sum())
+    return _certificate_sums(cert.A, _squared_distances(m), alpha)
+
+
+def _certificate_sums(a: np.ndarray, d2: np.ndarray, alpha: float):
+    """``check_certificate`` on the squared distances ``d2``."""
+    lhs = float((a * d2).sum())
+    rhs = float((alpha**2 - 1) / (alpha**2 + 1) * (np.abs(a) * d2).sum())
     return lhs <= rhs + 1e-12 * rhs, lhs, rhs
 
 

@@ -997,6 +997,15 @@ class TestMainExits:
         assert proc.stderr.count("\n") == 1
         assert json.loads(proc.stderr) == {"error": "CertificateInvalid", "message": "A must be finite"}
 
+    def test_tiny_negative_definite_certificate_is_refused(self, tmp_path, capsys):
+        # c2(C4) = sqrt(2): this matrix once passed as psd and "proved" c2 > 100
+        m, f = tmp_path / "c4.json", tmp_path / "tiny.json"
+        m.write_text(cycle4().to_json())
+        f.write_text(json.dumps({"A": (-1e-11 * (np.eye(4) - 0.25)).tolist()}))
+        code, out, err = _invoke(["certificate", "--metric", str(m), "--alpha", "100", "--cert", str(f)], capsys)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {"error": "CertificateInvalid", "message": "A must be positive semidefinite"}
+
     @pytest.mark.parametrize(
         "argv, text",
         [

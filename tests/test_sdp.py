@@ -168,6 +168,23 @@ class TestCertificates:
         with pytest.raises(CertificateInvalid):
             sdp.check_certificate(m, good, 1.5)  # size mismatch
 
+    @pytest.mark.parametrize(
+        "a",
+        [-1e-11 * (np.eye(4) - 0.25), 1e-12 * np.array([[-1.0, 1.0], [1.0, -1.0]])],
+        ids=["C4-size", "two-point"],
+    )
+    def test_tiny_negative_definite_matrices_refused(self, a):
+        # accepted under an absolute tolerance, the first "proved" c2(C4) > 100
+        # and the second refuted level 1.5 on two points
+        with pytest.raises(CertificateInvalid, match="positive semidefinite"):
+            sdp.NegativeTypeCertificate(a)
+
+    def test_scaled_down_certificate_still_refutes(self):
+        for a in (np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0]),
+                  sdp.find_violating_certificate(cycle4(), 1.3).A):
+            holds, lhs, rhs = sdp.check_certificate(cycle4(), sdp.NegativeTypeCertificate(1e-12 * a), 1.3)
+            assert not holds and lhs > rhs > 0
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_matrices_rejected(self, bad):
         a = np.zeros((4, 4))
@@ -283,6 +300,99 @@ class TestC2Bracket:
         for call in calls:
             with pytest.raises(ParameterDomain, match="squared distances overflow"):
                 call()
+
+
+class _ReferenceBracket(sdp._Bracket):
+    """The ADMM loop as first written, every loop-invariant recomputed per iteration."""
+
+    def _offer_gram(self, q):
+        r2 = sdp._dist2_of(q)[self.off] / self.d2[self.off]
+        if r2.min() <= 0 or math.sqrt(r2.max() / r2.min()) >= self.hi:
+            return
+        witness = sdp.GramCandidate(q / r2.min())
+        r2 = sdp._dist2_of(witness.Q)[self.off] / self.d2[self.off]
+        self.hi, self.witness = math.sqrt(r2.max() / r2.min()), witness
+
+    def _offer_gap(self, a):
+        w = a * self.d2
+        p, neg = w[w > 0].sum(), -w[w < 0].sum()
+        if neg <= 0:
+            return
+        level = math.sqrt(p / neg) * (1 - 1e-9)
+        if level <= self.lo:
+            return
+        cert = sdp.NegativeTypeCertificate(a)
+        d2 = self.m.dist**2
+        lhs = float((cert.A * d2).sum())
+        rhs = float((level**2 - 1) / (level**2 + 1) * (np.abs(cert.A) * d2).sum())
+        if not lhs <= rhs + 1e-12 * rhs:
+            self.lo, self.certificate = level, cert
+
+    def run(self, done):
+        d2 = self.d2 / self.d2.max()
+        iu = np.triu_indices(self.m.n, 1)
+        w = d2[iu] ** 2
+        z, u, rho = d2, np.zeros_like(d2), 1.0
+        for it in range(sdp.MAX_ITER):
+            self.iterations += 1
+            v = z - u
+            ratio = v[iu] / d2[iu]
+            order = np.argsort(-ratio)
+            r, wk = ratio[order], w[order]
+            tk = (np.cumsum(wk * r) - 0.5 / rho) / np.cumsum(wk)
+            t = max(1.0, tk[np.argmax(tk >= np.append(r[1:], -np.inf))])
+            x = np.clip(v, d2, t * d2)
+            vals, vecs = np.linalg.eigh(self.u1.T @ (x + u) @ self.u1)
+            pos = vals > 0
+            g = self.u1 @ vecs[:, pos]
+            gap = (g * vals[pos]) @ g.T
+            gap = (gap + gap.T) / 2
+            z_prev, z, u = z, x + u - gap, gap
+            if it % sdp.CHECK_EVERY == 0:
+                g = self.u1 @ vecs[:, ~pos]
+                self._offer_gram((g * (-0.5 * vals[~pos])) @ g.T)
+                self._offer_gap(gap)
+                if done():
+                    return True
+                primal, dual = np.linalg.norm(x - z), rho * np.linalg.norm(z - z_prev)
+                if primal > 10 * dual:
+                    rho, u = 2 * rho, u / 2
+                elif dual > 10 * primal:
+                    rho, u = rho / 2, 2 * u
+        return False
+
+
+def hamming_cube(k: int) -> metric.FiniteMetric:
+    v = np.arange(2**k)
+    return metric.build_metric(np.array([[bin(a ^ b).count("1") for b in v] for a in v], dtype=float))
+
+
+class TestRunMatchesReferenceLoop:
+    """The loop against the one that recomputes its invariants, bit for bit.
+
+    The 32-point case guards the gathered eigenvector columns: multiplying
+    by a strided view of them keeps the bytes up to 16 points and changes
+    them from 32 points on.
+    """
+
+    @pytest.mark.parametrize(
+        "m",
+        [cycle4(), hamming_cube(3), star13(), cycle(12), metric.random_metric(12, 0), metric.random_metric(32, 2)],
+        ids=["C4", "Q3", "K1,3", "C12", "random12", "random32"],
+    )
+    def test_bracket(self, m):
+        got = sdp.c2_bracket(m, tol=1e-4)
+        ref = _ReferenceBracket(m)
+        status = "converged" if ref.run(lambda: ref.hi - ref.lo <= 1e-4) else "undecided"
+        assert (got.status, got.iterations) == (status, ref.iterations)
+        assert (got.lo.hex(), got.hi.hex()) == (ref.lo.hex(), ref.hi.hex())
+        assert got.witness.Q.tobytes() == ref.witness.Q.tobytes()
+        assert got.certificate.A.tobytes() == ref.certificate.A.tobytes()
+
+    def test_certificate_search(self):
+        ref = _ReferenceBracket(cycle4())
+        ref.run(lambda: ref.lo > 1.3 or ref.hi <= 1.3)
+        assert sdp.find_violating_certificate(cycle4(), 1.3).A.tobytes() == ref.certificate.A.tobytes()
 
 
 class TestOnesComplementBasis:
