@@ -741,6 +741,8 @@ def main(argv=None) -> int:
         _emit(payload, "csv" if args.func is cmd_sweep else args.format, args.out)
     except (MdrlabError, OverflowError, ValueError, TypeError, KeyError, OSError) as exc:
         return _fail(type(exc).__name__, str(exc))
+    except MemoryError as exc:  # numpy raises a private subclass
+        return _fail("MemoryError", str(exc))
     return 1 if args.func is cmd_verify and not payload["ok"] else 0
 
 

@@ -67,22 +67,36 @@ MAX_ITER = 5000
 CHECK_EVERY = 10
 
 
+def _symmetric(a, name: str, exc) -> tuple[np.ndarray, float]:
+    """``a`` taken in by ``_owned``, with its largest |entry|.
+
+    Raises ``exc`` unless the matrix is square, finite and symmetric to 1e-9
+    of its largest |entry|, a rule that holds at every scale.
+    """
+    a = _owned(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise exc(f"{name} must be square")
+    if not np.isfinite(a).all():
+        raise exc(f"{name} must be finite")
+    scale = np.abs(a).max()
+    if np.abs(a - a.T).max() > 1e-9 * scale:
+        raise exc(f"{name} must be symmetric")
+    return a, scale
+
+
 @dataclass(frozen=True)
 class GramCandidate:
-    """A symmetric matrix of inner products, psd up to 1e-9 of its trace scale; held read-only."""
+    """A symmetric matrix of inner products, psd up to 1e-9 of its trace scale; held read-only.
+
+    Symmetry is checked to 1e-9 of the largest |q_ij| and the least
+    eigenvalue to -1e-9 trace/n, so a positive factor changes no verdict.
+    """
 
     Q: np.ndarray
 
     def __post_init__(self):
-        q = _owned(self.Q)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError("Q must be square")
-        if not np.isfinite(q).all():
-            raise ValueError("Q must be finite")
-        if np.abs(q - q.T).max() > 1e-9 * max(1.0, np.abs(q).max()):
-            raise ValueError("Q must be symmetric")
-        scale = max(np.trace(q) / max(q.shape[0], 1), 1e-30)
-        if np.linalg.eigvalsh((q + q.T) / 2).min() < -1e-9 * scale:
+        q, _ = _symmetric(self.Q, "Q", ValueError)
+        if np.linalg.eigvalsh((q + q.T) / 2).min() < -1e-9 * np.trace(q) / q.shape[0]:
             raise NotPSD("Q has an eigenvalue below -1e-9 of its trace scale")
         object.__setattr__(self, "Q", q)
 
@@ -100,14 +114,7 @@ class NegativeTypeCertificate:
     A: np.ndarray
 
     def __post_init__(self):
-        a = _owned(self.A)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise CertificateInvalid("A must be square")
-        if not np.isfinite(a).all():
-            raise CertificateInvalid("A must be finite")
-        scale = np.abs(a).max()
-        if np.abs(a - a.T).max() > 1e-9 * scale:
-            raise CertificateInvalid("A must be symmetric")
+        a, scale = _symmetric(self.A, "A", CertificateInvalid)
         if np.abs(a.sum(axis=1)).max() > 1e-9 * scale:
             raise CertificateInvalid("rows of A must sum to zero")
         if np.linalg.eigvalsh((a + a.T) / 2).min() < -1e-9 * scale:

@@ -882,6 +882,17 @@ class TestMainExits:
         assert code == 2 and stdout == "" and not out.exists()
         assert json.loads(err)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("exc", [MemoryError, type("_ArrayMemoryError", (MemoryError,), {})])
+    def test_memory_error_is_a_json_error(self, exc, capsys, monkeypatch):
+        # raised, never allocated: an overcommitting kernel may grant a real request
+        def run_suite(name, seed):
+            raise exc("Unable to allocate 7.45 PiB")
+
+        monkeypatch.setattr(verify, "run_suite", run_suite)
+        code, out, err = _invoke(["verify", "metric"], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "MemoryError", "message": "Unable to allocate 7.45 PiB"}
+
     def test_pipeline_retries_exhausted(self, tmp_path, capsys):
         f = tmp_path / "m.json"
         f.write_text(metric.random_metric(64, 9, style="shortest_path").to_json())

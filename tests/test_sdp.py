@@ -169,15 +169,22 @@ class TestCertificates:
             sdp.check_certificate(m, good, 1.5)  # size mismatch
 
     @pytest.mark.parametrize(
-        "a",
-        [-1e-11 * (np.eye(4) - 0.25), 1e-12 * np.array([[-1.0, 1.0], [1.0, -1.0]])],
-        ids=["C4-size", "two-point"],
+        "make, a, exc, match",
+        [
+            (sdp.NegativeTypeCertificate, -1e-11 * (np.eye(4) - 0.25), CertificateInvalid, "positive semidefinite"),
+            (sdp.NegativeTypeCertificate, 1e-12 * np.array([[-1.0, 1.0], [1.0, -1.0]]), CertificateInvalid,
+             "positive semidefinite"),
+            (sdp.GramCandidate, -1e-40 * np.eye(3), NotPSD, "eigenvalue below"),
+            (sdp.GramCandidate, 1e-12 * np.array([[2.0, 1.0], [-1.0, 2.0]]), ValueError, "Q must be symmetric"),
+        ],
+        ids=["C4-size", "two-point", "witness-negative-definite", "witness-asymmetric"],
     )
-    def test_tiny_negative_definite_matrices_refused(self, a):
+    def test_tiny_negative_definite_matrices_refused(self, make, a, exc, match):
         # accepted under an absolute tolerance, the first "proved" c2(C4) > 100
-        # and the second refuted level 1.5 on two points
-        with pytest.raises(CertificateInvalid, match="positive semidefinite"):
-            sdp.NegativeTypeCertificate(a)
+        # and the second refuted level 1.5 on two points; the witnesses were
+        # accepted under floors of 1e-30 (psd) and 1e-9 (symmetry)
+        with pytest.raises(exc, match=match):
+            make(a)
 
     def test_scaled_down_certificate_still_refutes(self):
         for a in (np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0]),
@@ -259,6 +266,21 @@ class TestC2Bracket:
         assert 1 < b.lo < b.hi and b.hi - b.lo > 1e-4
         assert b.lo <= 6 * math.sin(math.pi / 12) <= b.hi
         assert_checked(m, b)
+
+    def test_scaling_the_metric_changes_no_bracket(self):
+        # at scale 1e-20 the witness has entries ~1e-40, which an absolute
+        # floor on its checks would wave through
+        brackets = []
+        for scale in (1e-20, 1.0, 1e20):
+            m = metric.build_metric(scale * cycle4().dist)
+            b = sdp.c2_bracket(m)
+            assert b.status == "converged"
+            assert_checked(m, b)
+            brackets.append(b)
+            cert = sdp.find_violating_certificate(m, 1.3)
+            assert not sdp.check_certificate(m, cert, 1.3)[0]
+        assert len({b.hi for b in brackets}) == 1
+        assert all(b.lo == pytest.approx(brackets[1].lo, rel=1e-15) for b in brackets)
 
     def test_c2_sdp_is_the_upper_end(self):
         b = sdp.c2_bracket(cycle(8), tol=1e-4)
