@@ -241,7 +241,7 @@ def cmd_bourgain(args):
 
     m = _load_metric(args.metric)
     cloud = metric.bourgain_embed(m, args.seed)
-    rep = metric.distortion(m, cloud.to_metric(), list(range(m.n)))
+    rep = metric.distortion(m, cloud, list(range(m.n)))
     payload = json.loads(cloud.to_json())
     payload["measured_distortion"] = rep.distortion
     return payload
@@ -463,7 +463,7 @@ def cmd_pipeline(args):
     m = _load_metric(args.metric)
     rng = np.random.default_rng(args.seed)
     cloud = metric.bourgain_embed(m, rng.integers(2**63 - 1))
-    rep = metric.distortion(m, cloud.to_metric(), list(range(m.n)))
+    rep = metric.distortion(m, cloud, list(range(m.n)))
     alpha1 = rep.distortion
     if args.alpha_total <= alpha1:
         raise BudgetInfeasible(
@@ -483,7 +483,7 @@ def cmd_pipeline(args):
         if not res.success:
             raise RetriesExhausted(f"no successful draw in {res.attempts} attempts")
         dimension, attempts = res.plan.k, res.attempts
-        end_to_end = metric.distortion(m, res.cloud.to_metric(), list(range(n))).distortion
+        end_to_end = metric.distortion(m, res.cloud, list(range(n))).distortion
     payload = {
         "n": n,
         "bourgain_distortion": alpha1,

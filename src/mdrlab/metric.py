@@ -31,6 +31,10 @@ from .errors import (
 # powers and l-infinity images of valid metrics must re-validate in doubles.
 TRIANGLE_RTOL = 1e-12
 
+# build_metric's refusals of a matrix entry, which distortion also gives for a cloud's distances
+_NON_FINITE = "distance matrix has non-finite entries"
+_NOT_POSITIVE = "off-diagonal distances must be strictly positive"
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
@@ -179,7 +183,7 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class EmbeddingReport:
-    """Distortion report for an index map between two finite metrics.
+    """Distortion report for an index map from a finite metric to a metric or a cloud.
 
     ``distortion = expansion / contraction`` is the bi-Lipschitz constant
     after optimal rescaling, by the contraction; ``avg_ratio`` is the ratio
@@ -235,7 +239,7 @@ def build_metric(dist: np.ndarray) -> FiniteMetric:
     if n == 0:
         raise ValueError("need at least one point")
     if not np.all(np.isfinite(d)):
-        raise ValueError("distance matrix has non-finite entries")
+        raise ValueError(_NON_FINITE)
     if not np.array_equal(d, d.T):
         raise SymmetryViolation(f"matrix asymmetric by {np.abs(d - d.T).max():.3e}")
     if np.abs(np.diag(d)).max() != 0.0:
@@ -243,7 +247,7 @@ def build_metric(dist: np.ndarray) -> FiniteMetric:
     if n > 1:
         near = d[~np.eye(n, dtype=bool)].reshape(n, n - 1).min(axis=1)
         if near.min() <= 0.0:
-            raise ValueError("off-diagonal distances must be strictly positive")
+            raise ValueError(_NOT_POSITIVE)
         if not _dyadic_triangles(d, near):
             _check_triangles(d, near, TRIANGLE_RTOL * d.max())
     return FiniteMetric(_owned(d))  # a writable d is copied after the validation buffers are freed
@@ -442,12 +446,19 @@ def random_metric(n: int, seed, style: str = "shortest_path") -> FiniteMetric:
     raise ValueError(f"unknown style {style!r}")
 
 
-def distortion(source: FiniteMetric, target: FiniteMetric, mapping) -> EmbeddingReport:
+def distortion(source: FiniteMetric, target: FiniteMetric | PointCloud, mapping) -> EmbeddingReport:
     """Bi-Lipschitz distortion of the index map i -> mapping[i].
 
     The report contains the max/min of the distance ratios
     d_target(f i, f j) / d_source(i, j) over pairs, their quotient (the
     distortion), and the average-distance ratio.
+
+    A :class:`PointCloud` target is measured without its distance matrix:
+    each row of mapped distances is one ``cdist`` call in the cloud's norm,
+    the doubles of ``pdist``, so the report is that of the cloud's induced
+    metric bit for bit.  As :func:`build_metric` would, a non-finite mapped
+    distance and then a zero one raise its ``ValueError``; the identity map
+    reads the coordinates in place.
     """
     if source.n < 2:
         raise DegenerateSource("need at least two source points")
@@ -461,12 +472,25 @@ def distortion(source: FiniteMetric, target: FiniteMetric, mapping) -> Embedding
     # the target's.
     n = source.n
     ds, dt = np.empty(n * (n - 1) // 2), np.empty(n * (n - 1) // 2)
+    cloud = isinstance(target, PointCloud)
+    if cloud:
+        from scipy.spatial.distance import cdist
+
+        x = target.coords[:n] if np.array_equal(idx, np.arange(n)) else target.coords[idx]
+        kwargs = {"p": target.p} if target.norm == "lp" else {}
     start = 0
     for i in range(n - 1):
         stop = start + n - 1 - i
         ds[start:stop] = source.dist[i, i + 1 :]
-        np.take(target.dist[idx[i]], idx[i + 1 :], out=dt[start:stop])
+        if cloud:
+            cdist(x[i : i + 1], x[i + 1 :], _PDIST_METRIC[target.norm], out=dt[None, start:stop], **kwargs)
+        else:
+            np.take(target.dist[idx[i]], idx[i + 1 :], out=dt[start:stop])
         start = stop
+    if cloud and not dt.max() < np.inf:  # also NaN, without an n(n-1)/2 mask
+        raise ValueError(_NON_FINITE)
+    if cloud and dt.min() <= 0.0:
+        raise ValueError(_NOT_POSITIVE)
     avg_ratio = float(dt.sum() / ds.sum())
     ratios = np.divide(dt, ds, out=dt)
     contraction = float(ratios.min())

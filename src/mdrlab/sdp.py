@@ -70,12 +70,14 @@ CHECK_EVERY = 10
 def _symmetric(a, name: str, exc) -> tuple[np.ndarray, float]:
     """``a`` taken in by ``_owned``, with its largest |entry|.
 
-    Raises ``exc`` unless the matrix is square, finite and symmetric to 1e-9
-    of its largest |entry|, a rule that holds at every scale.
+    Raises ``exc`` unless the matrix is square, non-empty, finite and
+    symmetric to 1e-9 of its largest |entry|, a rule that holds at every scale.
     """
     a = _owned(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise exc(f"{name} must be square")
+    if not a.size:
+        raise exc(f"{name} must be non-empty")
     if not np.isfinite(a).all():
         raise exc(f"{name} must be finite")
     scale = np.abs(a).max()

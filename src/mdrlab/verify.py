@@ -221,7 +221,7 @@ def verify_sdp(seed: int = 0) -> dict:
     _prop(results, "cycle4_root2", abs(alpha - math.sqrt(2)) <= 1e-3, f"alpha={alpha:.6f}")
 
     cloud = sdp.extract_points(witness)
-    rep = metric.distortion(c4, cloud.to_metric(), np.arange(4))
+    rep = metric.distortion(c4, cloud, np.arange(4))
     _prop(results, "witness_realizes_distortion", rep.distortion <= alpha + 2e-4)
 
     rng = np.random.default_rng(seed)

@@ -635,6 +635,35 @@ def test_golden_stdout(case, tmp_path, capsys):
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_SHA256[case]
 
 
+@pytest.mark.parametrize("case", ["bourgain", "pipeline", "verify-sdp"])
+def test_measured_clouds_build_no_metric(case, tmp_path, capsys, monkeypatch):
+    # bourgain and pipeline measure their clouds without the induced metric, and
+    # so does verify sdp's witness; its three_points_isometric builds 3-point
+    # metrics from clouds, as inputs to the SDP
+    paths = _write_inputs(tmp_path)
+    argv = "verify sdp --seed 0" if case == "verify-sdp" else GOLDEN_ARGV[case]
+    argv = [arg.format(**paths) for arg in argv.split()]
+    want = _invoke(argv, capsys)
+    to_metric = metric.PointCloud.to_metric
+
+    def refuse(cloud):
+        if cloud.n != 3:
+            raise AssertionError(f"to_metric on a measured {cloud.n}-point cloud")
+        return to_metric(cloud)
+
+    monkeypatch.setattr(metric.PointCloud, "to_metric", refuse)
+    assert want[0] == 0 and _invoke(argv, capsys) == want
+
+
+def test_distortion_command_loads_no_scipy(tmp_path):
+    # only a cloud target takes cdist; the command compares two metric files
+    m = _write_inputs(tmp_path)["m"]
+    proc = run_python("-c", "import sys\nfrom mdrlab.cli import main\n"
+                      f"assert main(['distortion', '--source', {m!r}, '--target', {m!r}]) == 0\n"
+                      "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------- sweep cells
 
 

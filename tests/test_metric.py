@@ -442,6 +442,89 @@ class TestDistortion:
         assert peak < 10 * 2**20
 
 
+def _report_hex(rep):
+    return [x.hex() for x in (rep.distortion, rep.expansion, rep.contraction, rep.avg_ratio)]
+
+
+def _outcome(call):
+    """The report's four fields in hex, or the class and message of the refusal."""
+    try:
+        return _report_hex(call())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+CLOUD_NORMS = [("l2", None), ("l1", None), ("linf", None), ("lp", 3.0)]
+
+
+class TestCloudTarget:
+    """A PointCloud target gives the report of its induced metric, bit for bit."""
+
+    @pytest.mark.parametrize("norm, p", CLOUD_NORMS)
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    @pytest.mark.parametrize("kind", ["identity", "prefix", "permutation", "into-larger"])
+    def test_equals_the_induced_metric(self, norm, p, scale, kind):
+        rng = np.random.default_rng(11)
+        n, size = 40, 40 if kind in ("identity", "permutation") else 47
+        src = metric.random_metric(n, 12)
+        cloud = metric.PointCloud(scale * rng.standard_normal((size, 6)), norm, p)
+        mapping = {
+            "identity": np.arange(n),
+            "prefix": np.arange(n),  # the identity map into a larger cloud
+            "permutation": rng.permutation(n),
+            "into-larger": rng.choice(size, n, replace=False),
+        }[kind]
+        got = _report_hex(metric.distortion(src, cloud, mapping))
+        assert got == _report_hex(metric.distortion(src, cloud.to_metric(), mapping))
+
+    @pytest.mark.parametrize("norm, p", CLOUD_NORMS)
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("equal-points", "off-diagonal distances must be strictly positive"),
+            ("differences-overflow", "distance matrix has non-finite entries"),
+            ("overflow-and-equal-points", "distance matrix has non-finite entries"),  # non-finite first
+        ],
+    )
+    def test_refusals_match_the_induced_metric(self, norm, p, case, message):
+        x = np.random.default_rng(13).standard_normal((6, 3))
+        if case != "differences-overflow":
+            x[4] = x[1]
+        if case != "equal-points":
+            x[2], x[5] = 1.5e308, -1.5e308
+        cloud = metric.PointCloud(x, norm, p)
+        src = metric.random_metric(6, 14)
+        got = _outcome(lambda: metric.distortion(src, cloud, np.arange(6)))
+        assert got == (ValueError, message)
+        assert got == _outcome(lambda: metric.distortion(src, cloud.to_metric(), np.arange(6)))
+
+    @pytest.mark.parametrize("norm, p", CLOUD_NORMS)
+    def test_powers_near_1e300(self, norm, p):
+        # differences of 2e300 are finite; their squares and cubes overflow,
+        # so l2 and lp refuse the cloud and l1 and l-infinity measure it
+        x = np.random.default_rng(15).standard_normal((5, 3))
+        x[3], x[0] = 1e300, -1e300
+        cloud, src = metric.PointCloud(x, norm, p), metric.random_metric(5, 16)
+        got = _outcome(lambda: metric.distortion(src, cloud, np.arange(5)))
+        if norm in ("l2", "lp"):
+            assert got == (ValueError, "distance matrix has non-finite entries")
+        assert got == _outcome(lambda: metric.distortion(src, cloud.to_metric(), np.arange(5)))
+
+    def test_two_pair_buffers_for_a_bourgain_cloud(self):
+        # two 1 MiB pair buffers: the identity map reads the coordinates in
+        # place, and the induced metric (n x n, beside its pdist vector) is not built
+        pm = spectral.random_regular_graph(512, 4, 0).shortest_path_metric()
+        cloud = metric.bourgain_embed(pm, 0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            metric.distortion(pm, cloud, np.arange(512))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
+
+
 class TestFrechet:
     def test_single_point(self):
         cloud = metric.frechet_embed(metric.build_metric(np.zeros((1, 1))))

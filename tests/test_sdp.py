@@ -186,6 +186,14 @@ class TestCertificates:
         with pytest.raises(exc, match=match):
             make(a)
 
+    @pytest.mark.parametrize("make, exc, name", [(sdp.NegativeTypeCertificate, CertificateInvalid, "A"),
+                                                 (sdp.GramCandidate, ValueError, "Q")])
+    def test_empty_matrix_refused(self, make, exc, name):
+        # the largest |entry| of a 0 x 0 matrix used to raise numpy's bare
+        # "zero-size array to reduction operation maximum" ValueError
+        with pytest.raises(exc, match=f"^{name} must be non-empty$"):
+            make(np.zeros((0, 0)))
+
     def test_scaled_down_certificate_still_refutes(self):
         for a in (np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0]),
                   sdp.find_violating_certificate(cycle4(), 1.3).A):

@@ -14,6 +14,7 @@ from mdrlab.errors import (
     DegenerateConfiguration,
     Disconnected,
     GenerationFailure,
+    HorizonTooLarge,
     NegativeWeight,
     NoGap,
     TooLarge,
@@ -1054,5 +1055,13 @@ class TestMarkovConvexity:
         big = MarkovChainSpec(
             spec.transition, spec.initial, 65, spec.space, spec.point_map, 2.0
         )
-        with pytest.raises(Exception):
+        with pytest.raises(HorizonTooLarge, match="capped at 64"):
             markov_convexity_ratio(big, method="dp")
+
+    @pytest.mark.parametrize("method", ["dp", "mc"])
+    def test_state_cap(self, method):
+        # 65 states on a path metric, horizon 2: the state count alone is over the cap
+        p = np.roll(np.eye(65), 1, axis=1)
+        spec = MarkovChainSpec(p, np.eye(65)[0], 2, path_metric(np.arange(65.0)), np.arange(65), 2.0)
+        with pytest.raises(HorizonTooLarge, match="capped at 64"):
+            markov_convexity_ratio(spec, samples=10, method=method)
