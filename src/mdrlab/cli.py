@@ -232,8 +232,7 @@ def cmd_frechet(args):
     from . import metric
 
     m = _load_metric(args.metric)
-    cloud = metric.frechet_embed(m)
-    return json.loads(cloud.to_json())
+    return metric.frechet_embed(m).to_dict()
 
 
 def cmd_bourgain(args):
@@ -242,16 +241,14 @@ def cmd_bourgain(args):
     m = _load_metric(args.metric)
     cloud = metric.bourgain_embed(m, args.seed)
     rep = metric.distortion(m, cloud, list(range(m.n)))
-    payload = json.loads(cloud.to_json())
-    payload["measured_distortion"] = rep.distortion
-    return payload
+    return {**cloud.to_dict(), "measured_distortion": rep.distortion}
 
 
 def cmd_snowflake(args):
     from . import metric
 
     m = _load_metric(args.metric)
-    return json.loads(metric.snowflake(m, args.theta).to_json())
+    return metric.snowflake(m, args.theta).to_dict()
 
 
 def cmd_doubling(args):
@@ -386,9 +383,7 @@ def cmd_regular_graph(args):
     from . import spectral
 
     g = spectral.random_regular_graph(args.n, args.r, args.seed)
-    payload = json.loads(g.to_json())
-    payload["lambda2"] = spectral.lambda2(spectral.chain_from_graph(g))
-    return payload
+    return {**g.to_dict(), "lambda2": spectral.lambda2(spectral.chain_from_graph(g))}
 
 
 def cmd_markov_convexity(args):
@@ -412,9 +407,8 @@ def cmd_matousek_gen(args):
     from . import matousek
 
     t = matousek.gen_template(args.n, args.g, args.seed)
-    payload = json.loads(t.to_json())
-    payload.update(girth=_girth(t.girth), edges_count=t.edge_count, density_ratio=t.density_ratio)
-    return payload
+    extra = {"girth": _girth(t.girth), "edges_count": t.edge_count, "density_ratio": t.density_ratio}
+    return {**t.to_dict(), **extra}
 
 
 def cmd_signed_metric(args):
@@ -426,9 +420,7 @@ def cmd_signed_metric(args):
     template = matousek.gen_template(args.n, args.g, rng.integers(2**63 - 1))
     signs = matousek.random_signs(template, rng.integers(2**63 - 1))
     sm = matousek.signed_metric(template, signs, matousek.SignedMetricParams(args.s, args.T))
-    payload = json.loads(sm.to_json())
-    payload["min_fork_dist"] = matousek.min_fork_distance(sm, args.n)
-    return payload
+    return {**sm.to_dict(), "min_fork_dist": matousek.min_fork_distance(sm, args.n)}
 
 
 def cmd_matousek_harness(args):
@@ -602,7 +594,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--cloud", required=True)
     p.add_argument("--alpha", type=_parse_real, required=True)
     p.add_argument("--mode", choices=("haar", "gaussian"), default="haar")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_parse_count, default=None)
     p.add_argument("--max-retries", type=_parse_count, default=64)
 
     p = add("psi", cmd_psi, "success probability of the rotation transform")

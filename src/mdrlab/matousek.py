@@ -22,7 +22,6 @@ in ascending vertex order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -51,14 +50,13 @@ class TemplateGraph:
             return 0.0
         return self.edge_count / self.n ** (1.0 + 1.0 / self.girth)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "partition": {"L": list(range(self.n)), "R": list(range(self.n))},
-                "edges": [list(e) for e in self.edges],
-            }
-        )
+    def to_dict(self) -> dict:
+        """The JSON object of a template: ``n``, the two sides and the ``[left, right]`` edges."""
+        return {
+            "n": self.n,
+            "partition": {"L": list(range(self.n)), "R": list(range(self.n))},
+            "edges": [list(e) for e in self.edges],
+        }
 
 
 @dataclass(frozen=True)

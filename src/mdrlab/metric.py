@@ -107,8 +107,12 @@ class FiniteMetric:
     def n(self) -> int:
         return self.dist.shape[0]
 
+    def to_dict(self) -> dict:
+        """The JSON object of a metric file: ``n`` and the ``dist`` rows."""
+        return {"n": self.n, "dist": self.dist.tolist()}
+
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "dist": self.dist.tolist()})
+        return json.dumps(self.to_dict())
 
     @staticmethod
     def from_json(text: str) -> "FiniteMetric":
@@ -166,11 +170,13 @@ class PointCloud:
         """
         return build_metric(_frozen(self.pairwise()))
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The JSON object of a cloud file; the norm of an lp cloud is ``{"lp": p}``."""
         norm = {"lp": self.p} if self.norm == "lp" else self.norm
-        return json.dumps(
-            {"n": self.n, "dim": self.dim, "norm": norm, "coords": self.coords.tolist()}
-        )
+        return {"n": self.n, "dim": self.dim, "norm": norm, "coords": self.coords.tolist()}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @staticmethod
     def from_json(text: str) -> "PointCloud":

@@ -19,7 +19,6 @@ graphs, and a Markov-convexity estimator.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -97,8 +96,9 @@ class WeightedGraph:
         i, j, w = zip(*self.edges) if self.edges else ((), (), ())
         return np.array(i, dtype=int), np.array(j, dtype=int), np.array(w, dtype=float)
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]})
+    def to_dict(self) -> dict:
+        """The JSON object of a graph file: ``n`` and the ``[i, j, weight]`` edges."""
+        return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
     def shortest_path_metric(self) -> FiniteMetric:
         """Hop-count metric (edge weights ignored); graph must be connected.
@@ -237,7 +237,7 @@ class Configuration:
             full = self.space.dist
         else:
             full = self.space.pairwise()
-        return full[self.assignment][:, self.assignment]
+        return full[np.ix_(self.assignment, self.assignment)]
 
     def vectors(self) -> np.ndarray:
         if not isinstance(self.space, PointCloud):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import cycle4, path_metric
-from mdrlab import cli, jl, metric, sdp, verify
+from mdrlab import cli, jl, matousek, metric, sdp, spectral, verify
 
 
 def run_cli(*args, env_extra=None):
@@ -620,11 +620,7 @@ def _close(a, b):
     return a == b
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_ARGV))
-def test_golden_stdout(case, tmp_path, capsys):
-    paths = _write_inputs(tmp_path)
-    argv = [arg.format(**paths) for arg in GOLDEN_ARGV[case].split()]
-    code, out, _ = _invoke(argv, capsys)
+def _assert_golden(case, code, out):
     if case in GOLDEN_PAYLOAD:
         payload = json.loads(out)
         if case == "cheeger":  # the eigenvector's sign picks the side; name the side of state 0
@@ -633,6 +629,29 @@ def test_golden_stdout(case, tmp_path, capsys):
         assert _close(payload, GOLDEN_PAYLOAD[case])
     else:
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ARGV))
+def test_golden_stdout(case, tmp_path, capsys):
+    paths = _write_inputs(tmp_path)
+    argv = [arg.format(**paths) for arg in GOLDEN_ARGV[case].split()]
+    _assert_golden(case, *_invoke(argv, capsys)[:2])
+
+
+@pytest.mark.parametrize(
+    "case", ["bourgain", "frechet", "matousek-gen", "regular-graph", "signed-metric", "snowflake"]
+)
+def test_carriers_reach_the_payload_without_text(case, tmp_path, capsys, monkeypatch):
+    # each command returns its carrier's to_dict(); none serializes the carrier to parse it back
+    paths = _write_inputs(tmp_path)
+
+    def refuse(carrier):
+        raise AssertionError(f"{type(carrier).__name__}.to_json called")
+
+    for carrier in (metric.FiniteMetric, metric.PointCloud, spectral.WeightedGraph, matousek.TemplateGraph):
+        monkeypatch.setattr(carrier, "to_json", refuse, raising=False)
+    argv = [arg.format(**paths) for arg in GOLDEN_ARGV[case].split()]
+    _assert_golden(case, *_invoke(argv, capsys)[:2])
 
 
 @pytest.mark.parametrize("case", ["bourgain", "pipeline", "verify-sdp"])
@@ -731,6 +750,15 @@ class TestSweepDispatch:
         assert code == 0
         assert "expected a positive integer, got 0" in bad["error"] and bad["k"] == ""
         assert good["error"] == "" and good["k"] == "98"
+
+    def test_jl_project_k_zero_cell_recorded(self, tmp_path, capsys):
+        cloud = _write_inputs(tmp_path)["cloud"]
+        spec = {"command": "jl-project", "grid": {"k": [0, 4]}, "args": {"cloud": cloud, "alpha": 3}}
+        code, out, _ = _sweep(tmp_path, capsys, spec)
+        bad, good = _csv_rows(out)
+        assert code == 0
+        assert "argument --k: expected a positive integer, got 0" in bad["error"] and bad["coords"] == ""
+        assert good["error"] == "" and good["k"] == "4"
 
     def test_non_finite_cell_recorded_and_sweep_goes_on(self, tmp_path, capsys):
         spec = {"command": "volumetric", "grid": {"alpha": ["nan", 2]}, "args": {"n": 10}}
@@ -856,6 +884,20 @@ class TestMainExits:
             code, out, err = _invoke([*argv, "--max-retries", retries], capsys)
             assert code == 2 and out == ""
             assert "--max-retries" in err
+
+    @pytest.mark.parametrize("k, want", [("1e1", 10), ("2.0", 2)])
+    def test_jl_project_k_is_a_count(self, k, want, tmp_path, capsys):
+        # --k is parsed as psi's --k is: scientific notation and integral floats pass
+        cloud = _write_inputs(tmp_path)["cloud"]
+        code, out, _ = _invoke(["jl-project", "--cloud", cloud, "--alpha", "3", "--k", k, "--seed", "2"], capsys)
+        assert code == 0 and json.loads(out)["k"] == want
+
+    @pytest.mark.parametrize("k", ["0", "-3", "2.5"])
+    def test_jl_project_k_below_one_is_a_usage_error(self, k, tmp_path, capsys):
+        cloud = _write_inputs(tmp_path)["cloud"]
+        code, out, err = _invoke(["jl-project", "--cloud", cloud, "--alpha", "3", "--k", k], capsys)
+        assert code == 2 and out == ""
+        assert f"argument --k: expected a positive integer, got {k}" in err
 
     @pytest.mark.parametrize("argv", [
         "regular-graph --n 8 --r 3",

@@ -157,7 +157,7 @@ def test_graph_commands_load_no_scipy(argv, tmp_path):
     # connectivity is a union-find over the edge list and the spectra are
     # numpy eigh, so these commands never import scipy.sparse.csgraph
     graph, c4 = tmp_path / "graph.json", tmp_path / "c4.json"
-    graph.write_text(graph_cycle(4).to_json())
+    graph.write_text(json.dumps(graph_cycle(4).to_dict()))
     c4.write_text(cycle4().to_json())
     argv = [a.format(graph=graph, c4=c4) for a in argv]
     loaded = modules_after(f"from mdrlab.cli import main\nassert main({argv!r}) == 0")

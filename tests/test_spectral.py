@@ -228,6 +228,22 @@ class TestRayleigh:
             rayleigh(Configuration(m, [0, 0, 0]), chain, 2.0)
 
 
+@pytest.mark.parametrize("space", ["metric", "l1 cloud"])
+def test_configuration_distances_gather_the_assignment(space):
+    # one fancy-index gather, entry for entry the two-step full[a][:, a]
+    rng = np.random.default_rng(8)
+    if space == "metric":
+        s = metric.random_metric(7, 9)
+        full = s.dist
+    else:
+        s = metric.PointCloud(rng.standard_normal((7, 3)), "l1")
+        full = s.pairwise()
+    idx = [4, 0, 4, 6, 2, 2, 5, 4]
+    got = Configuration(s, idx).distances()
+    want = full[idx][:, idx]
+    assert got.shape == (8, 8) and got.tobytes() == want.tobytes()
+
+
 class TestRayleighAlgebra:
     """The five structural clauses, each over 200 random instances."""
 
